@@ -24,7 +24,7 @@ from gmfbm.process import (
     exact_cov_oracle,
     sample_timechanged_path_with_clock,
 )
-from gmfbm.randkit import derive_stream
+from gmfbm.randkit import path_blocks
 from gmfbm.subordinators import (
     SubordinatorSpec,
     subordinator_moment,
@@ -287,13 +287,16 @@ def _info(message: str) -> None:
 
 def cmd_simulate(config: RunConfig) -> int:
     grid = TimeGrid(config.t_grid())
+    m = len(grid)
     columns = ["path", "t", "subordinator", "value"]
     rows = []
-    for pid in range(config.n_paths):
-        stream = derive_stream(config.master_seed, pid)
-        clock, path = sample_timechanged_path_with_clock(config.spec, grid, stream)
-        for t, sub_val, y in zip(grid.times, clock.values, path.values):
-            rows.append([pid, float(t), float(sub_val), float(y)])
+    for stream, lo, hi in path_blocks(config.master_seed, config.n_paths):
+        clock, path = sample_timechanged_path_with_clock(config.spec, grid, stream,
+                                                         size=hi - lo)
+        rows.extend(zip(np.repeat(np.arange(lo, hi), m).tolist(),
+                        np.tile(grid.times, hi - lo).tolist(),
+                        clock.values.ravel().tolist(),
+                        path.values.ravel().tolist()))
     _emit(config, columns, rows, {"n_paths": config.n_paths,
                                   "grid_count": config.t_count})
     return EXIT_OK

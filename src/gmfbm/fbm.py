@@ -99,58 +99,66 @@ def fbm_cov_matrix(grid, h) -> np.ndarray:
 
 
 def _cov_matrix_at(times: np.ndarray, hh: float) -> np.ndarray:
+    # covariance matrices of the rows of ``times`` (shape (..., n))
     two_h = 2.0 * hh
     pw = times ** two_h
-    return 0.5 * (pw[:, None] + pw[None, :]
-                  - np.abs(times[:, None] - times[None, :]) ** two_h)
+    return 0.5 * (pw[..., :, None] + pw[..., None, :]
+                  - np.abs(times[..., :, None] - times[..., None, :]) ** two_h)
 
 
 def _cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
+    # factors a stack of matrices; a failure anywhere jitters the whole stack
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         pass
-    max_diag = float(np.max(np.diag(cov)))
+    max_diag = np.max(np.diagonal(cov, axis1=-2, axis2=-1), axis=-1)
     eps = _JITTER_START
-    eye = np.eye(cov.shape[0])
+    eye = np.eye(cov.shape[-1])
     while eps <= _JITTER_MAX:
         try:
-            return np.linalg.cholesky(cov + eps * max_diag * eye)
+            return np.linalg.cholesky(cov + eps * max_diag[..., None, None] * eye)
         except np.linalg.LinAlgError:
             eps *= 10.0
     raise ConditioningError(
         f"covariance factorization failed at jitter {_JITTER_MAX} * max diagonal "
-        f"(n={cov.shape[0]}, max diag={max_diag:g})")
+        f"(n={cov.shape[-1]}, max diag={float(np.max(max_diag)):g})")
 
 
 def fbm_values_at_times(times: np.ndarray, h, stream: RngStream, size=None) -> np.ndarray:
     """Exact joint Gaussian sample of B^H at nondecreasing ``times``.
 
-    Unlike the TimeGrid-facing sampler this accepts repeated consecutive
-    times (which subordinated clocks produce): duplicates are collapsed
-    before factorization and the sampled values replicated, and any leading
-    zeros are returned as exact zeros.
+    ``times`` is one grid of shape (n,) or a stack of per-path grids of
+    shape (B, n), one row per path; the result has the shape of ``times``,
+    with a leading ``size`` axis when ``size`` is given.  Unlike the
+    TimeGrid-facing sampler this accepts repeated consecutive times (which
+    subordinated clocks produce) and leading zeros: such a time gets an
+    independent unit dummy variable in the covariance, and after sampling
+    it is overwritten by the previous value, or by the exact zero of
+    B_0 = 0.  Since the dummy is independent of every other variable, the
+    values at the distinct positive times keep their exact joint law.
     """
     hh = as_hurst(h)
     times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0:
-        raise ValueError("times must be a nonempty 1-d array")
-    if times[0] < 0.0 or np.any(np.diff(times) < 0.0):
+    if times.ndim not in (1, 2) or times.shape[-1] == 0:
+        raise ValueError("times must be a nonempty 1-d array or a 2-d stack of rows")
+    steps = np.diff(times, axis=-1, prepend=0.0)
+    if np.any(steps < 0.0):
         raise ValueError("times must be nonnegative and nondecreasing")
-    uniq, inverse = np.unique(times, return_inverse=True)
-    pos = uniq[uniq > 0.0]
-    n_shape = (len(pos),) if size is None else (size, len(pos))
-    if len(pos) == 0:
-        sampled = np.zeros(n_shape)
-    else:
-        chol = _cholesky_with_jitter(_cov_matrix_at(pos, hh))
-        z = sample_std_normal(stream, n_shape)
-        sampled = z @ chol.T
-    # prepend the analytic zero for t=0, then expand duplicates
-    if len(pos) < len(uniq):
-        zero = np.zeros(n_shape[:-1] + (1,))
-        sampled = np.concatenate([zero, sampled], axis=-1)
-    return sampled[..., inverse]
+    n = times.shape[-1]
+    dummy = steps == 0.0
+    real = ~dummy
+    cov = _cov_matrix_at(times, hh) * (real[..., :, None] & real[..., None, :])
+    diag = np.arange(n)
+    cov[..., diag, diag] += dummy
+    chol = _cholesky_with_jitter(cov)
+    batch = () if size is None else (size,)
+    z = sample_std_normal(stream, batch + times.shape)
+    sampled = np.einsum("...ij,...j->...i", chol, z)
+    # forward fill: column 0 of the padded array is the exact zero B_0
+    src = np.maximum.accumulate(np.where(dummy, 0, diag + 1), axis=-1)
+    padded = np.concatenate([np.zeros(sampled.shape[:-1] + (1,)), sampled], axis=-1)
+    return np.take_along_axis(padded, np.broadcast_to(src, sampled.shape), axis=-1)
 
 
 def sample_fbm_at(grid, h, stream: RngStream, size=None) -> np.ndarray:
@@ -164,29 +172,12 @@ def sample_fbm_at(grid, h, stream: RngStream, size=None) -> np.ndarray:
 def sample_fbm_pair(u, v, h, stream: RngStream, size=None):
     """Exact bivariate draw (B_u, B_v) for 0 <= u <= v.
 
-    ``u`` and ``v`` may be arrays (elementwise pairs); scalar inputs return
-    scalars unless ``size`` is given.  This is the O(1) sampler the Monte
-    Carlo covariance estimator runs on; the scalar path stays off numpy so
-    per-path estimation is cheap.
+    ``u`` and ``v`` may be arrays (elementwise pairs, one per path of a
+    block); scalar inputs return floats unless ``size`` is given.  This is
+    the O(1) sampler the Monte Carlo covariance estimator runs on: B_u from
+    its variance, then B_v from its Gaussian conditional law given B_u.
     """
     hh = as_hurst(h)
-    if size is None and isinstance(u, float) and isinstance(v, float):
-        if u < 0.0:
-            raise ValueError("times must be nonnegative")
-        if u > v:
-            raise ValueError("need u <= v")
-        z0 = stream.gen.standard_normal()
-        z1 = stream.gen.standard_normal()
-        stream.counter += 2
-        two_h = 2.0 * hh
-        var_u = u ** two_h
-        b_u = var_u ** 0.5 * z0
-        cov_uv = 0.5 * (var_u + v ** two_h - (v - u) ** two_h)
-        slope = cov_uv / var_u if var_u > 0.0 else 0.0
-        resid = v ** two_h - slope * cov_uv
-        b_v = slope * b_u + max(resid, 0.0) ** 0.5 * z1
-        return b_u, b_v
-
     u_arr = np.asarray(u, dtype=float)
     v_arr = np.asarray(v, dtype=float)
     if np.any(u_arr < 0.0) or np.any(v_arr < 0.0):

@@ -2,10 +2,12 @@
 process, with standard errors, power-law decay fitting, and the combined
 long-range-dependence report.
 
-Every estimator draws path i from the stream keyed (master_seed, i), fills
-a slot indexed by i, and reduces the full array once, so results are
-bit-identical for a fixed master seed no matter how the paths are
-partitioned across workers.
+Every estimator samples its paths in blocks (``randkit.path_blocks``):
+block k holds paths [kB, (k+1)B), B = ``randkit.BLOCK_PATHS``, and draws
+them as vectors from the stream keyed (master_seed, k).  Each block fills
+its own slice of the path array, which is reduced once, so results are
+bit-identical for a fixed master seed no matter how the blocks are spread
+across workers.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ from gmfbm.process import (
     exact_var_oracle,
     sample_timechanged_pair,
 )
-from gmfbm.randkit import derive_stream
+from gmfbm.randkit import derive_stream, path_blocks
 from gmfbm.theory import DecayPrediction
 
-# stream id reserved for bootstrap resampling, far above any path index
+# stream id reserved for bootstrap resampling, far above any block index
 _BOOTSTRAP_STREAM_ID = (1 << 64) - 1
 _BOOTSTRAP_RESAMPLES = 200
 
@@ -67,20 +69,18 @@ def _sample_pairs(spec: TimeChangedSpec, s: float, t: float, n_paths: int,
     ys = np.empty(n_paths)
     yt = np.empty(n_paths)
 
-    def fill(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            a, b = sample_timechanged_pair(spec, s, t, derive_stream(master_seed, i))
-            ys[i] = a
-            yt[i] = b
+    def fill(block) -> None:
+        stream, lo, hi = block
+        ys[lo:hi], yt[lo:hi] = sample_timechanged_pair(spec, s, t, stream,
+                                                       size=hi - lo)
 
+    blocks = path_blocks(master_seed, n_paths)
     if n_workers <= 1:
-        fill(0, n_paths)
+        for block in blocks:
+            fill(block)
     else:
-        chunk = -(-n_paths // n_workers)
-        bounds = [(k * chunk, min((k + 1) * chunk, n_paths))
-                  for k in range(n_workers) if k * chunk < n_paths]
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(lambda be: fill(*be), bounds))
+            list(pool.map(fill, blocks))
     return ys, yt
 
 
@@ -96,7 +96,7 @@ def _check_estimator_args(s: float, t: float, n_paths: int,
 
 def estimate_cov(spec: TimeChangedSpec, s: float, t: float, n_paths: int,
                  master_seed: int, n_workers: int = 1) -> MomentEstimate:
-    """Sample covariance of (Y_s, Y_t) over independent per-path streams.
+    """Sample covariance of (Y_s, Y_t) over independent paths.
 
     The standard error comes from the sample variance of the per-path
     centered products.
@@ -114,7 +114,7 @@ def estimate_corr(spec: TimeChangedSpec, s: float, t: float, n_paths: int,
     """Pearson correlation of (Y_s, Y_t), stderr by nonparametric bootstrap.
 
     The bootstrap uses 200 resamples drawn from a reserved stream id, so it
-    never collides with path streams and is reproducible.  The degenerate
+    never collides with block streams and is reproducible.  The degenerate
     case s == t returns correlation exactly 1.
     """
     _check_estimator_args(s, t, n_paths, allow_equal=True)

@@ -73,12 +73,15 @@ class TimeChangedSpec:
 
 @dataclass(frozen=True)
 class ProcessPath:
+    """Process values on a time grid: shape (len(grid),) for one path or
+    (B, len(grid)) for a block of B paths."""
+
     grid: TimeGrid
     values: np.ndarray
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        if values.shape != (len(self.grid),):
+        if values.ndim not in (1, 2) or values.shape[-1] != len(self.grid):
             raise ValueError("values must match the grid length")
         object.__setattr__(self, "values", values)
 
@@ -93,9 +96,10 @@ def sample_gmfbm_given_clock(p: GmfbmParams, clock_values, stream: RngStream,
                              size=None) -> np.ndarray:
     """Mixed-process values at the (nondecreasing) clock times.
 
+    ``clock_values`` is one grid (n,) or a block of per-path rows (B, n).
     Each motion is sampled exactly at the clock times from its own
     substream, then mixed.  Repeated clock times are handled by the
-    duplicate-collapsing sampler underneath.
+    sampler underneath.
     """
     clock_values = np.asarray(clock_values, dtype=float)
     b1 = fbm.fbm_values_at_times(clock_values, p.h1,
@@ -116,8 +120,9 @@ def sample_timechanged_pair(spec: TimeChangedSpec, s: float, t: float,
 
     The clock is sampled as S_s plus an independent increment over t-s;
     each motion then contributes an exact bivariate pair at the two clock
-    times.  All draws come sequentially from ``stream``.  This is the
-    workhorse of the Monte Carlo covariance estimator.
+    times.  All draws come sequentially from ``stream``, as vectors over
+    the ``size`` paths of a block.  This is the workhorse of the Monte Carlo
+    covariance estimator.
     """
     if not 0.0 < s < t:
         raise ValueError(f"need 0 < s < t, got s={s}, t={t}")
@@ -126,29 +131,27 @@ def sample_timechanged_pair(spec: TimeChangedSpec, s: float, t: float,
     p = spec.gmfbm
     b1_u, b1_v = fbm.sample_fbm_pair(u, v, p.h1, stream)
     b2_u, b2_v = fbm.sample_fbm_pair(u, v, p.h2, stream)
-    y_s = p.a * b1_u + p.b * b2_u
-    y_t = p.a * b1_v + p.b * b2_v
-    if size is None:
-        return float(y_s), float(y_t)
-    return y_s, y_t
+    return p.a * b1_u + p.b * b2_u, p.a * b1_v + p.b * b2_v
 
 
 def sample_timechanged_path_with_clock(spec: TimeChangedSpec, grid,
-                                       stream: RngStream):
+                                       stream: RngStream, size=None):
     """Sample the clock on the grid and the mixed process at the clock times.
 
-    Returns (SubordinatorPath, ProcessPath); the CLI uses both columns.
+    Returns (SubordinatorPath, ProcessPath), each holding one path, or a
+    block of ``size`` paths as rows; the CLI uses both columns.
     """
     grid = as_time_grid(grid)
     clock = sample_path(spec.subordinator, grid,
-                        derive_substream(stream, _LANE_CLOCK))
+                        derive_substream(stream, _LANE_CLOCK), size=size)
     values = sample_gmfbm_given_clock(spec.gmfbm, clock.values, stream)
     return clock, ProcessPath(grid, values)
 
 
-def sample_timechanged_path(spec: TimeChangedSpec, grid, stream: RngStream) -> ProcessPath:
+def sample_timechanged_path(spec: TimeChangedSpec, grid, stream: RngStream,
+                            size=None) -> ProcessPath:
     """Sample the clock on the grid, then the mixed process at the clock times."""
-    return sample_timechanged_path_with_clock(spec, grid, stream)[1]
+    return sample_timechanged_path_with_clock(spec, grid, stream, size=size)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Deterministic, splittable random streams and the scalar/vector samplers
-used throughout the toolkit.
+"""Deterministic, splittable random streams, the block layout of Monte
+Carlo paths, and the batched samplers used throughout the toolkit.
 
 Streams are counter-mode Philox generators keyed by ``(master_seed,
 stream_id)``.  Distinct key pairs yield statistically independent bit
@@ -7,6 +7,9 @@ streams, and the sequence for a fixed key is reproducible across runs and
 worker layouts.  Substreams occupy disjoint 2**128-wide blocks of the
 256-bit Philox counter, so deriving them never consumes randomness from
 the parent.
+
+Every sampler draws a vector through its ``size=`` argument; ``size=None``
+is a draw of one through the same code, returned as a scalar.
 """
 
 from __future__ import annotations
@@ -18,12 +21,15 @@ import numpy as np
 _U64 = 1 << 64
 _LN2 = math.log(2.0)
 
+# Monte Carlo paths per block; each block draws from one stream.
+BLOCK_PATHS = 1024
+
 # Beyond this many tilting-rejection substeps per increment the exact
 # double-rejection sampler is cheaper (cost O(1) vs O(dt * lam**alpha)).
-# Vectorized bulk draws amortize substep overhead, so their crossover sits
-# higher than the scalar one.
-_SUBSTEP_LIMIT_VECTOR = 16
-_SUBSTEP_LIMIT_SCALAR = 4
+# Measured on a 2-core x86 host in blocks of 1024 draws, alpha in 0.3..0.9,
+# lam = 1: thinning is cheaper up to 5 substeps, the two tie at 6, and
+# double rejection is cheaper from 7 on.
+_SUBSTEP_LIMIT = 6
 
 
 def _check_u64(name: str, value: int) -> int:
@@ -86,6 +92,18 @@ def derive_substream(stream: RngStream, lane: int) -> RngStream:
     return RngStream(stream.master_seed, stream.stream_id, stream.lanes + (int(lane),))
 
 
+def path_blocks(master_seed: int, n_paths: int) -> list[tuple[RngStream, int, int]]:
+    """Split paths 0..n_paths-1 into blocks of ``BLOCK_PATHS``.
+
+    Block k is the triple (stream, lo, hi): it holds paths [lo, hi) =
+    [k*BLOCK_PATHS, (k+1)*BLOCK_PATHS), clipped to n_paths, and draws them
+    all from the stream keyed (master_seed, k).  Results depend on the
+    block layout only, never on which worker samples a block.
+    """
+    return [(derive_stream(master_seed, k), lo, min(lo + BLOCK_PATHS, n_paths))
+            for k, lo in enumerate(range(0, n_paths, BLOCK_PATHS))]
+
+
 def _size_count(size) -> int:
     if size is None:
         return 1
@@ -136,18 +154,6 @@ def _stable_unit(gen: np.random.Generator, alpha: float, n: int) -> np.ndarray:
             / (np.sin(v) ** (1.0 / alpha) * e ** frac))
 
 
-def _stable_unit_scalar(gen: np.random.Generator, alpha: float) -> float:
-    v = gen.random()
-    if v == 0.0:
-        v = 2.0 ** -53
-    v *= math.pi
-    e = gen.standard_exponential()
-    frac = (1.0 - alpha) / alpha
-    return (math.sin(alpha * v)
-            * math.sin((1.0 - alpha) * v) ** frac
-            / (math.sin(v) ** (1.0 / alpha) * e ** frac))
-
-
 def sample_stable_subordinator_increment(stream: RngStream, alpha: float,
                                          scale: float, size=None):
     """Positive stable variate with Laplace transform exp(-scale * u**alpha).
@@ -187,46 +193,32 @@ def _tempered_by_thinning(gen: np.random.Generator, alpha: float, lam: float,
     return out.reshape(n, n_sub).sum(axis=1)
 
 
-def _tempered_by_thinning_scalar(gen: np.random.Generator, alpha: float,
-                                 lam: float, dt: float, n_sub: int) -> float:
-    dt_sub = dt / n_sub
-    scale_fac = dt_sub ** (1.0 / alpha)
-    total = 0.0
-    for _ in range(n_sub):
-        while True:
-            prop = scale_fac * _stable_unit_scalar(gen, alpha)
-            if gen.random() < math.exp(-lam * prop):
-                total += prop
-                break
-    return total
+def _sinc(x: np.ndarray) -> np.ndarray:
+    # sin(x)/x with the removable singularity at 0 filled in
+    return np.sinc(x / math.pi)
 
 
-def _sinc(x: float) -> float:
-    if x == 0.0:
-        return 1.0
-    if abs(x) < 0.006:
-        x2 = x * x
-        return 1.0 - x2 / 6.0 * (1.0 - x2 / 20.0)
-    return math.sin(x) / x
-
-
-def _zolotarev_b(x: float, alpha: float) -> float:
+def _zolotarev_b(x: np.ndarray, alpha: float) -> np.ndarray:
     return _sinc(x) / (_sinc(alpha * x) ** alpha
                        * _sinc((1.0 - alpha) * x) ** (1.0 - alpha))
 
 
-def _zolotarev_a(x: float, alpha: float) -> float:
+def _zolotarev_a(x: np.ndarray, alpha: float) -> np.ndarray:
     return (((1.0 - alpha) * _sinc((1.0 - alpha) * x)) ** (1.0 - alpha)
             * (alpha * _sinc(alpha * x)) ** alpha / _sinc(x))
 
 
 def _tilted_stable_double_rejection(gen: np.random.Generator, alpha: float,
-                                    lam: float) -> float:
-    # Devroye-style double rejection for the exponentially tilted positive
+                                    lam: float, n: int) -> np.ndarray:
+    # Devroye's double rejection for the exponentially tilted positive
     # stable law (density proportional to exp(-lam*x) times the unit stable
     # density).  Expected cost is O(1) uniformly in the tilt, which is what
-    # makes large time spans affordable.  The outer acceptance ratio is kept
-    # in log space; with lam**alpha in the thousands it overflows otherwise.
+    # makes large time spans affordable.  Each round runs k independent
+    # trials as arrays (outer angle stage, then the inner stage for the
+    # survivors); a trial rejected at either stage is dropped, and the
+    # accepted values fill the output in trial order.  The outer acceptance
+    # ratio is kept in log space; with lam**alpha in the thousands it
+    # overflows otherwise.
     b = (1.0 - alpha) / alpha
     lam_alpha = lam ** alpha
     gam = lam_alpha * alpha * (1.0 - alpha)
@@ -239,72 +231,60 @@ def _tilted_stable_double_rejection(gen: np.random.Generator, alpha: float,
     w2 = 2.0 * math.sqrt(math.pi) * psi
     w3 = xi * math.pi
 
-    while True:
+    out = np.empty(n)
+    filled = 0
+    k = 2 * n
+    while filled < n:
         # outer stage: sample the Zolotarev angle U from a three-piece
         # envelope, accept against the marginal ratio
-        while True:
-            v = gen.random()
-            if gam >= 1.0:
-                if v < w1 / (w1 + w2):
-                    u_ang = abs(gen.standard_normal()) / sqrt_gam
-                else:
-                    w = gen.random()
-                    u_ang = math.pi * (1.0 - w * w)
-            else:
-                w = gen.random()
-                if v < w3 / (w2 + w3):
-                    u_ang = math.pi * w
-                else:
-                    u_ang = math.pi * (1.0 - w * w)
-            if u_ang >= math.pi:
-                continue
-            zeta = math.sqrt(_zolotarev_b(u_ang, alpha))
-            z = 1.0 / (1.0 - (1.0 + alpha * zeta / sqrt_gam) ** (-1.0 / alpha))
-            d = 0.0
-            if gam >= 1.0:
-                d += xi * math.exp(-gam * u_ang * u_ang / 2.0)
-            if 0.0 < u_ang < math.pi:
-                d += psi / math.sqrt(math.pi - u_ang)
-            if gam < 1.0:
-                d += xi
-            log_rho = (-lam_alpha * (1.0 - 1.0 / (zeta * zeta))
-                       + math.log(math.pi * d)
-                       - math.log((1.0 + c1) * sqrt_gam / zeta + z))
-            u1 = gen.random()
-            while u1 <= 0.0:
-                u1 = gen.random()
-            log_accept = math.log(u1) + log_rho
-            if log_accept <= 0.0:
-                break
+        v = gen.random(k)
+        w = gen.random(k)
+        if gam >= 1.0:
+            u_ang = np.where(v < w1 / (w1 + w2),
+                             np.abs(gen.standard_normal(k)) / sqrt_gam,
+                             math.pi * (1.0 - w * w))
+        else:
+            u_ang = np.where(v < w3 / (w2 + w3), math.pi * w,
+                             math.pi * (1.0 - w * w))
+        # 1 - Uniform[0,1) lies in (0,1], so its log is finite
+        log_u1 = np.log(1.0 - gen.random(k))
+        ok = u_ang < math.pi
+        u_ang, log_u1 = u_ang[ok], log_u1[ok]
+        zeta = np.sqrt(_zolotarev_b(u_ang, alpha))
+        z = 1.0 / (1.0 - (1.0 + alpha * zeta / sqrt_gam) ** (-1.0 / alpha))
+        d = np.where(u_ang > 0.0, psi / np.sqrt(math.pi - u_ang), 0.0)
+        d += xi * np.exp(-gam * u_ang * u_ang / 2.0) if gam >= 1.0 else xi
+        log_accept = (log_u1 - lam_alpha * (1.0 - 1.0 / (zeta * zeta))
+                      + np.log(math.pi * d)
+                      - np.log((1.0 + c1) * sqrt_gam / zeta + z))
+        ok = log_accept <= 0.0
+        u_ang, z, log_accept = u_ang[ok], z[ok], log_accept[ok]
         # inner stage: sample X around the conditional mode m, accept with
         # the exact density ratio
+        j = u_ang.size
         a = _zolotarev_a(u_ang, alpha) ** (1.0 / (1.0 - alpha))
         m = (b / a) ** alpha * lam_alpha
-        delta = math.sqrt(m * alpha / a)
+        delta = np.sqrt(m * alpha / a)
         a1 = delta * c1
         a3 = z / a
-        s = a1 + delta + a3
-        v2 = gen.random()
-        n_half = 0.0
-        e1 = 0.0
-        if v2 < a1 / s:
-            n_half = gen.standard_normal()
-            x = m - delta * abs(n_half)
-        elif v2 < (a1 + delta) / s:
-            x = m + delta * gen.random()
-        else:
-            e1 = gen.standard_exponential()
-            x = m + delta + e1 * a3
-        if x <= 0.0:
-            continue
-        e2 = -log_accept
-        cost = a * (x - m) + lam * m ** (-b) * ((m / x) ** b - 1.0)
-        if x < m:
-            cost -= n_half * n_half / 2.0
-        elif x > m + delta:
-            cost -= e1
-        if cost <= e2:
-            return x ** (-b)
+        v2 = gen.random(j) * (a1 + delta + a3)
+        n_half = gen.standard_normal(j)
+        e1 = gen.standard_exponential(j)
+        below = v2 < a1
+        above = v2 >= a1 + delta
+        x = np.where(below, m - delta * np.abs(n_half),
+                     np.where(above, m + delta + e1 * a3,
+                              m + delta * gen.random(j)))
+        bonus = np.where(below, n_half * n_half / 2.0, np.where(above, e1, 0.0))
+        ok = x > 0.0
+        x, m, a, bonus, log_accept = x[ok], m[ok], a[ok], bonus[ok], log_accept[ok]
+        cost = a * (x - m) + lam * m ** (-b) * ((m / x) ** b - 1.0) - bonus
+        x = x[cost <= -log_accept][:n - filled]
+        out[filled:filled + x.size] = x ** (-b)
+        filled += x.size
+        # size the next round from this round's acceptance rate
+        k = (n - filled) * min(-(-k // max(x.size, 1)), 64)
+    return out
 
 
 def tempered_stable_substep_count(alpha: float, lam: float, dt: float) -> int:
@@ -329,21 +309,14 @@ def sample_tempered_stable_increment(stream: RngStream, alpha: float,
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     n_sub = tempered_stable_substep_count(alpha, lam, dt)
-    if size is None:
-        stream.counter += 1
-        if n_sub <= _SUBSTEP_LIMIT_SCALAR:
-            return _tempered_by_thinning_scalar(stream.gen, alpha, lam, dt, n_sub)
-        scale = dt ** (1.0 / alpha)
-        return scale * _tilted_stable_double_rejection(stream.gen, alpha, lam * scale)
     n = _size_count(size)
-    if n_sub <= _SUBSTEP_LIMIT_VECTOR:
+    if n_sub <= _SUBSTEP_LIMIT:
         out = _tempered_by_thinning(stream.gen, alpha, lam, dt, n, n_sub)
     else:
         scale = dt ** (1.0 / alpha)
-        lam_eff = lam * scale
-        out = scale * np.array([
-            _tilted_stable_double_rejection(stream.gen, alpha, lam_eff)
-            for _ in range(n)
-        ])
+        out = scale * _tilted_stable_double_rejection(stream.gen, alpha,
+                                                      lam * scale, n)
     stream.counter += n
+    if size is None:
+        return float(out[0])
     return out.reshape(size)

@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammaln
 
 from gmfbm.fbm import TimeGrid, as_time_grid
 from gmfbm.randkit import (
@@ -91,16 +89,20 @@ class SubordinatorSpec:
 
 @dataclass(frozen=True)
 class SubordinatorPath:
-    """Sampled clock: nondecreasing nonnegative values on a time grid."""
+    """Sampled clock: nondecreasing nonnegative values on a time grid.
+
+    ``values`` has shape (len(grid),) for one path or (B, len(grid)) for a
+    block of B paths, one row per path.
+    """
 
     grid: TimeGrid
     values: np.ndarray
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        if values.shape != (len(self.grid),):
+        if values.ndim not in (1, 2) or values.shape[-1] != len(self.grid):
             raise ValueError("values must match the grid length")
-        if values[0] < 0.0 or np.any(np.diff(values) < 0.0):
+        if np.any(values[..., 0] < 0.0) or np.any(np.diff(values, axis=-1) < 0.0):
             raise ValueError("subordinator values must be nonnegative and nondecreasing")
         object.__setattr__(self, "values", values)
 
@@ -117,21 +119,20 @@ def sample_increment(spec: SubordinatorSpec, dt: float, stream: RngStream, size=
         stream, spec.params.alpha, spec.params.lam, dt, size=size)
 
 
-def sample_path(spec: SubordinatorSpec, grid, stream: RngStream) -> SubordinatorPath:
-    """Sample the clock on a grid by summing independent increments over gaps."""
+def sample_path(spec: SubordinatorSpec, grid, stream: RngStream,
+                size=None) -> SubordinatorPath:
+    """Sample the clock on a grid by summing independent increments over gaps.
+
+    Each gap takes one vector draw across the block; ``size`` paths give
+    values of shape (size, len(grid)), and ``size=None`` one path.
+    """
     grid = as_time_grid(grid)
-    times = grid.times
-    gaps = np.diff(times, prepend=0.0)
-    if spec.kind == "gamma":
-        # one vectorized draw; a leading gap of 0 has shape 0 and yields an
-        # exact 0 increment
-        incs = stream.gen.standard_gamma(gaps / spec.params.nu)
-        stream.counter += len(gaps)
-    else:
-        incs = np.array([
-            sample_increment(spec, g, stream) if g > 0.0 else 0.0 for g in gaps
-        ])
-    return SubordinatorPath(grid, np.cumsum(incs))
+    count = 1 if size is None else size
+    gaps = np.diff(grid.times, prepend=0.0)
+    incs = np.column_stack([sample_increment(spec, g, stream, size=count)
+                            for g in gaps])
+    values = np.cumsum(incs, axis=-1)
+    return SubordinatorPath(grid, values[0] if size is None else values)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +144,7 @@ def gamma_moment(params: GammaParams, t: float, q: float) -> float:
     if not t > 0.0 or not q > 0.0:
         raise ValueError("need t > 0 and q > 0")
     x = t / params.nu
-    return math.exp(gammaln(x + q) - gammaln(x))
+    return math.exp(math.lgamma(x + q) - math.lgamma(x))
 
 
 def gamma_moment_asymptotic(params: GammaParams, t: float, q: float) -> float:
@@ -188,6 +189,10 @@ def tss_moment(params: TssParams, t: float, q: float) -> float:
     endpoint singularity u**(p-1) is handled by an algebraic-weight
     quadrature rule, and the formulas are continuous at q = 1 and q = 2.
     """
+    # scipy is imported here, where the quadrature runs, so that commands
+    # that never need it do not pay for loading it
+    from scipy.integrate import quad
+
     if not t > 0.0:
         raise ValueError("need t > 0")
     if not 0.0 < q <= 2.0:
@@ -241,7 +246,7 @@ def tss_moment(params: TssParams, t: float, q: float) -> float:
         total += val
         err_total += err
         lo = hi
-    prefactor = math.exp(-gammaln(p))
+    prefactor = math.exp(-math.lgamma(p))
     result = prefactor * total
     if err_total * prefactor > max(_REL_TOL * abs(result), _ABS_FLOOR):
         raise QuadratureError(

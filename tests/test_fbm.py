@@ -60,8 +60,10 @@ class TestCov:
     def test_symmetry(self, s, t, h):
         assert fbm_cov(s, t, h) == fbm_cov(t, s, h)
 
+    # c is a power of two so that c*s and c*t are exact; otherwise their
+    # rounding, amplified by |c*t - c*s|**(2h), swamps the tolerance
     @given(s=st.floats(0.01, 20.0), t=st.floats(0.01, 20.0),
-           c=st.floats(0.1, 10.0), h=hursts)
+           c=st.integers(-3, 3).map(lambda k: 2.0 ** k), h=hursts)
     @settings(max_examples=200, deadline=None)
     def test_self_similarity(self, s, t, c, h):
         left = fbm_cov(c * s, c * t, h)
@@ -140,6 +142,37 @@ class TestSampleAt:
     def test_nondecreasing_required(self):
         with pytest.raises(ValueError):
             fbm_values_at_times(np.array([2.0, 1.0]), 0.5, derive_stream(1, 6))
+
+
+class TestStackedRows:
+    """``fbm_values_at_times`` with per-path times of shape (B, n)."""
+
+    def test_leading_zero_and_repeat_are_exact(self):
+        t = np.array([[0.0, 0.0, 1.0, 1.0, 2.5],
+                      [0.0, 0.7, 0.7, 0.7, 3.0],
+                      [0.4, 1.0, 2.0, 3.0, 4.0]])
+        vals = fbm_values_at_times(t, 0.65, derive_stream(4, 0))
+        assert vals.shape == t.shape
+        assert np.all(vals[:2, 0] == 0.0) and vals[0, 1] == 0.0
+        assert vals[0, 2] == vals[0, 3] != 0.0
+        assert vals[1, 1] == vals[1, 2] == vals[1, 3] != 0.0
+        assert np.all(vals[2] != 0.0) and len(set(vals[2])) == 5
+
+    def test_mc_covariance_per_row_grid(self):
+        grids = [np.array([0.5, 1.0, 1.5, 2.0, 3.0, 4.5]),
+                 np.array([1.0, 2.2, 2.3, 5.0, 7.0, 8.0])]
+        n = 30_000
+        t = np.tile(np.stack(grids), (n, 1))  # rows alternate between grids
+        vals = fbm_values_at_times(t, 0.7, derive_stream(4, 1))
+        for k, grid in enumerate(grids):
+            assert mc_cov_check(vals[k::2], fbm_cov_matrix(TimeGrid(grid), 0.7))
+
+    def test_near_duplicate_rows_jitter(self):
+        t = np.array([[1.0, 1.0 + 1e-14, 2.0, 2.0 + 1e-14, 3.0],
+                      [0.5, 1.0, 2.0, 3.0, 4.0]])
+        vals = fbm_values_at_times(t, 0.7, derive_stream(4, 2), size=10)
+        assert vals.shape == (10, 2, 5)
+        assert np.all(np.isfinite(vals))
 
 
 class TestPair:

@@ -22,6 +22,7 @@ from gmfbm.process import (
     sample_gmfbm_given_clock,
     sample_timechanged_pair,
     sample_timechanged_path,
+    sample_timechanged_path_with_clock,
 )
 from gmfbm.randkit import derive_stream
 from gmfbm.subordinators import SubordinatorSpec, subordinator_moment
@@ -163,6 +164,19 @@ class TestTimeChangedPath:
         sq = vals ** 2
         se = sq.std(ddof=1) / math.sqrt(n)
         assert abs(sq.mean() - exact_var_oracle(spec, t)) < 3.0 * se
+
+    @pytest.mark.parametrize("spec,sid", [(TSS_SPEC, 5), (GAMMA_SPEC, 6)])
+    def test_block_marginal_variance_matches_oracle(self, spec, sid):
+        # one block of paths drawn through size=, rows are paths
+        n = 10_000
+        grid = TimeGrid(np.array([1.0, 4.0]))
+        clock, path = sample_timechanged_path_with_clock(spec, grid,
+                                                         derive_stream(23, sid), size=n)
+        assert clock.values.shape == path.values.shape == (n, 2)
+        assert np.all(np.diff(clock.values, axis=1) >= 0.0)
+        sq = path.values[:, 1] ** 2
+        se = sq.std(ddof=1) / math.sqrt(n)
+        assert abs(sq.mean() - exact_var_oracle(spec, 4.0)) < 3.0 * se
 
     def test_identity_clock_equals_plain_process(self):
         # deterministic clock values equal to the grid reduce the composition

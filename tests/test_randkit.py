@@ -1,6 +1,7 @@
 """Stream determinism, independence, and sampler distribution checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from gmfbm.randkit import (
+    _SUBSTEP_LIMIT,
+    _tempered_by_thinning,
+    _tilted_stable_double_rejection,
     derive_stream,
     derive_substream,
     sample_gamma,
@@ -190,23 +194,38 @@ class TestTemperedStable:
                 se = emp.std(ddof=1) / math.sqrt(N_BIG)
                 assert abs(emp.mean() - target) < 3.0 * se
 
-    def test_scalar_regimes_match_distribution(self):
-        # scalar thinning (few substeps) vs scalar double rejection at the
-        # same law: compare via two-sample KS across the dispatch boundary
+    def test_regimes_match_distribution(self):
+        # thinning vs double rejection at the same law, just below, at and
+        # just above the switch: two-sample KS with each sampler forced, at a
+        # family-wise level of 1% over the three comparisons
         alpha, lam = 0.7, 1.0
-        dt = 2.0  # n_sub = 3: scalar path uses thinning
-        assert tempered_stable_substep_count(alpha, lam, dt) <= 4
-        s1 = derive_stream(45, 0)
-        thin = np.array([sample_tempered_stable_increment(s1, alpha, lam, dt)
-                         for _ in range(N_MED)])
-        # force the double-rejection path by using the vector regime bound
-        from gmfbm.randkit import _tilted_stable_double_rejection
-        gen = derive_stream(45, 1).gen
-        scale = dt ** (1.0 / alpha)
-        dbl = scale * np.array([_tilted_stable_double_rejection(gen, alpha, lam * scale)
-                                for _ in range(N_MED)])
-        p = stats.ks_2samp(thin, dbl).pvalue
-        assert p > 0.01
+        for n_target in (_SUBSTEP_LIMIT - 1, _SUBSTEP_LIMIT, _SUBSTEP_LIMIT + 1):
+            dt = (n_target - 1e-3) * math.log(2.0) / lam ** alpha
+            n_sub = tempered_stable_substep_count(alpha, lam, dt)
+            assert n_sub == n_target
+            thin = _tempered_by_thinning(derive_stream(45, n_sub).gen, alpha, lam,
+                                         dt, N_BIG, n_sub)
+            scale = dt ** (1.0 / alpha)
+            dbl = scale * _tilted_stable_double_rejection(
+                derive_stream(45, 100 + n_sub).gen, alpha, lam * scale, N_BIG)
+            assert stats.ks_2samp(thin, dbl).pvalue > 0.01 / 3
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.2, 0.7, 0.99])
+    @pytest.mark.parametrize("lam", [1e-4, 1.0, 100.0])
+    def test_regime_sweep_finite_positive(self, alpha, lam):
+        # substep counts from 1 to 10**6 cover both samplers; no draw may be
+        # zero, infinite or NaN, and no floating-point warning may fire
+        sid = int(alpha * 100) * 10 + int(math.log10(lam)) + 4
+        stream = derive_stream(48, sid)
+        for n_target in (1, _SUBSTEP_LIMIT, _SUBSTEP_LIMIT + 1, 10 ** 6):
+            dt = (n_target - 1e-3) * math.log(2.0) / lam ** alpha
+            assert tempered_stable_substep_count(alpha, lam, dt) == n_target
+            with warnings.catch_warnings(), \
+                    np.errstate(divide="warn", over="warn", invalid="warn"):
+                warnings.simplefilter("error")
+                draws = sample_tempered_stable_increment(stream, alpha, lam, dt,
+                                                         size=2000)
+            assert np.all(np.isfinite(draws)) and np.all(draws > 0.0)
 
     @pytest.mark.parametrize("lam,n", [
         # at lam=1e-3 the true transforms still differ by O(lam**alpha), so

@@ -5,11 +5,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-import gmfbm.subordinators as sub
 from gmfbm.fbm import TimeGrid
 from gmfbm.randkit import derive_stream
 from gmfbm.subordinators import (
@@ -212,7 +212,7 @@ class TestTssMoments:
         def bad_quad(*args, **kwargs):
             return 1.0, 1.0  # enormous reported error
 
-        monkeypatch.setattr(sub, "quad", bad_quad)
+        monkeypatch.setattr(scipy.integrate, "quad", bad_quad)
         with pytest.raises(QuadratureError):
             tss_moment(TssParams(0.5, 1.0), 1.0, 0.6)
 
