@@ -24,7 +24,7 @@ from gmfbm.process import (
     exact_cov_oracle,
     sample_timechanged_path_with_clock,
 )
-from gmfbm.randkit import path_blocks
+from gmfbm.randkit import BLOCK_PATHS, path_blocks
 from gmfbm.subordinators import (
     SubordinatorSpec,
     subordinator_moment,
@@ -89,6 +89,7 @@ class RunConfig:
             "s": self.s,
             "t_min": self.t_min, "t_max": self.t_max, "t_count": self.t_count,
             "paths": self.n_paths, "seed": self.master_seed,
+            "block_paths": BLOCK_PATHS,
             "format": self.output_format, "out": self.output_path,
         }
         if sub.kind == "tss":
@@ -334,9 +335,11 @@ def cmd_lrd(config: RunConfig, force_predicted: float | None = None) -> int:
     _info(f"predicted exponents: mixed {report.predicted.exponent_mixed:+.4f}, "
           f"pure {report.predicted.exponent_pure:+.4f}, "
           f"dominant {report.predicted.dominant:+.4f}")
+    boot = report.mc_slope_boot_stderr
     _info(f"fitted slopes: oracle {report.oracle_fit.slope:+.4f} "
           f"(stderr {report.oracle_fit.slope_stderr:.4f}), "
-          f"mc {report.mc_fit.slope:+.4f} (stderr {report.mc_fit.slope_stderr:.4f})")
+          f"mc {report.mc_fit.slope:+.4f} (stderr {report.mc_fit.slope_stderr:.4f}, "
+          f"bootstrap {'undefined' if boot is None else f'{boot:.4f}'})")
     _info(f"long-range dependent: {report.is_lrd}")
     if gap > LRD_SLOPE_TOLERANCE:
         _info(f"FAIL: |oracle slope - predicted| = {gap:.4f} > {LRD_SLOPE_TOLERANCE}")

@@ -99,11 +99,17 @@ def fbm_cov_matrix(grid, h) -> np.ndarray:
 
 
 def _cov_matrix_at(times: np.ndarray, hh: float) -> np.ndarray:
-    # covariance matrices of the rows of ``times`` (shape (..., n))
+    # covariance matrices of the rows of ``times`` (shape (..., n)), built
+    # in one (..., n, n) array: a stack of them is the peak memory of a block
     two_h = 2.0 * hh
     pw = times ** two_h
-    return 0.5 * (pw[..., :, None] + pw[..., None, :]
-                  - np.abs(times[..., :, None] - times[..., None, :]) ** two_h)
+    cov = np.subtract(times[..., :, None], times[..., None, :])
+    np.abs(cov, out=cov)
+    np.power(cov, two_h, out=cov)
+    np.subtract(pw[..., :, None], cov, out=cov)
+    cov += pw[..., None, :]
+    cov *= 0.5
+    return cov
 
 
 def _cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
@@ -148,7 +154,8 @@ def fbm_values_at_times(times: np.ndarray, h, stream: RngStream, size=None) -> n
     n = times.shape[-1]
     dummy = steps == 0.0
     real = ~dummy
-    cov = _cov_matrix_at(times, hh) * (real[..., :, None] & real[..., None, :])
+    cov = _cov_matrix_at(times, hh)
+    cov *= real[..., :, None] & real[..., None, :]
     diag = np.arange(n)
     cov[..., diag, diag] += dummy
     chol = _cholesky_with_jitter(cov)

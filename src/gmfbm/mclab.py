@@ -8,6 +8,12 @@ them as vectors from the stream keyed (master_seed, k).  Each block fills
 its own slice of the path array, which is reduced once, so results are
 bit-identical for a fixed master seed no matter how the blocks are spread
 across workers.
+
+``lrd_report`` samples every path once on the whole grid [s, t_1, ...],
+so the correlations at all grid times share their paths (exact common
+random numbers), and one set of bootstrap resamples serves every grid
+time: each resample is a vector of path counts, and its correlations
+follow from count-weighted moments.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from gmfbm.process import (
     exact_cov_oracle,
     exact_var_oracle,
     sample_timechanged_pair,
+    sample_timechanged_path,
 )
 from gmfbm.randkit import derive_stream, path_blocks
 from gmfbm.theory import DecayPrediction
@@ -64,6 +71,17 @@ class DecayFit:
             raise ValueError("r_squared must lie in [0, 1]")
 
 
+def _run_blocks(fill, n_paths: int, master_seed: int, n_workers: int) -> None:
+    # fill(block) writes the paths [lo, hi) of one block in place
+    blocks = path_blocks(master_seed, n_paths)
+    if n_workers <= 1:
+        for block in blocks:
+            fill(block)
+    else:
+        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+            list(pool.map(fill, blocks))
+
+
 def _sample_pairs(spec: TimeChangedSpec, s: float, t: float, n_paths: int,
                   master_seed: int, n_workers: int) -> tuple[np.ndarray, np.ndarray]:
     ys = np.empty(n_paths)
@@ -74,14 +92,49 @@ def _sample_pairs(spec: TimeChangedSpec, s: float, t: float, n_paths: int,
         ys[lo:hi], yt[lo:hi] = sample_timechanged_pair(spec, s, t, stream,
                                                        size=hi - lo)
 
-    blocks = path_blocks(master_seed, n_paths)
-    if n_workers <= 1:
-        for block in blocks:
-            fill(block)
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(fill, blocks))
+    _run_blocks(fill, n_paths, master_seed, n_workers)
     return ys, yt
+
+
+def _sample_paths(spec: TimeChangedSpec, times: np.ndarray, n_paths: int,
+                  master_seed: int, n_workers: int) -> np.ndarray:
+    # (n_paths, len(times)) values of Y at the strictly increasing times
+    out = np.empty((n_paths, len(times)))
+
+    def fill(block) -> None:
+        stream, lo, hi = block
+        out[lo:hi] = sample_timechanged_path(spec, times, stream,
+                                             size=hi - lo).values
+
+    _run_blocks(fill, n_paths, master_seed, n_workers)
+    return out
+
+
+def _corr_with_bootstrap(x: np.ndarray, y: np.ndarray,
+                         master_seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pearson correlations of x (n,) with each column of y (n, m), and
+    their bootstrap replicates.
+
+    Returns (corr, reps) of shapes (m,) and (_BOOTSTRAP_RESAMPLES, m).
+    Each resample draws n path indices from the reserved bootstrap stream;
+    as counts w, its moments are ``w @ cols / n`` over the columns
+    [x, x², y, y², x·y], centred on the full-sample means, so no resampled
+    copy of the data is built and every column shares the same resamples.
+    """
+    n, m = y.shape
+    xc = x - x.mean()
+    yc = y - y.mean(axis=0)
+    cols = np.column_stack([xc, xc * xc, yc, yc * yc, xc[:, None] * yc])
+    gen = derive_stream(master_seed, _BOOTSTRAP_STREAM_ID).gen
+    moments = np.empty((_BOOTSTRAP_RESAMPLES + 1, cols.shape[1]))
+    moments[0] = cols.mean(axis=0)
+    for r in range(1, _BOOTSTRAP_RESAMPLES + 1):
+        w = np.bincount(gen.integers(0, n, size=n), minlength=n)
+        moments[r] = w @ cols / n
+    mx, mxx = moments[:, :1], moments[:, 1:2]
+    my, myy, mxy = np.split(moments[:, 2:], 3, axis=1)
+    corr = (mxy - mx * my) / np.sqrt((mxx - mx * mx) * (myy - my * my))
+    return corr[0], corr[1:]
 
 
 def _check_estimator_args(s: float, t: float, n_paths: int,
@@ -121,20 +174,8 @@ def estimate_corr(spec: TimeChangedSpec, s: float, t: float, n_paths: int,
     if s == t:
         return MomentEstimate(1.0, 0.0, n_paths)
     ys, yt = _sample_pairs(spec, s, t, n_paths, master_seed, n_workers)
-    value = _pearson(ys, yt)
-    boot_stream = derive_stream(master_seed, _BOOTSTRAP_STREAM_ID)
-    reps = np.empty(_BOOTSTRAP_RESAMPLES)
-    for r in range(_BOOTSTRAP_RESAMPLES):
-        idx = boot_stream.gen.integers(0, n_paths, size=n_paths)
-        reps[r] = _pearson(ys[idx], yt[idx])
-    boot_stream.counter += _BOOTSTRAP_RESAMPLES * n_paths
-    return MomentEstimate(float(value), float(reps.std(ddof=1)), n_paths)
-
-
-def _pearson(x: np.ndarray, y: np.ndarray) -> float:
-    xc = x - x.mean()
-    yc = y - y.mean()
-    return float(xc @ yc / math.sqrt((xc @ xc) * (yc @ yc)))
+    corr, reps = _corr_with_bootstrap(ys, yt[:, None], master_seed)
+    return MomentEstimate(float(corr[0]), float(reps[:, 0].std(ddof=1)), n_paths)
 
 
 def estimate_increment_sm(spec: TimeChangedSpec, s: float, t: float, n_paths: int,
@@ -189,7 +230,12 @@ def fit_decay(points) -> DecayFit:
 
 @dataclass(frozen=True)
 class LrdReport:
-    """Predicted vs measured correlation decay, plus the LRD verdict."""
+    """Predicted vs measured correlation decay, plus the LRD verdict.
+
+    ``mc_slope_boot_stderr`` is the paired-bootstrap error of the MC slope
+    (None when undefined); ``mc_fit.slope_stderr`` is the OLS residual
+    error, which ignores the Monte Carlo noise.
+    """
 
     s: float
     predicted: DecayPrediction
@@ -197,6 +243,7 @@ class LrdReport:
     mc_curve: list[tuple[float, float, float]]
     oracle_fit: DecayFit
     mc_fit: DecayFit
+    mc_slope_boot_stderr: float | None
     is_lrd: bool
     n_paths: int
     master_seed: int
@@ -214,6 +261,7 @@ class LrdReport:
             "mc_curve": [[t, c, se] for t, c, se in self.mc_curve],
             "oracle_fit": _fit_dict(self.oracle_fit),
             "mc_fit": _fit_dict(self.mc_fit),
+            "mc_slope_boot_stderr": self.mc_slope_boot_stderr,
             "is_lrd": self.is_lrd,
             "n_paths": self.n_paths,
             "master_seed": self.master_seed,
@@ -225,30 +273,55 @@ def _fit_dict(fit: DecayFit) -> dict:
             "slope_stderr": fit.slope_stderr, "r_squared": fit.r_squared}
 
 
+def _slope_boot_stderr(t: np.ndarray, reps: np.ndarray) -> float | None:
+    """Standard deviation of the OLS slope of log(corr) on log(t) over the
+    bootstrap replicate curves ``reps`` (resamples x grid times).
+
+    Each replicate is a whole curve on one set of resampled paths, so the
+    spread includes the Monte Carlo noise and its correlation across t.
+    None when a replicate correlation is not positive: its log is undefined.
+    """
+    if not np.all(reps > 0.0):
+        return None
+    xc = np.log(t) - np.log(t).mean()
+    slopes = np.log(reps) @ xc / (xc @ xc)
+    return float(slopes.std(ddof=1))
+
+
 def lrd_report(spec: TimeChangedSpec, s: float, t_grid, n_paths: int,
                master_seed: int, n_workers: int = 1) -> LrdReport:
     """Assemble predictions, oracle and Monte Carlo decay curves, and fits.
 
-    The same master seed is reused at every grid time (common random
-    numbers), which keeps the MC curve parallel to the oracle curve and
-    sharpens the slope comparison.
+    Each path is sampled once, on the whole grid [s, t_1, ...], so every
+    grid time sees the same paths (exact common random numbers), which
+    keeps the MC curve parallel to the oracle curve and sharpens the slope
+    comparison.  One set of bootstrap resamples of the paths gives the
+    stderr at every grid time and the paired-bootstrap slope error
+    ``mc_slope_boot_stderr``.  The grid may be unsorted or repeat a time;
+    the MC curve keeps its order, one row per grid time.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     predicted = theory.corr_decay_prediction(spec)
     oracle_curve = corr_curve_oracle(spec, s, t_grid)
-    mc_curve = []
-    for t in t_grid:
-        est = estimate_corr(spec, s, float(t), n_paths, master_seed, n_workers)
-        mc_curve.append((float(t), est.value, est.stderr))
     oracle_fit = fit_decay(oracle_curve)
-    mc_fit = fit_decay([(t, c) for t, c, _ in mc_curve])
+    # path grids must be strictly increasing: sample the distinct times in
+    # order and map each grid time back to its column
+    t_unique, col = np.unique(t_grid, return_inverse=True)
+    _check_estimator_args(s, float(t_unique[0]), n_paths)
+    paths = _sample_paths(spec, np.concatenate([[s], t_unique]), n_paths,
+                          master_seed, n_workers)
+    corr, reps = _corr_with_bootstrap(paths[:, 0], paths[:, 1:], master_seed)
+    corr, reps = corr[col], reps[:, col]
+    mc_curve = [(float(t), float(c), float(se))
+                for t, c, se in zip(t_grid, corr, reps.std(axis=0, ddof=1))]
     return LrdReport(
         s=float(s),
         predicted=predicted,
         oracle_curve=oracle_curve,
         mc_curve=mc_curve,
         oracle_fit=oracle_fit,
-        mc_fit=mc_fit,
+        mc_fit=fit_decay([(t, c) for t, c, _ in mc_curve]),
+        mc_slope_boot_stderr=_slope_boot_stderr(t_grid, reps),
         is_lrd=theory.is_lrd(spec),
         n_paths=n_paths,
         master_seed=master_seed,

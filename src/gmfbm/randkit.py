@@ -42,13 +42,13 @@ def _check_u64(name: str, value: int) -> int:
 class RngStream:
     """A value-like random stream addressed by (master_seed, stream_id).
 
-    ``counter`` counts variates delivered so far (diagnostic only; the
-    underlying Philox counter advances by raw 64-bit words).  A stream must
-    not be shared by two workers at the same time; derive one stream per
-    unit of concurrent work instead.
+    ``words_consumed`` is the number of raw 64-bit Philox words the stream
+    has used so far, read from the generator state, so a rejection sampler
+    counts every trial it made.  A stream must not be shared by two workers
+    at the same time; derive one stream per unit of concurrent work instead.
     """
 
-    __slots__ = ("master_seed", "stream_id", "lanes", "gen", "counter")
+    __slots__ = ("master_seed", "stream_id", "lanes", "gen", "_start")
 
     def __init__(self, master_seed: int, stream_id: int, lanes: tuple[int, ...] = ()):
         self.master_seed = _check_u64("master_seed", master_seed)
@@ -66,12 +66,24 @@ class RngStream:
         key = np.array([self.master_seed, self.stream_id], dtype=np.uint64)
         counter = np.array(words, dtype=np.uint64)
         self.gen = np.random.Generator(np.random.Philox(key=key, counter=counter))
-        self.counter = 0
+        # the start position of words_consumed: the counter is nonzero only
+        # in words 2..3, and the buffer starts empty
+        self._start = 4 * ((words[3] << 64 | words[2]) << 128) + 4
+
+    @property
+    def words_consumed(self) -> int:
+        """Raw 64-bit words drawn from the generator since construction."""
+        state = self.gen.bit_generator.state
+        # each step of the 256-bit counter yields 4 words, of which
+        # buffer_pos are used (4 when the buffer is empty)
+        counter = sum(int(word) << (64 * i)
+                      for i, word in enumerate(state["state"]["counter"]))
+        return 4 * counter + int(state["buffer_pos"]) - self._start
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"RngStream(master_seed={self.master_seed}, "
                 f"stream_id={self.stream_id}, lanes={self.lanes}, "
-                f"counter={self.counter})")
+                f"words_consumed={self.words_consumed})")
 
 
 def derive_stream(master_seed: int, stream_id: int) -> RngStream:
@@ -112,16 +124,12 @@ def _size_count(size) -> int:
 
 def sample_std_normal(stream: RngStream, size=None):
     """Standard normal variate(s); advances the stream."""
-    out = stream.gen.standard_normal(size)
-    stream.counter += _size_count(size)
-    return out
+    return stream.gen.standard_normal(size)
 
 
 def sample_uniform(stream: RngStream, size=None):
     """Uniform(0,1) variate(s); advances the stream."""
-    out = stream.gen.random(size)
-    stream.counter += _size_count(size)
-    return out
+    return stream.gen.random(size)
 
 
 def sample_gamma(stream: RngStream, shape: float, size=None):
@@ -132,9 +140,7 @@ def sample_gamma(stream: RngStream, shape: float, size=None):
     """
     if not shape > 0.0:
         raise ValueError(f"gamma shape must be positive, got {shape}")
-    out = stream.gen.standard_gamma(shape, size=size)
-    stream.counter += _size_count(size)
-    return out
+    return stream.gen.standard_gamma(shape, size=size)
 
 
 def _stable_unit(gen: np.random.Generator, alpha: float, n: int) -> np.ndarray:
@@ -167,7 +173,6 @@ def sample_stable_subordinator_increment(stream: RngStream, alpha: float,
         raise ValueError(f"scale must be positive, got {scale}")
     n = _size_count(size)
     out = scale ** (1.0 / alpha) * _stable_unit(stream.gen, alpha, n)
-    stream.counter += n
     if size is None:
         return float(out[0])
     return out.reshape(size)
@@ -316,7 +321,6 @@ def sample_tempered_stable_increment(stream: RngStream, alpha: float,
         scale = dt ** (1.0 / alpha)
         out = scale * _tilted_stable_double_rejection(stream.gen, alpha,
                                                       lam * scale, n)
-    stream.counter += n
     if size is None:
         return float(out[0])
     return out.reshape(size)

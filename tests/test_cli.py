@@ -92,6 +92,7 @@ class TestLrd:
         assert code == EXIT_OK
         err = capsys.readouterr().err
         assert "long-range dependent: True" in err
+        assert ", bootstrap " in err
         assert "PASS" in err
 
     def test_forced_wrong_prediction_fails(self, tmp_path):
@@ -104,6 +105,11 @@ class TestLrd:
         assert payload["summary"]["verdict"] is True
         assert payload["summary"]["is_lrd"] is True
         assert payload["summary"]["predicted"]["dominant"] == pytest.approx(-0.2)
+
+    def test_config_records_block_paths(self, tmp_path):
+        code, text = run(tmp_path, "lrd", *FAST_LRD, fmt="json")
+        assert code == EXIT_OK
+        assert json.loads(text)["config"]["block_paths"] == 1024
 
     def test_fit_needs_five_points(self, tmp_path):
         code, _ = run(tmp_path, "lrd", "--t-count", "4", "--paths", "200",

@@ -2,14 +2,19 @@
 
 import json
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 
 from gmfbm import theory
 from gmfbm.mclab import (
+    _BOOTSTRAP_RESAMPLES,
+    _BOOTSTRAP_STREAM_ID,
     DecayFit,
     MomentEstimate,
+    _corr_with_bootstrap,
+    _slope_boot_stderr,
     corr_curve_oracle,
     estimate_corr,
     estimate_cov,
@@ -31,6 +36,8 @@ MIX = GmfbmParams(1.0, 1.0, 0.55, 0.8)
 TSS_SPEC = TimeChangedSpec(MIX, SubordinatorSpec.tss(0.7, 1.0))
 GAMMA_SPEC = TimeChangedSpec(MIX, SubordinatorSpec.gamma(1.0))
 N_UNIT = 20_000
+# family-wise error of the per-point z tests over a grid
+FAMILY_ALPHA = 1e-4
 
 
 class TestTypes:
@@ -120,6 +127,39 @@ class TestEstimateCorr:
         one = estimate_corr(TSS_SPEC, 1.0, 10.0, 2000, 9)
         two = estimate_corr(TSS_SPEC, 1.0, 10.0, 2000, 9, n_workers=3)
         assert one == two
+
+
+class TestCorrWithBootstrap:
+    @staticmethod
+    def gather_bootstrap(x, y, seed):
+        # reference: resample the paths by fancy indexing, one Pearson r per
+        # resample and column, on the same index draws
+        gen = derive_stream(seed, _BOOTSTRAP_STREAM_ID).gen
+        n, m = y.shape
+        reps = np.empty((_BOOTSTRAP_RESAMPLES, m))
+        for r in range(_BOOTSTRAP_RESAMPLES):
+            idx = gen.integers(0, n, size=n)
+            xr = x[idx] - x[idx].mean()
+            for j in range(m):
+                yr = y[idx, j] - y[idx, j].mean()
+                reps[r, j] = xr @ yr / math.sqrt((xr @ xr) * (yr @ yr))
+        return reps
+
+    @pytest.mark.parametrize("scales", [(1.0,), (1e-3, 1.0, 1e3, 1e6)])
+    def test_matches_gather_loop(self, scales):
+        gen = derive_stream(31, 0).gen
+        n = 500
+        x = 2.0 + gen.standard_normal(n)
+        noise = gen.standard_normal((n, len(scales)))
+        weights = np.linspace(0.2, 0.9, len(scales))
+        y = np.array(scales) * (3.0 + weights * x[:, None] + noise)
+        corr, reps = _corr_with_bootstrap(x, y, 41)
+        for j in range(len(scales)):
+            xc, yc = x - x.mean(), y[:, j] - y[:, j].mean()
+            assert corr[j] == pytest.approx(
+                xc @ yc / math.sqrt((xc @ xc) * (yc @ yc)), rel=1e-10)
+        np.testing.assert_allclose(reps, self.gather_bootstrap(x, y, 41),
+                                   rtol=1e-10, atol=0.0)
 
 
 class TestEstimateIncrementSm:
@@ -217,6 +257,34 @@ class TestLrdReport:
         assert len(payload["mc_curve"]) == 8
         assert {"slope", "intercept", "slope_stderr", "r_squared"} <= \
             set(payload["oracle_fit"])
+
+    def test_slope_boot_stderr(self, report):
+        assert math.isfinite(report.mc_slope_boot_stderr)
+        assert report.mc_slope_boot_stderr > 0.0
+        payload = json.loads(json.dumps(report.to_dict()))
+        assert payload["mc_slope_boot_stderr"] == report.mc_slope_boot_stderr
+
+    def test_slope_boot_stderr_undefined_for_nonpositive_replicate(self):
+        t = np.geomspace(100.0, 10000.0, 6)
+        reps = np.tile(0.5 * t ** -0.2, (_BOOTSTRAP_RESAMPLES, 1))
+        reps[17, 3] = -0.01
+        assert _slope_boot_stderr(t, reps) is None
+
+    def test_unsorted_grid_with_repeat(self):
+        grid = np.array([800.0, 100.0, 3000.0, 250.0, 800.0, 10000.0])
+        ordered = lrd_report(GAMMA_SPEC, 1.0, np.unique(grid), 1000, 109)
+        mixed = lrd_report(GAMMA_SPEC, 1.0, grid, 1000, 109)
+        rows = {row[0]: row for row in ordered.mc_curve}
+        assert [row[0] for row in mixed.mc_curve] == grid.tolist()
+        assert mixed.mc_curve == [rows[t] for t in grid]
+
+    @pytest.mark.parametrize("spec", [TSS_SPEC, GAMMA_SPEC])
+    def test_every_point_within_family_z_bound(self, spec):
+        grid = np.geomspace(100.0, 10000.0, 12)
+        rep = lrd_report(spec, 1.0, grid, 5000, 108)
+        bound = NormalDist().inv_cdf(1.0 - FAMILY_ALPHA / (2.0 * len(grid)))
+        for (t, oracle), (_, mc, se) in zip(rep.oracle_curve, rep.mc_curve):
+            assert abs(mc - oracle) < bound * se, f"t={t:g}"
 
     def test_deterministic(self):
         grid = np.geomspace(100.0, 1000.0, 5)

@@ -19,6 +19,7 @@ from gmfbm.randkit import (
     sample_stable_subordinator_increment,
     sample_std_normal,
     sample_tempered_stable_increment,
+    sample_uniform,
     tempered_stable_substep_count,
 )
 
@@ -85,12 +86,19 @@ class TestStreams:
         with pytest.raises(ValueError):
             derive_stream(0, 1 << 64)
 
-    def test_counter_tracks_delivered_variates(self):
-        s = derive_stream(0, 0)
-        sample_std_normal(s)
-        sample_std_normal(s, size=10)
-        sample_gamma(s, 2.0, size=5)
-        assert s.counter == 16
+    def test_words_consumed_counts_philox_words(self):
+        # one 64-bit word per uniform, on root streams and substreams alike
+        root = derive_stream(0, 0)
+        sample_uniform(root, size=10)
+        assert root.words_consumed == 10
+        lane = derive_substream(derive_stream(0, 1), 3)
+        sample_uniform(lane, size=10)
+        assert lane.words_consumed == 10
+        # double rejection makes several trials of several words per draw
+        dbl = derive_stream(0, 2)
+        assert tempered_stable_substep_count(0.7, 1.0, 1e4) > _SUBSTEP_LIMIT
+        sample_tempered_stable_increment(dbl, 0.7, 1.0, 1e4, size=1000)
+        assert dbl.words_consumed > 1000
 
     @given(seed=st.integers(0, 2**64 - 1), sid=st.integers(0, 2**64 - 1))
     @settings(max_examples=25, deadline=None)
