@@ -30,12 +30,10 @@ from gmfbm.subordinators import (
     SubordinatorSpec,
     TssParams,
     gamma_moment,
-    gamma_moment_asymptotic,
     sample_path,
     subordinator_moment,
     subordinator_moment_asymptotic,
     tss_moment,
-    tss_moment_asymptotic,
 )
 from gmfbm.process import (
     GmfbmParams,
@@ -54,10 +52,7 @@ from gmfbm.theory import (
     DecayPrediction,
     corr_decay_prediction,
     cov_asymptotic,
-    cov_asymptotic_gamma,
-    cov_asymptotic_tss,
-    increment_sm_asymptotic_gamma,
-    increment_sm_asymptotic_tss,
+    increment_sm_asymptotic,
     is_lrd,
 )
 from gmfbm.mclab import (

@@ -146,8 +146,7 @@ def _build_parser() -> _Parser:
     add_common(p_mom)
     p_mom.add_argument("--q", help="comma-separated moment orders")
 
-    p_self = sub.add_parser("selftest", help="run the fast verification subset")
-    p_self.add_argument("--seed", type=int)
+    sub.add_parser("selftest", help="run the nine acceptance criteria at full size")
 
     return parser
 
@@ -360,11 +359,6 @@ def cmd_moments(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_selftest(seed: int | None = None) -> int:
-    from gmfbm.selftest import run_selftest
-    return run_selftest(_DEFAULTS["seed"] if seed is None else seed)
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -373,7 +367,8 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else int(exc.code)
     try:
         if args.command == "selftest":
-            return cmd_selftest(args.seed)
+            from gmfbm.selftest import run_selftest
+            return EXIT_OK if run_selftest() else EXIT_STATISTICAL
         values = _resolve(args)
         if args.command == "simulate":
             config = _make_config(values)

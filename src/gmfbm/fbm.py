@@ -69,12 +69,6 @@ class TimeGrid:
             raise ValueError("need n >= 1 and dt > 0")
         return cls(dt * np.arange(1, n + 1))
 
-    @classmethod
-    def geometric(cls, t_min: float, t_max: float, count: int) -> "TimeGrid":
-        if not 0.0 < t_min < t_max or count < 2:
-            raise ValueError("need 0 < t_min < t_max and count >= 2")
-        return cls(np.geomspace(t_min, t_max, count))
-
 
 def as_time_grid(grid) -> TimeGrid:
     if isinstance(grid, TimeGrid):

@@ -127,11 +127,6 @@ def sample_std_normal(stream: RngStream, size=None):
     return stream.gen.standard_normal(size)
 
 
-def sample_uniform(stream: RngStream, size=None):
-    """Uniform(0,1) variate(s); advances the stream."""
-    return stream.gen.random(size)
-
-
 def sample_gamma(stream: RngStream, shape: float, size=None):
     """Gamma(shape, rate 1) variate(s).
 

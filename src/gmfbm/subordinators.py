@@ -9,8 +9,9 @@ Two families are supported:
 
 Moments E[X_t**q] come in three flavours: exact (Gamma-function ratio for
 the Gamma family, Laplace-transform quadrature for tempered stable),
-large-t asymptotic ((t*nu**-1)**q resp. (alpha*lambda**(alpha-1)*t)**q),
-and Monte Carlo via the samplers in ``randkit``.
+large-t asymptotic (r*t)**q with r = ``SubordinatorSpec.rate`` the mean
+clock rate (1/nu resp. alpha*lambda**(alpha-1)), and Monte Carlo via the
+samplers in ``randkit``.
 """
 
 from __future__ import annotations
@@ -77,6 +78,13 @@ class SubordinatorSpec:
                 raise ValueError("kind 'gamma' requires GammaParams")
         else:
             raise ValueError(f"unknown subordinator kind {self.kind!r}")
+
+    @property
+    def rate(self) -> float:
+        """Mean clock rate E[X_t] / t: alpha*lam**(alpha-1) (TSS), 1/nu (Gamma)."""
+        if self.kind == "gamma":
+            return 1.0 / self.params.nu
+        return tss_mean(self.params, 1.0)
 
     @classmethod
     def tss(cls, alpha: float, lam: float) -> "SubordinatorSpec":
@@ -145,13 +153,6 @@ def gamma_moment(params: GammaParams, t: float, q: float) -> float:
         raise ValueError("need t > 0 and q > 0")
     x = t / params.nu
     return math.exp(math.lgamma(x + q) - math.lgamma(x))
-
-
-def gamma_moment_asymptotic(params: GammaParams, t: float, q: float) -> float:
-    """Large-t approximation (t/nu)**q of the q-th moment."""
-    if not t > 0.0 or not q > 0.0:
-        raise ValueError("need t > 0 and q > 0")
-    return (t / params.nu) ** q
 
 
 # ---------------------------------------------------------------------------
@@ -255,13 +256,6 @@ def tss_moment(params: TssParams, t: float, q: float) -> float:
     return result
 
 
-def tss_moment_asymptotic(params: TssParams, t: float, q: float) -> float:
-    """Large-t approximation (alpha*lambda**(alpha-1)*t)**q of the q-th moment."""
-    if not t > 0.0 or not q > 0.0:
-        raise ValueError("need t > 0 and q > 0")
-    return (params.alpha * params.lam ** (params.alpha - 1.0) * t) ** q
-
-
 # ---------------------------------------------------------------------------
 # Uniform dispatch
 # ---------------------------------------------------------------------------
@@ -274,7 +268,8 @@ def subordinator_moment(spec: SubordinatorSpec, t: float, q: float) -> float:
 
 
 def subordinator_moment_asymptotic(spec: SubordinatorSpec, t: float, q: float) -> float:
-    """Asymptotic q-th moment of the clock at time t, dispatched by kind."""
-    if spec.kind == "gamma":
-        return gamma_moment_asymptotic(spec.params, t, q)
-    return tss_moment_asymptotic(spec.params, t, q)
+    """Large-t approximation (rate*t)**q of the q-th clock moment, with
+    ``spec.rate`` the mean clock rate."""
+    if not t > 0.0 or not q > 0.0:
+        raise ValueError("need t > 0 and q > 0")
+    return (spec.rate * t) ** q

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from gmfbm.process import TimeChangedSpec
-from gmfbm.subordinators import TssParams
 
 
 @dataclass(frozen=True)
@@ -36,83 +35,45 @@ def _check_fixed_times(s: float, t: float) -> None:
         raise ValueError(f"need 0 < s < t, got s={s}, t={t}")
 
 
-def _tss_rate(params: TssParams) -> float:
-    return params.alpha * params.lam ** (params.alpha - 1.0)
-
-
-def cov_asymptotic_tss(spec: TimeChangedSpec, s: float, t: float) -> float:
-    """Two-term large-t covariance formula for the tempered stable clock:
-
-        a**2 H1 s (alpha lam**(alpha-1))**2H1 t**(2H1-1)
-      + b**2 H2 s (alpha lam**(alpha-1))**2H2 t**(2H2-1)
-    """
-    _check_fixed_times(s, t)
-    if spec.subordinator.kind != "tss":
-        raise ValueError("spec must use the tempered stable clock")
-    p = spec.gmfbm
-    rate = _tss_rate(spec.subordinator.params)
-    return (p.a ** 2 * p.h1 * s * rate ** (2.0 * p.h1) * t ** (2.0 * p.h1 - 1.0)
-            + p.b ** 2 * p.h2 * s * rate ** (2.0 * p.h2) * t ** (2.0 * p.h2 - 1.0))
-
-
-def cov_asymptotic_gamma(spec: TimeChangedSpec, s: float, t: float) -> float:
-    """Two-term large-t covariance formula for the Gamma clock, including
-    the factor 2 it is conventionally stated with:
-
-        2 a**2 H1 s / nu**2H1 * t**(2H1-1) + 2 b**2 H2 s / nu**2H2 * t**(2H2-1)
-    """
-    _check_fixed_times(s, t)
-    if spec.subordinator.kind != "gamma":
-        raise ValueError("spec must use the Gamma clock")
-    p = spec.gmfbm
-    nu = spec.subordinator.params.nu
-    return (2.0 * p.a ** 2 * p.h1 * s / nu ** (2.0 * p.h1) * t ** (2.0 * p.h1 - 1.0)
-            + 2.0 * p.b ** 2 * p.h2 * s / nu ** (2.0 * p.h2) * t ** (2.0 * p.h2 - 1.0))
+def _prefactor(spec: TimeChangedSpec) -> float:
+    # the Gamma formulas are conventionally stated with a factor 2
+    return 2.0 if spec.subordinator.kind == "gamma" else 1.0
 
 
 def cov_asymptotic(spec: TimeChangedSpec, s: float, t: float) -> float:
-    """Dispatch to the clock-specific covariance formula."""
-    if spec.subordinator.kind == "gamma":
-        return cov_asymptotic_gamma(spec, s, t)
-    return cov_asymptotic_tss(spec, s, t)
+    """Two-term large-t covariance formula, with r the mean clock rate
+    (alpha lam**(alpha-1) for TSS, 1/nu for Gamma) and k the stated
+    prefactor (1 for TSS, 2 for Gamma):
 
-
-def increment_sm_asymptotic_tss(spec: TimeChangedSpec, s: float, t: float) -> float:
-    """Three-term reference formula (per component) for E[(Y_t - Y_s)**2]
-    under the tempered stable clock:
-
-        c H (r**2H) (t**2H - 2 t**(2H-1) + s**2H)   summed over both blocks,
-
-    with c the squared mixing weight and r = alpha lam**(alpha-1).  Note the
-    middle term has no s factor; the formula is evaluated as stated.
+        k a**2 H1 s r**2H1 t**(2H1-1) + k b**2 H2 s r**2H2 t**(2H2-1)
     """
     _check_fixed_times(s, t)
-    if spec.subordinator.kind != "tss":
-        raise ValueError("spec must use the tempered stable clock")
     p = spec.gmfbm
-    rate = _tss_rate(spec.subordinator.params)
-
-    def block(coeff: float, h: float) -> float:
-        k = coeff ** 2 * h * rate ** (2.0 * h)
-        return k * (t ** (2.0 * h) - 2.0 * t ** (2.0 * h - 1.0) + s ** (2.0 * h))
-
-    return block(p.a, p.h1) + block(p.b, p.h2)
+    k = _prefactor(spec)
+    rate = spec.subordinator.rate
+    return (k * p.a ** 2 * p.h1 * s * rate ** (2.0 * p.h1) * t ** (2.0 * p.h1 - 1.0)
+            + k * p.b ** 2 * p.h2 * s * rate ** (2.0 * p.h2) * t ** (2.0 * p.h2 - 1.0))
 
 
-def increment_sm_asymptotic_gamma(spec: TimeChangedSpec, s: float, t: float) -> float:
-    """Reference formula for E[(Y_t - Y_s)**2] under the Gamma clock:
+def increment_sm_asymptotic(spec: TimeChangedSpec, s: float, t: float) -> float:
+    """Three-term reference formula for E[(Y_t - Y_s)**2], per block
 
-        2c H / nu**2H * (t**2H - 2 s t**(2H-1) + s**2H)   per block.
+        TSS:    c H r**2H (t**2H - 2 t**(2H-1) + s**2H)
+        Gamma:  2c H r**2H (t**2H - 2 s t**(2H-1) + s**2H)
+
+    summed over both blocks, with c the squared mixing weight and r the
+    mean clock rate.  The TSS middle term has no s factor; both formulas
+    are evaluated as stated.
     """
     _check_fixed_times(s, t)
-    if spec.subordinator.kind != "gamma":
-        raise ValueError("spec must use the Gamma clock")
     p = spec.gmfbm
-    nu = spec.subordinator.params.nu
+    k = _prefactor(spec)
+    rate = spec.subordinator.rate
+    middle = s if spec.subordinator.kind == "gamma" else 1.0
 
     def block(coeff: float, h: float) -> float:
-        k = 2.0 * coeff ** 2 * h / nu ** (2.0 * h)
-        return k * (t ** (2.0 * h) - 2.0 * s * t ** (2.0 * h - 1.0) + s ** (2.0 * h))
+        scale = k * coeff ** 2 * h * rate ** (2.0 * h)
+        return scale * (t ** (2.0 * h) - 2.0 * middle * t ** (2.0 * h - 1.0) + s ** (2.0 * h))
 
     return block(p.a, p.h1) + block(p.b, p.h2)
 

@@ -1,286 +1,58 @@
-"""Acceptance suite: one test per verification criterion, each printing a
-PASS line with its headline numbers (run with ``pytest -s`` to see them).
+"""Acceptance suite: one test per verification criterion in
+``gmfbm.selftest.CRITERIA``, each printing its PASS line with the headline
+numbers (run with ``pytest -s`` to see them).
 
-Monte Carlo criteria use fixed master seeds, so every run is deterministic;
-tolerances are stated inline next to each assertion.
+The criteria carry their own fixed seeds, tolerances and gates, so every
+run is deterministic; this module adds each criterion's wall-clock bound
+and, for criterion 9, the end-to-end ``gmfbm selftest`` run.
 """
 
-import math
+import contextlib
+import io
 import time
 
-import numpy as np
-import pytest
-
-from gmfbm import mclab, theory
 from gmfbm.cli import main as cli_main
-from gmfbm.fbm import TimeGrid, fbm_cov_matrix, sample_fbm_at, sample_fgn_regular
-from gmfbm.process import (
-    GmfbmParams,
-    TimeChangedSpec,
-    exact_cov_oracle,
-    exact_increment_second_moment,
-    exact_var_oracle,
-)
-from gmfbm.randkit import derive_stream, sample_tempered_stable_increment
-from gmfbm.subordinators import (
-    GammaParams,
-    SubordinatorSpec,
-    TssParams,
-    gamma_moment,
-    sample_increment,
-    subordinator_moment,
-    subordinator_moment_asymptotic,
-    tss_mean,
-    tss_moment,
-    tss_variance,
-)
+from gmfbm.selftest import CRITERIA, run_criterion
 
-MIX = GmfbmParams(1.0, 1.0, 0.55, 0.8)
-TSS_SPEC = TimeChangedSpec(MIX, SubordinatorSpec.tss(0.7, 1.0))
-GAMMA_SPEC = TimeChangedSpec(MIX, SubordinatorSpec.gamma(1.0))
-BOTH_SPECS = [("tss", TSS_SPEC), ("gamma", GAMMA_SPEC)]
-ST_PAIRS = [(1.0, 5.0), (1.0, 10.0), (2.0, 20.0)]
+# wall-clock bound per criterion, in seconds
+TIME_BOUNDS = {1: 30.0, 2: 60.0, 3: 10.0, 4: 60.0, 5: 10.0, 6: 60.0, 7: 180.0,
+               8: 5.0, 9: 60.0}
+SELFTEST_BOUND = 60.0
 
 
-def report(criterion: int, detail: str) -> None:
-    print(f"[criterion {criterion}] PASS: {detail}")
+def check_criterion(number, name, fn):
+    ok, elapsed, line = run_criterion(number, name, fn)
+    assert ok, line
+    assert elapsed < TIME_BOUNDS[number], line
+    print(line)
 
 
-def max_entrywise_z(paths: np.ndarray, cov: np.ndarray) -> float:
-    n = paths.shape[0]
-    emp = paths.T @ paths / n
-    se = (paths[:, :, None] * paths[:, None, :]).std(axis=0, ddof=1) / math.sqrt(n)
-    return float(np.max(np.abs(emp - cov) / se))
-
-
-def max_cross_z(a: np.ndarray, b: np.ndarray) -> float:
-    n = a.shape[0]
-    ea = a.T @ a / n
-    eb = b.T @ b / n
-    sa = (a[:, :, None] * a[:, None, :]).std(axis=0, ddof=1) / math.sqrt(n)
-    sb = (b[:, :, None] * b[:, None, :]).std(axis=0, ddof=1) / math.sqrt(n)
-    return float(np.max(np.abs(ea - eb) / np.hypot(sa, sb)))
-
-
-def test_criterion_1_fbm_correctness():
+def check_selftest_cli():
+    # the whole suite through the command line: exit 0 within the budget,
+    # one PASS line per criterion
     t0 = time.monotonic()
-    seed = 2024
-    grid = TimeGrid.regular(16, 1.0)
-    n_paths = 50_000
-    worst = 0.0
-    for idx, h in enumerate((0.3, 0.5, 0.75)):
-        cov = fbm_cov_matrix(grid, h)
-        chol = sample_fbm_at(grid, h, derive_stream(seed, 2 * idx), size=n_paths)
-        fgn = np.cumsum(sample_fgn_regular(16, 1.0, h,
-                                           derive_stream(seed, 2 * idx + 1),
-                                           size=n_paths), axis=1)
-        worst = max(worst, max_entrywise_z(chol, cov))   # sampler vs covariance
-        worst = max(worst, max_entrywise_z(fgn, cov))    # circulant vs covariance
-        worst = max(worst, max_cross_z(chol, fgn))       # sampler agreement
-        assert worst < 3.0
+    with contextlib.redirect_stdout(io.StringIO()) as buf:
+        code = cli_main(["selftest"])
     elapsed = time.monotonic() - t0
-    assert elapsed < 30.0
-    report(1, f"entrywise max |z| = {worst:.2f} < 3 over H in (0.3, 0.5, 0.75), "
-              f"{elapsed:.1f}s")
+    out = buf.getvalue()
+    status = [ln for ln in out.splitlines() if ln.startswith("[")]
+    assert code == 0, out
+    assert elapsed < SELFTEST_BOUND
+    assert len(status) == len(CRITERIA)
+    assert all(" PASS " in ln for ln in status)
+    print(f"gmfbm selftest exit 0 in {elapsed:.1f}s")
 
 
-def test_criterion_2_subordinator_moment_oracles():
-    t0 = time.monotonic()
-    n = 100_000
-    worst_z = 0.0
-    # Gamma: Monte Carlo vs exact moment, q in {0.6, 1.0, 1.6}, t/nu in {1, 10}
-    for sid, t in enumerate((1.0, 10.0)):
-        draws = sample_increment(SubordinatorSpec.gamma(1.0), t,
-                                 derive_stream(3001, sid), size=n)
-        for q in (0.6, 1.0, 1.6):
-            powered = draws ** q
-            se = powered.std(ddof=1) / math.sqrt(n)
-            z = abs(powered.mean() - gamma_moment(GammaParams(1.0), t, q)) / se
-            worst_z = max(worst_z, z)
-            assert z < 3.0
-    # exact identity at half-integer order
-    gap = abs(gamma_moment(GammaParams(2.0), 2.0, 0.5) - math.sqrt(math.pi) / 2.0)
-    assert gap < 1e-12
-    # tempered stable: cumulant identities and quadrature vs Monte Carlo
-    params = TssParams(0.7, 1.0)
-    t = 10.0
-    m1 = tss_mean(params, t)
-    m2 = m1 * m1 + tss_variance(params, t)
-    assert abs(tss_moment(params, t, 1.0) - m1) / m1 < 1e-8
-    assert abs(tss_moment(params, t, 2.0) - m2) / m2 < 1e-8
-    draws = sample_tempered_stable_increment(derive_stream(3002, 0), 0.7, 1.0, t,
-                                             size=n)
-    for q in (0.8, 1.1, 1.6):
-        powered = draws ** q
-        se = powered.std(ddof=1) / math.sqrt(n)
-        z = abs(powered.mean() - tss_moment(params, t, q)) / se
-        worst_z = max(worst_z, z)
-        assert z < 3.0
-    elapsed = time.monotonic() - t0
-    assert elapsed < 60.0
-    report(2, f"max MC |z| = {worst_z:.2f} < 3; half-order identity gap "
-              f"{gap:.1e} < 1e-12; cumulants to 1e-8; {elapsed:.1f}s")
+def _make_test(number, name, fn):
+    # one named test per criterion, e.g. test_criterion_7_decay_exponents
+    def test():
+        check_criterion(number, name, fn)
+        if number == 9:
+            check_selftest_cli()
+    test.__name__ = f"test_criterion_{number}_{name.replace(' ', '_')}"
+    return test
 
 
-def monotone_approach(gaps, floor=1e-10):
-    # monotone in the last three points, except where the ratio has already
-    # hit 1 at machine precision (gamma q=1 is exactly 1 analytically)
-    tail = [max(g, floor) for g in gaps[-3:]]
-    return tail[0] >= tail[1] >= tail[2]
-
-
-def test_criterion_3_asymptotic_moment_ratios():
-    t0 = time.monotonic()
-    t_grid = (10.0, 100.0, 1000.0, 10000.0)
-    summary = []
-    for q in (0.6, 1.0, 1.6, 2.0):
-        gaps = [abs(subordinator_moment(GAMMA_SPEC.subordinator, t, q)
-                    / subordinator_moment_asymptotic(GAMMA_SPEC.subordinator, t, q)
-                    - 1.0) for t in t_grid]
-        assert gaps[-1] < 0.02          # final ratio within 2%
-        assert monotone_approach(gaps)  # monotone approach, last three
-        summary.append(f"gamma q={q}: {gaps[-1]:.2e}")
-    for q in (1.1, 1.6):
-        gaps = [abs(subordinator_moment(TSS_SPEC.subordinator, t, q)
-                    / subordinator_moment_asymptotic(TSS_SPEC.subordinator, t, q)
-                    - 1.0) for t in t_grid]
-        assert gaps[-1] < 0.05          # final ratio within 5%
-        assert monotone_approach(gaps)
-        summary.append(f"tss q={q}: {gaps[-1]:.2e}")
-    elapsed = time.monotonic() - t0
-    assert elapsed < 10.0
-    report(3, f"final |ratio-1|: {'; '.join(summary)}; {elapsed:.1f}s")
-
-
-def test_criterion_4_covariance_identity_vs_mc():
-    t0 = time.monotonic()
-    n = 100_000
-    worst = 0.0
-    for name, spec in BOTH_SPECS:
-        for s, t in ST_PAIRS:
-            est = mclab.estimate_cov(spec, s, t, n, 1234)
-            oracle = exact_cov_oracle(spec, s, t)
-            z = abs(est.value - oracle) / est.stderr
-            worst = max(worst, z)
-            assert z < 3.0, f"{name} (s,t)=({s},{t}): z={z:.2f}"
-    elapsed = time.monotonic() - t0
-    assert elapsed < 60.0
-    report(4, f"max |z| = {worst:.2f} < 3 over both clocks and three (s,t); "
-              f"{elapsed:.1f}s")
-
-
-def test_criterion_5_covariance_asymptotic_ratios(capsys):
-    t0 = time.monotonic()
-    r3 = exact_cov_oracle(TSS_SPEC, 1.0, 1e3) / theory.cov_asymptotic_tss(
-        TSS_SPEC, 1.0, 1e3)
-    r5 = exact_cov_oracle(TSS_SPEC, 1.0, 1e5) / theory.cov_asymptotic_tss(
-        TSS_SPEC, 1.0, 1e5)
-    assert abs(r3 - 1.0) < 0.10
-    assert abs(r5 - 1.0) < 0.03
-    # Gamma formula ratio: converges to a t-independent constant, reported
-    # below; the formula's extra factor 2 puts that constant near 1/2, not 1
-    ratios = [exact_cov_oracle(GAMMA_SPEC, 1.0, t)
-              / theory.cov_asymptotic_gamma(GAMMA_SPEC, 1.0, t)
-              for t in np.geomspace(1e3, 1e5, 7)]
-    constant = ratios[-1]
-    assert max(abs(r - constant) for r in ratios) < 0.03 * constant
-    elapsed = time.monotonic() - t0
-    assert elapsed < 10.0
-    report(5, f"tss ratio: {r3:.4f} at t=1e3, {r5:.4f} at t=1e5; gamma formula "
-              f"ratio constant = {constant:.4f}; {elapsed:.1f}s")
-
-
-def test_criterion_6_increment_second_moment():
-    t0 = time.monotonic()
-    n = 100_000
-    worst_rel = 0.0
-    worst_z = 0.0
-    for name, spec in BOTH_SPECS:
-        p = spec.gmfbm
-        for s, t in ST_PAIRS:
-            value = exact_increment_second_moment(spec, s, t)
-            direct = (p.a ** 2 * subordinator_moment(spec.subordinator, t - s, 2 * p.h1)
-                      + p.b ** 2 * subordinator_moment(spec.subordinator, t - s, 2 * p.h2))
-            rel = abs(value - direct) / direct
-            worst_rel = max(worst_rel, rel)
-            assert rel < 1e-6
-            est = mclab.estimate_increment_sm(spec, s, t, n, 1234)
-            z = abs(est.value - value) / est.stderr
-            worst_z = max(worst_z, z)
-            assert z < 3.0, f"{name} (s,t)=({s},{t}): z={z:.2f}"
-    elapsed = time.monotonic() - t0
-    assert elapsed < 60.0
-    report(6, f"identity rel gap = {worst_rel:.1e} < 1e-6; max MC |z| = "
-              f"{worst_z:.2f} < 3; {elapsed:.1f}s")
-
-
-def test_criterion_7_decay_exponents():
-    t0 = time.monotonic()
-    grid = np.geomspace(100.0, 10000.0, 12)
-    details = []
-    for name, spec in BOTH_SPECS:
-        rep = mclab.lrd_report(spec, 1.0, grid, 100_000, 1234)
-        assert rep.predicted.dominant == pytest.approx(-0.2)
-        oracle_gap = abs(rep.oracle_fit.slope - rep.predicted.dominant)
-        assert oracle_gap < 0.05
-        mc_gap = abs(rep.mc_fit.slope - rep.oracle_fit.slope)
-        assert mc_gap < max(0.15, 3.0 * rep.mc_fit.slope_stderr)
-        assert rep.is_lrd
-        details.append(f"{name}: oracle {rep.oracle_fit.slope:+.4f}, "
-                       f"mc {rep.mc_fit.slope:+.4f}")
-    for h1, h2 in [(0.55, 0.8), (0.3, 0.6), (0.7, 0.7), (0.9, 0.9)]:
-        assert theory.is_lrd(GmfbmParams(1.0, 1.0, h1, h2))
-    elapsed = time.monotonic() - t0
-    assert elapsed < 180.0
-    report(7, f"predicted -0.2; {'; '.join(details)}; {elapsed:.0f}s")
-
-
-def test_criterion_8_degeneracy_suite():
-    t0 = time.monotonic()
-    # single-component reduction: oracle equals the one-motion formula exactly
-    for kind in (SubordinatorSpec.tss(0.7, 1.0), SubordinatorSpec.gamma(1.0)):
-        single = TimeChangedSpec(GmfbmParams(2.0, 0.0, 0.6, 0.8), kind)
-        s, t = 1.0, 9.0
-        m = lambda tt: subordinator_moment(kind, tt, 1.2)
-        expected = 4.0 * 0.5 * (m(t) + m(s) - m(t - s))
-        assert exact_cov_oracle(single, s, t) == pytest.approx(expected, rel=1e-12)
-        assert exact_var_oracle(single, t) == pytest.approx(4.0 * m(t), rel=1e-12)
-    # equal-index reduction scales by a**2 + b**2 exactly
-    for kind in (SubordinatorSpec.tss(0.7, 1.0), SubordinatorSpec.gamma(1.0)):
-        base = TimeChangedSpec(GmfbmParams(1.0, 0.0, 0.7, 0.8), kind)
-        both = TimeChangedSpec(GmfbmParams(1.5, 2.0, 0.7, 0.7), kind)
-        assert exact_cov_oracle(both, 1.0, 7.0) == pytest.approx(
-            (1.5 ** 2 + 2.0 ** 2) * exact_cov_oracle(base, 1.0, 7.0), rel=1e-12)
-    # Brownian motions on a unit-rate Gamma clock: corr = sqrt(s/t)
-    spec = TimeChangedSpec(GmfbmParams(1.0, 1.0, 0.5, 0.5),
-                           SubordinatorSpec.gamma(1.0))
-    worst = 0.0
-    for s, t in [(1.0, 2.0), (1.0, 100.0), (3.0, 17.0)]:
-        corr = exact_cov_oracle(spec, s, t) / math.sqrt(
-            exact_var_oracle(spec, s) * exact_var_oracle(spec, t))
-        worst = max(worst, abs(corr - math.sqrt(s / t)))
-        assert worst < 1e-10
-    elapsed = time.monotonic() - t0
-    assert elapsed < 5.0
-    report(8, f"reductions exact to 1e-12; Brownian-Gamma corr gap {worst:.1e} "
-              f"< 1e-10; {elapsed:.1f}s")
-
-
-def test_criterion_9_reproducibility(capsys):
-    t0 = time.monotonic()
-    n = 20_000
-    for name, spec in BOTH_SPECS:
-        for estimator in (mclab.estimate_cov, mclab.estimate_corr,
-                          mclab.estimate_increment_sm):
-            base = estimator(spec, 1.0, 10.0, n, 1234)
-            rerun = estimator(spec, 1.0, 10.0, n, 1234)
-            threaded = estimator(spec, 1.0, 10.0, n, 1234, n_workers=4)
-            assert base == rerun == threaded, f"{name}/{estimator.__name__}"
-    self_t0 = time.monotonic()
-    code = cli_main(["selftest"])
-    self_elapsed = time.monotonic() - self_t0
-    assert code == 0
-    assert self_elapsed < 60.0
-    elapsed = time.monotonic() - t0
-    report(9, f"estimators bit-identical across reruns and worker counts; "
-              f"selftest exit 0 in {self_elapsed:.1f}s; total {elapsed:.1f}s")
+for _criterion in CRITERIA:
+    _test = _make_test(*_criterion)
+    globals()[_test.__name__] = _test

@@ -20,18 +20,10 @@ from gmfbm.fbm import (
     sample_fgn_regular,
 )
 from gmfbm.randkit import derive_stream
+from gmfbm.selftest import max_entrywise_z, mean_z
 
 hursts = st.floats(0.05, 0.95)
 times = st.floats(0.0, 50.0)
-
-
-def mc_cov_check(paths, cov, factor=3.0):
-    """Entrywise |empirical - cov| < factor * stderr for mean-zero paths."""
-    n = paths.shape[0]
-    emp = paths.T @ paths / n
-    prods = paths[:, :, None] * paths[:, None, :]
-    se = prods.std(axis=0, ddof=1) / math.sqrt(n)
-    return float(np.max(np.abs(emp - cov) / se)) < factor
 
 
 class TestCov:
@@ -105,7 +97,7 @@ class TestSampleAt:
     def test_mc_covariance(self):
         grid = TimeGrid.regular(8, 1.0)
         paths = sample_fbm_at(grid, 0.7, derive_stream(1, 1), size=50_000)
-        assert mc_cov_check(paths, fbm_cov_matrix(grid, 0.7))
+        assert max_entrywise_z(paths, fbm_cov_matrix(grid, 0.7)) < 3.0
 
     def test_brownian_independent_increments(self):
         paths = sample_fbm_at(TimeGrid(np.array([1.0, 2.0])), 0.5,
@@ -165,7 +157,7 @@ class TestStackedRows:
         t = np.tile(np.stack(grids), (n, 1))  # rows alternate between grids
         vals = fbm_values_at_times(t, 0.7, derive_stream(4, 1))
         for k, grid in enumerate(grids):
-            assert mc_cov_check(vals[k::2], fbm_cov_matrix(TimeGrid(grid), 0.7))
+            assert max_entrywise_z(vals[k::2], fbm_cov_matrix(TimeGrid(grid), 0.7)) < 3.0
 
     def test_near_duplicate_rows_jitter(self):
         t = np.array([[1.0, 1.0 + 1e-14, 2.0, 2.0 + 1e-14, 3.0],
@@ -189,16 +181,14 @@ class TestPair:
         n = 100_000
         b_u, b_v = sample_fbm_pair(1.0, 2.0, 0.75, derive_stream(2, 2), size=n)
         prod = b_u * b_v
-        se = prod.std(ddof=1) / math.sqrt(n)
-        assert abs(prod.mean() - math.sqrt(2.0)) < 3.0 * se
+        assert mean_z(prod, math.sqrt(2.0)) < 3.0
 
     def test_marginal_variances(self):
         n = 100_000
         b_u, b_v = sample_fbm_pair(1.0, 3.0, 0.6, derive_stream(2, 3), size=n)
         for draws, target in ((b_u, 1.0), (b_v, 3.0 ** 1.2)):
             sq = draws ** 2
-            se = sq.std(ddof=1) / math.sqrt(n)
-            assert abs(sq.mean() - target) < 3.0 * se
+            assert mean_z(sq, target) < 3.0
 
     def test_argument_order(self):
         with pytest.raises(ValueError):
@@ -228,28 +218,25 @@ class TestFgn:
         x = sample_fgn_regular(1024, 1.0, 0.7, derive_stream(3, 1), size=n_paths)
         target = 0.5 * (2 ** 1.4 - 2.0)
         prods = (x[:, :-1] * x[:, 1:]).mean(axis=1)
-        se = prods.std(ddof=1) / math.sqrt(n_paths)
-        assert abs(prods.mean() - target) < 3.0 * se
+        assert mean_z(prods, target) < 3.0
 
     def test_matches_cholesky_sampler(self):
         n, n_paths = 16, 50_000
         grid = TimeGrid.regular(n, 1.0)
         cov = fbm_cov_matrix(grid, 0.7)
         fgn = sample_fgn_regular(n, 1.0, 0.7, derive_stream(3, 2), size=n_paths)
-        assert mc_cov_check(np.cumsum(fgn, axis=1), cov)
+        assert max_entrywise_z(np.cumsum(fgn, axis=1), cov) < 3.0
 
     def test_single_step(self):
         x = sample_fgn_regular(1, 2.0, 0.8, derive_stream(3, 3), size=1_000)
         sq = x ** 2
-        se = sq.std(ddof=1) / math.sqrt(x.size)
-        assert abs(sq.mean() - 2.0 ** 1.6) < 3.0 * se
+        assert mean_z(sq, 2.0 ** 1.6) < 3.0
 
     @pytest.mark.parametrize("h", [0.3, 0.55, 0.9])
     def test_variance_all_hursts(self, h):
         x = sample_fgn_regular(64, 1.0, h, derive_stream(3, 4), size=5_000).ravel()
         sq = x ** 2
-        se = sq.std(ddof=1) / math.sqrt(x.size)
-        assert abs(sq.mean() - 1.0) < 4.0 * se
+        assert mean_z(sq, 1.0) < 4.0
 
     def test_domain(self):
         with pytest.raises(ValueError):

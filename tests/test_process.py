@@ -1,8 +1,6 @@
 """Mixed-process covariance, time-changed sampling, and the exact
 second-order oracles."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +23,7 @@ from gmfbm.process import (
     sample_timechanged_path_with_clock,
 )
 from gmfbm.randkit import derive_stream
+from gmfbm.selftest import max_entrywise_z, mean_z
 from gmfbm.subordinators import SubordinatorSpec, subordinator_moment
 
 MIX = GmfbmParams(1.0, 1.0, 0.55, 0.8)
@@ -87,9 +86,7 @@ class TestSampling:
         n = 50_000
         paths = sample_gmfbm_at(grid, MIX, derive_stream(21, 0), size=n)
         cov = np.array([[gmfbm_cov(s, t, MIX) for t in grid.times] for s in grid.times])
-        emp = paths.T @ paths / n
-        se = (paths[:, :, None] * paths[:, None, :]).std(axis=0, ddof=1) / math.sqrt(n)
-        assert float(np.max(np.abs(emp - cov) / se)) < 3.0
+        assert max_entrywise_z(paths, cov) < 3.0
 
     def test_single_component_matches_fbm_marginal(self):
         grid = TimeGrid(np.array([2.0]))
@@ -106,8 +103,7 @@ class TestSampling:
                                size=n)[:, 0]
         target = t ** 1.1 + 4.0 * t ** 1.6
         sq = vals ** 2
-        se = sq.std(ddof=1) / math.sqrt(n)
-        assert abs(sq.mean() - target) < 3.0 * se
+        assert mean_z(sq, target) < 3.0
 
 
 class TestTimeChangedPair:
@@ -124,8 +120,7 @@ class TestTimeChangedPair:
         n = 100_000
         _, y_t = sample_timechanged_pair(spec, 1.0, 4.0, derive_stream(22, 1), size=n)
         sq = y_t ** 2
-        se = sq.std(ddof=1) / math.sqrt(n)
-        assert abs(sq.mean() - 8.0) < 3.0 * se
+        assert mean_z(sq, 8.0) < 3.0
 
     @pytest.mark.parametrize("spec,sid", [(TSS_SPEC, 2), (GAMMA_SPEC, 3)])
     def test_cov_matches_oracle(self, spec, sid):
@@ -133,8 +128,7 @@ class TestTimeChangedPair:
         s, t = 1.0, 10.0
         y_s, y_t = sample_timechanged_pair(spec, s, t, derive_stream(22, sid), size=n)
         dev = (y_s - y_s.mean()) * (y_t - y_t.mean())
-        se = dev.std(ddof=1) / math.sqrt(n)
-        assert abs(dev.mean() - exact_cov_oracle(spec, s, t)) < 3.0 * se
+        assert mean_z(dev, exact_cov_oracle(spec, s, t)) < 3.0
 
     def test_nearly_coincident_times(self):
         # s -> t keeps the sampler well defined and the moments continuous
@@ -142,8 +136,7 @@ class TestTimeChangedPair:
         y_s, y_t = sample_timechanged_pair(GAMMA_SPEC, 2.0, 2.0 + 1e-9,
                                            derive_stream(22, 4), size=n)
         dev = (y_s - y_s.mean()) * (y_t - y_t.mean())
-        se = dev.std(ddof=1) / math.sqrt(n)
-        assert abs(dev.mean() - exact_var_oracle(GAMMA_SPEC, 2.0)) < 3.0 * se
+        assert mean_z(dev, exact_var_oracle(GAMMA_SPEC, 2.0)) < 3.0
 
 
 class TestTimeChangedPath:
@@ -162,8 +155,7 @@ class TestTimeChangedPath:
             for i in range(n)
         ])
         sq = vals ** 2
-        se = sq.std(ddof=1) / math.sqrt(n)
-        assert abs(sq.mean() - exact_var_oracle(spec, t)) < 3.0 * se
+        assert mean_z(sq, exact_var_oracle(spec, t)) < 3.0
 
     @pytest.mark.parametrize("spec,sid", [(TSS_SPEC, 5), (GAMMA_SPEC, 6)])
     def test_block_marginal_variance_matches_oracle(self, spec, sid):
@@ -175,8 +167,7 @@ class TestTimeChangedPath:
         assert clock.values.shape == path.values.shape == (n, 2)
         assert np.all(np.diff(clock.values, axis=1) >= 0.0)
         sq = path.values[:, 1] ** 2
-        se = sq.std(ddof=1) / math.sqrt(n)
-        assert abs(sq.mean() - exact_var_oracle(spec, 4.0)) < 3.0 * se
+        assert mean_z(sq, exact_var_oracle(spec, 4.0)) < 3.0
 
     def test_identity_clock_equals_plain_process(self):
         # deterministic clock values equal to the grid reduce the composition
@@ -278,8 +269,7 @@ class TestIncrementSecondMoment:
         s, t = 1.0, 10.0
         y_s, y_t = sample_timechanged_pair(spec, s, t, derive_stream(24, sid), size=n)
         sq = (y_t - y_s) ** 2
-        se = sq.std(ddof=1) / math.sqrt(n)
-        assert abs(sq.mean() - exact_increment_second_moment(spec, s, t)) < 3.0 * se
+        assert mean_z(sq, exact_increment_second_moment(spec, s, t)) < 3.0
 
     def test_grows_with_gap(self):
         s = 1.0

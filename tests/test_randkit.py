@@ -19,9 +19,9 @@ from gmfbm.randkit import (
     sample_stable_subordinator_increment,
     sample_std_normal,
     sample_tempered_stable_increment,
-    sample_uniform,
     tempered_stable_substep_count,
 )
+from gmfbm.selftest import mean_z
 
 N_BIG = 100_000
 N_MED = 10_000
@@ -89,10 +89,10 @@ class TestStreams:
     def test_words_consumed_counts_philox_words(self):
         # one 64-bit word per uniform, on root streams and substreams alike
         root = derive_stream(0, 0)
-        sample_uniform(root, size=10)
+        root.gen.random(10)
         assert root.words_consumed == 10
         lane = derive_substream(derive_stream(0, 1), 3)
-        sample_uniform(lane, size=10)
+        lane.gen.random(10)
         assert lane.words_consumed == 10
         # double rejection makes several trials of several words per draw
         dbl = derive_stream(0, 2)
@@ -125,6 +125,13 @@ class TestGamma:
         draws = sample_gamma(derive_stream(7, int(shape * 10)), shape, size=N_BIG)
         assert abs(draws.mean() - shape) < tol
 
+    def test_laplace_transform_shape_one(self):
+        # E[exp(-u G)] = 1/(1+u) for shape 1, u in {0.5, 1, 2} at n=1e5
+        draws = sample_gamma(derive_stream(7, 100), 1.0, size=N_BIG)
+        for u in (0.5, 1.0, 2.0):
+            emp = np.exp(-u * draws)
+            assert mean_z(emp, 1.0 / (1.0 + u)) < 3.0
+
     def test_small_shape_distribution(self):
         draws = sample_gamma(derive_stream(7, 99), 0.3, size=N_BIG)
         stat = stats.kstest(draws, "gamma", args=(0.3,)).statistic
@@ -148,8 +155,7 @@ class TestStable:
             derive_stream(31, int(alpha * 10)), alpha, scale, size=N_BIG)
         emp = np.exp(-u * draws)
         target = math.exp(-scale * u ** alpha)
-        se = emp.std(ddof=1) / math.sqrt(N_BIG)
-        assert abs(emp.mean() - target) < 3.0 * se
+        assert mean_z(emp, target) < 3.0
 
     def test_positive(self):
         draws = sample_stable_subordinator_increment(derive_stream(31, 3), 0.4, 0.5,
@@ -172,8 +178,7 @@ class TestTemperedStable:
                                                  size=N_BIG)
         mean = alpha * lam ** (alpha - 1) * dt
         var = dt * alpha * (1 - alpha) * lam ** (alpha - 2)
-        se_mean = draws.std(ddof=1) / math.sqrt(N_BIG)
-        assert abs(draws.mean() - mean) < 3.0 * se_mean
+        assert mean_z(draws, mean) < 3.0
         sq = (draws - draws.mean()) ** 2
         se_var = sq.std(ddof=1) / math.sqrt(N_BIG)
         assert abs(draws.var(ddof=1) - var) < 3.0 * se_var
@@ -188,8 +193,7 @@ class TestTemperedStable:
             derive_stream(43, int(dt)), alpha, lam, dt, size=N_BIG)
         emp = np.exp(-u * draws)
         target = tss_laplace(alpha, lam, dt, u)
-        se = emp.std(ddof=1) / math.sqrt(N_BIG)
-        assert abs(emp.mean() - target) < 3.0 * se
+        assert mean_z(emp, target) < 3.0
 
     def test_laplace_grid_per_spec(self):
         # u in {0.5, 1, 2} at n=1e5, both regimes
@@ -199,8 +203,7 @@ class TestTemperedStable:
             for u in (0.5, 1.0, 2.0):
                 emp = np.exp(-u * draws)
                 target = tss_laplace(0.6, 1.0, dt, u)
-                se = emp.std(ddof=1) / math.sqrt(N_BIG)
-                assert abs(emp.mean() - target) < 3.0 * se
+                assert mean_z(emp, target) < 3.0
 
     def test_regimes_match_distribution(self):
         # thinning vs double rejection at the same law, just below, at and

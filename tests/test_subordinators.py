@@ -12,6 +12,7 @@ from scipy import stats
 
 from gmfbm.fbm import TimeGrid
 from gmfbm.randkit import derive_stream
+from gmfbm.selftest import mean_z
 from gmfbm.subordinators import (
     GammaParams,
     QuadratureError,
@@ -19,14 +20,12 @@ from gmfbm.subordinators import (
     SubordinatorSpec,
     TssParams,
     gamma_moment,
-    gamma_moment_asymptotic,
     sample_increment,
     sample_path,
     subordinator_moment,
     subordinator_moment_asymptotic,
     tss_mean,
     tss_moment,
-    tss_moment_asymptotic,
     tss_variance,
 )
 
@@ -88,14 +87,12 @@ class TestSamplePath:
         # construction as 1e5 single-point paths
         draws = sample_increment(SubordinatorSpec.gamma(1.0), 1.0,
                                  derive_stream(11, 0), size=100_000)
-        se = draws.std(ddof=1) / math.sqrt(draws.size)
-        assert abs(draws.mean() - 1.0) < 3.0 * se
+        assert mean_z(draws, 1.0) < 3.0
 
     def test_tss_single_point_mean(self):
         draws = sample_increment(SubordinatorSpec.tss(0.7, 1.0), 10.0,
                                  derive_stream(11, 1), size=100_000)
-        se = draws.std(ddof=1) / math.sqrt(draws.size)
-        assert abs(draws.mean() - 7.0) < 3.0 * se
+        assert mean_z(draws, 7.0) < 3.0
 
     @given(spec=spec_strategy, seed=st.integers(0, 2**32))
     @settings(max_examples=40, deadline=None)
@@ -136,12 +133,14 @@ class TestGammaMoments:
         assert abs(gamma_moment(GammaParams(2.0), 2.0, 0.5) - target) < 1e-12
 
     def test_asymptotic_values(self):
-        assert gamma_moment_asymptotic(GammaParams(1.0), 1.0, 1.0) == 1.0
-        assert gamma_moment_asymptotic(GammaParams(2.0), 20.0, 2.0) == pytest.approx(100.0)
+        assert subordinator_moment_asymptotic(SubordinatorSpec.gamma(1.0), 1.0, 1.0) == 1.0
+        assert subordinator_moment_asymptotic(SubordinatorSpec.gamma(2.0), 20.0, 2.0) == \
+            pytest.approx(100.0)
 
     def test_asymptotic_ratio_large_t(self):
-        p = GammaParams(1.0)
-        ratio = gamma_moment(p, 1000.0, 1.6) / gamma_moment_asymptotic(p, 1000.0, 1.6)
+        spec = SubordinatorSpec.gamma(1.0)
+        ratio = (gamma_moment(spec.params, 1000.0, 1.6)
+                 / subordinator_moment_asymptotic(spec, 1000.0, 1.6))
         assert abs(ratio - 1.0) < 1e-3
 
     def test_domain(self):
@@ -169,26 +168,27 @@ class TestTssMoments:
         assert value == pytest.approx(IG_MOMENTS[key], rel=1e-9)
 
     def test_asymptotic_ratio_series(self):
-        p = TssParams(0.7, 1.0)
+        spec = SubordinatorSpec.tss(0.7, 1.0)
         for q in (1.1, 1.6):
-            ratios = [tss_moment(p, t, q) / tss_moment_asymptotic(p, t, q)
+            ratios = [tss_moment(spec.params, t, q) / subordinator_moment_asymptotic(spec, t, q)
                       for t in (10.0, 100.0, 1000.0, 10000.0)]
             gaps = [abs(r - 1.0) for r in ratios]
             assert gaps[-1] < 0.05
             assert gaps[-3] > gaps[-2] > gaps[-1]
 
     def test_asymptotic_ratio_q08(self):
-        p = TssParams(0.5, 2.0)
-        ratio = tss_moment(p, 1000.0, 0.8) / tss_moment_asymptotic(p, 1000.0, 0.8)
+        spec = SubordinatorSpec.tss(0.5, 2.0)
+        ratio = (tss_moment(spec.params, 1000.0, 0.8)
+                 / subordinator_moment_asymptotic(spec, 1000.0, 0.8))
         assert abs(ratio - 1.0) < 0.05
 
     def test_asymptotic_ratio_q14_large_t(self):
-        p = TssParams(0.7, 1.0)
-        ratio = tss_moment(p, 1e4, 1.4) / tss_moment_asymptotic(p, 1e4, 1.4)
+        spec = SubordinatorSpec.tss(0.7, 1.0)
+        ratio = tss_moment(spec.params, 1e4, 1.4) / subordinator_moment_asymptotic(spec, 1e4, 1.4)
         assert abs(ratio - 1.0) < 0.02
 
     def test_asymptotic_value(self):
-        assert tss_moment_asymptotic(TssParams(0.7, 1.0), 10.0, 1.0) == \
+        assert subordinator_moment_asymptotic(SubordinatorSpec.tss(0.7, 1.0), 10.0, 1.0) == \
             pytest.approx(7.0, rel=1e-14)
 
     def test_quadrature_near_integers_continuous(self):
@@ -223,10 +223,13 @@ class TestDispatchAndConsistency:
         t_spec = SubordinatorSpec.tss(0.5, 1.0)
         assert subordinator_moment(g, 3.0, 1.0) == gamma_moment(g.params, 3.0, 1.0)
         assert subordinator_moment(t_spec, 3.0, 1.0) == tss_moment(t_spec.params, 3.0, 1.0)
-        assert subordinator_moment_asymptotic(g, 3.0, 1.5) == \
-            gamma_moment_asymptotic(g.params, 3.0, 1.5)
-        assert subordinator_moment_asymptotic(t_spec, 3.0, 1.5) == \
-            tss_moment_asymptotic(t_spec.params, 3.0, 1.5)
+        # mean clock rates 1/nu and alpha*lam**(alpha-1) = 0.5 here
+        assert g.rate == 0.5 and t_spec.rate == 0.5
+        for spec in (g, t_spec):
+            assert subordinator_moment_asymptotic(spec, 3.0, 1.5) == \
+                pytest.approx(1.5 ** 1.5, rel=1e-14)
+        with pytest.raises(ValueError):
+            subordinator_moment_asymptotic(g, 0.0, 1.5)
 
     @pytest.mark.parametrize("spec", [SubordinatorSpec.gamma(1.0),
                                       SubordinatorSpec.tss(0.7, 1.0)])
@@ -244,5 +247,4 @@ class TestDispatchAndConsistency:
         t = 10.0
         draws = sample_increment(spec, t, derive_stream(13, sid), size=n)
         powered = draws ** q
-        se = powered.std(ddof=1) / math.sqrt(n)
-        assert abs(powered.mean() - subordinator_moment(spec, t, q)) < 3.0 * se
+        assert mean_z(powered, subordinator_moment(spec, t, q)) < 3.0

@@ -10,10 +10,7 @@ from gmfbm.subordinators import SubordinatorSpec
 from gmfbm.theory import (
     corr_decay_prediction,
     cov_asymptotic,
-    cov_asymptotic_gamma,
-    cov_asymptotic_tss,
-    increment_sm_asymptotic_gamma,
-    increment_sm_asymptotic_tss,
+    increment_sm_asymptotic,
     is_lrd,
 )
 
@@ -35,12 +32,12 @@ class TestCovAsymptotics:
         spec = tss_spec(a=1.0, b=0.0)
         for t in (10.0, 250.0):
             expected = 0.55 * 0.7 ** 1.1 * t ** 0.1
-            assert cov_asymptotic_tss(spec, 1.0, t) == pytest.approx(expected, rel=1e-12)
+            assert cov_asymptotic(spec, 1.0, t) == pytest.approx(expected, rel=1e-12)
 
     def test_gamma_single_block_value(self):
         spec = gamma_spec(a=1.0, b=0.0, h1=0.6, h2=0.9)
         expected = 2.0 * 0.6 * 100.0 ** 0.2
-        assert cov_asymptotic_gamma(spec, 1.0, 100.0) == pytest.approx(expected, rel=1e-12)
+        assert cov_asymptotic(spec, 1.0, 100.0) == pytest.approx(expected, rel=1e-12)
 
     @given(s=st.floats(0.1, 5.0), t_mult=st.floats(1.5, 100.0),
            a=weights, b=weights, h1=hursts, h2=hursts)
@@ -48,8 +45,8 @@ class TestCovAsymptotics:
     def test_linear_in_s(self, s, t_mult, a, b, h1, h2):
         spec = tss_spec(a=a, b=b, h1=h1, h2=h2)
         t = 2.0 * s * t_mult
-        one = cov_asymptotic_tss(spec, s, t)
-        two = cov_asymptotic_tss(spec, 2.0 * s, t)
+        one = cov_asymptotic(spec, s, t)
+        two = cov_asymptotic(spec, 2.0 * s, t)
         assert two == pytest.approx(2.0 * one, rel=1e-12)
 
     @given(s=st.floats(0.1, 5.0), t_mult=st.floats(1.5, 100.0),
@@ -57,13 +54,13 @@ class TestCovAsymptotics:
     @settings(max_examples=100, deadline=None)
     def test_positive(self, s, t_mult, a, b, h1, h2):
         t = s * t_mult
-        assert cov_asymptotic_tss(tss_spec(a=a, b=b, h1=h1, h2=h2), s, t) > 0.0
-        assert cov_asymptotic_gamma(gamma_spec(a=a, b=b, h1=h1, h2=h2), s, t) > 0.0
+        assert cov_asymptotic(tss_spec(a=a, b=b, h1=h1, h2=h2), s, t) > 0.0
+        assert cov_asymptotic(gamma_spec(a=a, b=b, h1=h1, h2=h2), s, t) > 0.0
 
     def test_tss_ratio_tends_to_one(self):
         spec = tss_spec()
-        r3 = exact_cov_oracle(spec, 1.0, 1e3) / cov_asymptotic_tss(spec, 1.0, 1e3)
-        r5 = exact_cov_oracle(spec, 1.0, 1e5) / cov_asymptotic_tss(spec, 1.0, 1e5)
+        r3 = exact_cov_oracle(spec, 1.0, 1e3) / cov_asymptotic(spec, 1.0, 1e3)
+        r5 = exact_cov_oracle(spec, 1.0, 1e5) / cov_asymptotic(spec, 1.0, 1e5)
         assert abs(r3 - 1.0) < 0.10
         assert abs(r5 - 1.0) < 0.03
 
@@ -71,24 +68,14 @@ class TestCovAsymptotics:
         # the Gamma covariance formula carries an extra factor 2, so the
         # oracle/formula ratio settles near 1/2 rather than 1
         spec = gamma_spec()
-        ratios = [exact_cov_oracle(spec, 1.0, t) / cov_asymptotic_gamma(spec, 1.0, t)
+        ratios = [exact_cov_oracle(spec, 1.0, t) / cov_asymptotic(spec, 1.0, t)
                   for t in (1e3, 1e4, 1e5)]
         assert max(ratios) - min(ratios) < 0.03 * ratios[-1]
         assert ratios[-1] == pytest.approx(0.5, abs=0.01)
 
-    def test_dispatch(self):
-        assert cov_asymptotic(tss_spec(), 1.0, 10.0) == \
-            cov_asymptotic_tss(tss_spec(), 1.0, 10.0)
-        assert cov_asymptotic(gamma_spec(), 1.0, 10.0) == \
-            cov_asymptotic_gamma(gamma_spec(), 1.0, 10.0)
-        with pytest.raises(ValueError):
-            cov_asymptotic_tss(gamma_spec(), 1.0, 10.0)
-        with pytest.raises(ValueError):
-            cov_asymptotic_gamma(tss_spec(), 1.0, 10.0)
-
     def test_time_order_required(self):
         with pytest.raises(ValueError):
-            cov_asymptotic_tss(tss_spec(), 2.0, 1.0)
+            cov_asymptotic(tss_spec(), 2.0, 1.0)
 
 
 class TestIncrementAsymptotics:
@@ -97,35 +84,32 @@ class TestIncrementAsymptotics:
         s, t = 1.0, 50.0
         k = 4.0 * 0.55 * 0.7 ** 1.1
         expected = k * (t ** 1.1 - 2.0 * t ** 0.1 + s ** 1.1)
-        assert increment_sm_asymptotic_tss(spec, s, t) == pytest.approx(expected,
-                                                                        rel=1e-12)
+        assert increment_sm_asymptotic(spec, s, t) == pytest.approx(expected, rel=1e-12)
 
     def test_gamma_single_block_collapse(self):
         spec = gamma_spec(a=2.0, b=0.0, nu=2.0)
         s, t = 1.0, 50.0
         k = 2.0 * 4.0 * 0.55 / 2.0 ** 1.1
         expected = k * (t ** 1.1 - 2.0 * s * t ** 0.1 + s ** 1.1)
-        assert increment_sm_asymptotic_gamma(spec, s, t) == pytest.approx(expected,
-                                                                          rel=1e-12)
+        assert increment_sm_asymptotic(spec, s, t) == pytest.approx(expected, rel=1e-12)
 
     def test_leading_term_dominates(self):
         spec = tss_spec()
         t = 1e8
         leading = 0.8 * 0.7 ** 1.6 * t ** 1.6
-        assert increment_sm_asymptotic_tss(spec, 1.0, t) == pytest.approx(leading,
-                                                                          rel=1e-2)
+        assert increment_sm_asymptotic(spec, 1.0, t) == pytest.approx(leading, rel=1e-2)
 
-    @pytest.mark.parametrize("make,evaluate,h2", [
-        (tss_spec, increment_sm_asymptotic_tss, 0.8),
-        (gamma_spec, increment_sm_asymptotic_gamma, 0.8),
+    @pytest.mark.parametrize("make,expected", [
+        (tss_spec, 0.8),
+        (gamma_spec, 2.0 * 0.8),
     ])
-    def test_formula_vs_oracle_ratio_diagnostic(self, make, evaluate, h2):
+    def test_formula_vs_oracle_ratio_diagnostic(self, make, expected):
         # the reference formula's leading constant carries an extra factor H2
         # (and, for the Gamma clock, the factor 2); the diagnostic ratio to
         # the corrected oracle settles there instead of at 1
         spec = make()
-        expected = h2 if evaluate is increment_sm_asymptotic_tss else 2.0 * h2
-        ratios = [evaluate(spec, 1.0, t) / exact_increment_second_moment(spec, 1.0, t)
+        ratios = [increment_sm_asymptotic(spec, 1.0, t)
+                  / exact_increment_second_moment(spec, 1.0, t)
                   for t in (1e4, 1e5)]
         assert ratios[-1] == pytest.approx(expected, rel=0.05)
 
