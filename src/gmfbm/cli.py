@@ -3,7 +3,8 @@ covariances and moments, run the long-range-dependence verification, and
 run the built-in self test.
 
 Exit codes: 0 success, 1 usage/config error, 2 I/O error, 3 statistical
-verification failure.
+verification failure, 4 numerical failure (a quadrature or Cholesky
+factorisation that could not reach its tolerance).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from gmfbm import mclab, theory
-from gmfbm.fbm import TimeGrid
+from gmfbm.fbm import ConditioningError, TimeGrid
 from gmfbm.process import (
     GmfbmParams,
     TimeChangedSpec,
@@ -26,6 +27,7 @@ from gmfbm.process import (
 )
 from gmfbm.randkit import BLOCK_PATHS, path_blocks
 from gmfbm.subordinators import (
+    QuadratureError,
     SubordinatorSpec,
     subordinator_moment,
     subordinator_moment_asymptotic,
@@ -35,6 +37,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_STATISTICAL = 3
+EXIT_NUMERICAL = 4
 
 _DEFAULTS = {
     "subordinator": "tss",
@@ -392,6 +395,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"gmfbm: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except (QuadratureError, ConditioningError) as exc:
+        print(f"gmfbm: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

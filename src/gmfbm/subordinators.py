@@ -16,6 +16,7 @@ samplers in ``randkit``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,9 +29,14 @@ from gmfbm.randkit import (
     sample_tempered_stable_increment,
 )
 
-_QUAD_EPSREL = 1e-10
 _REL_TOL = 1e-8
-_ABS_FLOOR = 1e-14
+# Gauss-Jacobi nodes on [0, c0], Gauss-Legendre nodes per panel and panels
+# per decade of u on [c0, u_cut]; the error check reruns both rules with
+# half the nodes.  _MAX_PANELS bounds the work as alpha -> 0.
+_HEAD_NODES = 24
+_PANEL_NODES = 24
+_PANELS_PER_DECADE = 2
+_MAX_PANELS = 4096
 
 
 class QuadratureError(RuntimeError):
@@ -159,17 +165,44 @@ def gamma_moment(params: GammaParams, t: float, q: float) -> float:
 # Tempered stable moments
 # ---------------------------------------------------------------------------
 
-def _laplace_exponent(alpha: float, lam: float, t: float, u: float) -> float:
-    # t*((lam+u)**alpha - lam**alpha), evaluated without cancellation
-    return t * lam ** alpha * math.expm1(alpha * math.log1p(u / lam))
-
-
 def tss_mean(params: TssParams, t: float) -> float:
     return t * params.alpha * params.lam ** (params.alpha - 1.0)
 
 
 def tss_variance(params: TssParams, t: float) -> float:
     return t * params.alpha * (1.0 - params.alpha) * params.lam ** (params.alpha - 2.0)
+
+
+@functools.lru_cache(maxsize=64)
+def _gauss_rule(p: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss rule on [0, 1] for the weight x**(p-1), p > 0.
+
+    Golub-Welsch (Math. Comp. 1969): the nodes are the eigenvalues of the
+    Jacobi matrix of the Jacobi polynomials with exponents (0, p-1) shifted
+    to [0, 1], and the weights are the squared first eigenvector components
+    times int_0^1 x**(p-1) dx = 1/p.  p = 1 is Gauss-Legendre.  Built on
+    first use and cached per (p, n).
+    """
+    k = np.arange(1.0, n)
+    # recurrence coefficients of the monic Jacobi polynomials on [-1, 1]
+    # with weight (1+y)**(p-1), mapped to [0, 1] by x = (1+y)/2.  They are
+    # written in p with the integer parts summed first, so that at k = 1
+    # the factors k-1+p and 2k-2+p are p itself and p near 0 keeps its digits
+    diag = np.empty(n)
+    diag[0] = (p - 1.0) / (p + 1.0)
+    diag[1:] = (p - 1.0) ** 2 / ((2.0 * k - 1.0 + p) * (2.0 * k + 1.0 + p))
+    off_sq = (4.0 * k * k * (k - 1.0 + p) ** 2
+              / ((2.0 * k - 1.0 + p) ** 2 * (2.0 * k + p) * (2.0 * k - 2.0 + p)))
+    off = 0.5 * np.sqrt(off_sq)
+    nodes, vecs = np.linalg.eigh(np.diag(0.5 * (1.0 + diag)) + np.diag(off, 1)
+                                 + np.diag(off, -1))
+    weights = vecs[0] ** 2 / p
+    # the eigenvalues carry an absolute error of about one ulp of 1, which
+    # for p near 0 can put the smallest node at or below 0
+    nodes = np.clip(nodes, np.finfo(float).tiny, 1.0)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 def tss_moment(params: TssParams, t: float, q: float) -> float:
@@ -186,72 +219,82 @@ def tss_moment(params: TssParams, t: float, q: float) -> float:
                    = 1/Gamma(2-q) int_0^inf u**(1-q) (psi'(u)**2 - psi''(u))
                      phi(u) du
 
-    Both integrands are positive and smooth with exponential decay, the
-    endpoint singularity u**(p-1) is handled by an algebraic-weight
-    quadrature rule, and the formulas are continuous at q = 1 and q = 2.
-    """
-    # scipy is imported here, where the quadrature runs, so that commands
-    # that never need it do not pay for loading it
-    from scipy.integrate import quad
+    Both integrands are u**(p-1) times a positive function smooth(u) that is
+    analytic on the positive axis (its nearest singularity is u = -lambda)
+    and decays like exp(-psi(u)); the formulas are continuous at q = 1 and
+    q = 2.  The integral is cut where psi = 120 and computed with numpy
+    alone, in two pieces:
 
+    * on [0, c0], c0 = min(1/E[X_t], lambda), a Gauss-Jacobi rule with the
+      weight u**(p-1) built in, so the endpoint singularity costs nothing;
+    * on [c0, u_cut], Gauss-Legendre panels uniform in log u.  At small
+      alpha the integrand spreads over tens of decades (u_cut is about
+      lambda * (120/(t lambda**alpha))**(1/alpha)), so the panel count
+      grows with the number of decades, and every node is handled through
+      log u so nothing overflows.
+
+    The error estimate is the gap to the same panels with half the nodes;
+    if it exceeds ``_REL_TOL`` relative, or the result is not a finite
+    positive number, ``QuadratureError`` is raised and no value returned.
+    """
     if not t > 0.0:
         raise ValueError("need t > 0")
     if not 0.0 < q <= 2.0:
         raise ValueError(f"q must lie in (0, 2], got {q}")
     alpha, lam = params.alpha, params.lam
     m1 = tss_mean(params, t)
+    var = tss_variance(params, t)
     if q == 1.0:
         return m1
     if q == 2.0:
-        return m1 * m1 + tss_variance(params, t)
+        return m1 * m1 + var
 
-    var = tss_variance(params, t)
-    if q < 1.0:
-        p = 1.0 - q
-
-        def smooth(u: float) -> float:
-            # psi'(u) phi(u), all through log1p so nothing cancels
-            x = u / lam
-            return m1 * math.exp((alpha - 1.0) * math.log1p(x)
-                                 - _laplace_exponent(alpha, lam, t, u))
-    else:
-        p = 2.0 - q
-
-        def smooth(u: float) -> float:
-            # (psi'(u)**2 - psi''(u)) phi(u): two positive terms
-            x = u / lam
-            log1px = math.log1p(x)
-            psi = _laplace_exponent(alpha, lam, t, u)
-            return (m1 * m1 * math.exp(2.0 * (alpha - 1.0) * log1px - psi)
-                    + var * math.exp((alpha - 2.0) * log1px - psi))
-
-    # integrand support ends where phi has decayed to exp(-120); decay scale
-    # of psi is ~1/m1 and its curvature scale is lam
-    u_cut = lam * math.expm1(math.log1p(120.0 / (t * lam ** alpha)) / alpha)
-    c0 = min(1.0 / m1, lam, u_cut)
-    total = 0.0
-    err_total = 0.0
-    # weighted piece: integrates smooth(u) * u**(p-1) with the singular
-    # factor built into the rule
-    val, err = quad(smooth, 0.0, c0, weight="alg", wvar=(p - 1.0, 0.0),
-                    epsabs=_ABS_FLOOR, epsrel=_QUAD_EPSREL, limit=200)
-    total += val
-    err_total += err
-    lo = c0
-    for hi in sorted({10.0 * c0, 100.0 * c0, lam, u_cut}):
-        if hi <= lo or lo >= u_cut:
-            continue
-        hi = min(hi, u_cut)
-        val, err = quad(lambda u: smooth(u) * u ** (p - 1.0), lo, hi,
-                        epsabs=_ABS_FLOOR, epsrel=_QUAD_EPSREL, limit=200)
-        total += val
-        err_total += err
-        lo = hi
-    prefactor = math.exp(-math.lgamma(p))
-    result = prefactor * total
-    if err_total * prefactor > max(_REL_TOL * abs(result), _ABS_FLOOR):
+    p = 1.0 - q if q < 1.0 else 2.0 - q
+    scale = t * lam ** alpha
+    log_lam = math.log(lam)
+    # the integrand ends where phi has decayed to exp(-120); decay scale of
+    # psi is ~1/m1 and its curvature scale is lam.  log u_cut is formed
+    # without u_cut itself, which overflows for alpha near 0
+    reach = math.log1p(120.0 / scale) / alpha
+    s_cut = log_lam + reach + math.log1p(-math.exp(-reach))
+    s0 = math.log(min(1.0 / m1, lam))
+    panels = math.ceil(_PANELS_PER_DECADE * (s_cut - s0) / math.log(10.0))
+    if panels > _MAX_PANELS:
         raise QuadratureError(
-            f"moment quadrature error {err_total * prefactor:g} exceeds tolerance "
+            f"moment integrand spans {panels} panels (limit {_MAX_PANELS}) "
+            f"for alpha={alpha}, lambda={lam}, t={t}, q={q}")
+    width = (s_cut - s0) / panels
+
+    def weighted_sum(s: np.ndarray, log_w: np.ndarray) -> float:
+        # sum of weight * smooth(u) over the nodes u = exp(s), one numpy
+        # pass, with the log weights folded into the exponent and
+        # log1p(u/lam) taken through logaddexp
+        log1px = np.logaddexp(0.0, s - log_lam)
+        log_phi = log_w - scale * np.expm1(alpha * log1px)
+        if q < 1.0:
+            # psi'(u) phi(u)
+            return m1 * np.exp((alpha - 1.0) * log1px + log_phi).sum()
+        # (psi'(u)**2 - psi''(u)) phi(u): two positive terms
+        return (m1 * m1 * np.exp(2.0 * (alpha - 1.0) * log1px + log_phi).sum()
+                + var * np.exp((alpha - 2.0) * log1px + log_phi).sum())
+
+    def rule(n_head: int, n_tail: int) -> float:
+        # Gauss-Jacobi on [0, c0]: u = c0*x, weight c0**p * w
+        x, w = _gauss_rule(p, n_head)
+        s_head, log_w_head = s0 + np.log(x), p * s0 + np.log(w)
+        # Gauss-Legendre panels in s = log u: du u**(p-1) = ds exp(p*s)
+        x, w = _gauss_rule(1.0, n_tail)
+        s_tail = (s0 + width * (np.arange(panels)[:, None] + x)).ravel()
+        log_w_tail = np.log(width * np.tile(w, panels)) + p * s_tail
+        return weighted_sum(np.concatenate([s_head, s_tail]),
+                            np.concatenate([log_w_head, log_w_tail]))
+
+    prefactor = math.exp(-math.lgamma(p))
+    result = prefactor * rule(_HEAD_NODES, _PANEL_NODES)
+    err = abs(result - prefactor * rule(_HEAD_NODES // 2, _PANEL_NODES // 2))
+    if not (math.isfinite(result) and result > 0.0 and err <= _REL_TOL * result):
+        raise QuadratureError(
+            f"moment quadrature error {err:g} exceeds tolerance "
             f"for alpha={alpha}, lambda={lam}, t={t}, q={q} (value {result:g})")
     return result
 

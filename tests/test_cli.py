@@ -1,12 +1,18 @@
 """Command-line contract: exit codes, output schemas, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from gmfbm.cli import EXIT_IO, EXIT_OK, EXIT_STATISTICAL, EXIT_USAGE, main
-from gmfbm import selftest
+from gmfbm import cli, selftest
+from gmfbm.cli import (EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_STATISTICAL,
+                       EXIT_USAGE, main)
+from gmfbm.fbm import ConditioningError
+from gmfbm.subordinators import QuadratureError
 
 FAST_LRD = ["--subordinator", "gamma", "--paths", "300", "--seed", "5",
             "--t-min", "100", "--t-max", "10000", "--t-count", "6"]
@@ -191,6 +197,39 @@ class TestExitCodes:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == EXIT_OK
+
+    @pytest.mark.parametrize("error", [QuadratureError, ConditioningError])
+    def test_numerical_failure(self, tmp_path, monkeypatch, capsys, error):
+        def fail(*args):
+            raise error("forced")
+
+        monkeypatch.setattr(cli, "subordinator_moment", fail)
+        code, text = run(tmp_path, "moments", "--t-min", "1", "--t-max", "10",
+                         "--t-count", "2")
+        err = capsys.readouterr().err
+        assert code == EXIT_NUMERICAL
+        assert text is None
+        assert err == "gmfbm: numerical failure: forced\n"
+
+
+class TestRuntimeImports:
+    def test_tss_commands_do_not_load_scipy(self, tmp_path):
+        # the TSS moment oracle is numpy-only; scipy is a test dependency
+        script = (
+            "import sys\n"
+            "import gmfbm.cli\n"
+            "common = ['--subordinator', 'tss', '--t-min', '2', '--t-max', '20',\n"
+            "          '--t-count', '3', '--out', sys.argv[1]]\n"
+            "assert gmfbm.cli.main(['moments', *common]) == 0\n"
+            "assert gmfbm.cli.main(['cov-table', '--paths', '200', *common]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = os.path.join(os.path.dirname(cli.__file__), os.pardir)
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "o.csv")],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestSelftest:
