@@ -9,13 +9,11 @@ from gmfbm.randkit import (
     derive_stream,
     derive_substream,
     sample_gamma,
-    sample_stable_subordinator_increment,
     sample_std_normal,
     sample_tempered_stable_increment,
 )
 from gmfbm.fbm import (
     ConditioningError,
-    HurstIndex,
     TimeGrid,
     fbm_cov,
     fbm_cov_matrix,
@@ -26,7 +24,6 @@ from gmfbm.fbm import (
 from gmfbm.subordinators import (
     GammaParams,
     QuadratureError,
-    SubordinatorPath,
     SubordinatorSpec,
     TssParams,
     gamma_moment,
@@ -37,13 +34,10 @@ from gmfbm.subordinators import (
 )
 from gmfbm.process import (
     GmfbmParams,
-    ProcessPath,
     TimeChangedSpec,
     exact_cov_oracle,
     exact_increment_second_moment,
     exact_var_oracle,
-    gmfbm_cov,
-    sample_gmfbm_at,
     sample_gmfbm_given_clock,
     sample_timechanged_pair,
     sample_timechanged_path,

@@ -142,8 +142,6 @@ def _build_parser() -> _Parser:
 
     p_lrd = sub.add_parser("lrd", help="long-range-dependence verification")
     add_common(p_lrd)
-    p_lrd.add_argument("--force-predicted", dest="force_predicted", type=float,
-                       help=argparse.SUPPRESS)
 
     p_mom = sub.add_parser("moments", help="exact vs asymptotic clock moments")
     add_common(p_mom)
@@ -294,12 +292,12 @@ def cmd_simulate(config: RunConfig) -> int:
     columns = ["path", "t", "subordinator", "value"]
     rows = []
     for stream, lo, hi in path_blocks(config.master_seed, config.n_paths):
-        clock, path = sample_timechanged_path_with_clock(config.spec, grid, stream,
-                                                         size=hi - lo)
+        clock, values = sample_timechanged_path_with_clock(config.spec, grid, stream,
+                                                           size=hi - lo)
         rows.extend(zip(np.repeat(np.arange(lo, hi), m).tolist(),
                         np.tile(grid.times, hi - lo).tolist(),
-                        clock.values.ravel().tolist(),
-                        path.values.ravel().tolist()))
+                        clock.ravel().tolist(),
+                        values.ravel().tolist()))
     _emit(config, columns, rows, {"n_paths": config.n_paths,
                                   "grid_count": config.t_count})
     return EXIT_OK
@@ -318,12 +316,10 @@ def cmd_cov_table(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_lrd(config: RunConfig, force_predicted: float | None = None) -> int:
+def cmd_lrd(config: RunConfig) -> int:
     report = mclab.lrd_report(config.spec, config.s, config.t_grid(),
                               config.n_paths, config.master_seed)
-    predicted_dominant = (report.predicted.dominant if force_predicted is None
-                          else force_predicted)
-    gap = abs(report.oracle_fit.slope - predicted_dominant)
+    gap = abs(report.oracle_fit.slope - report.predicted.dominant)
     columns = ["t", "oracle_corr", "mc_corr", "mc_stderr"]
     rows = [[t, c_oracle, c_mc, se]
             for (t, c_oracle), (_, c_mc, se)
@@ -337,11 +333,15 @@ def cmd_lrd(config: RunConfig, force_predicted: float | None = None) -> int:
     _info(f"predicted exponents: mixed {report.predicted.exponent_mixed:+.4f}, "
           f"pure {report.predicted.exponent_pure:+.4f}, "
           f"dominant {report.predicted.dominant:+.4f}")
-    boot = report.mc_slope_boot_stderr
+    mc = report.mc_fit
+    if mc is None:
+        mc_text = "mc undefined (a Monte Carlo correlation is not positive)"
+    else:
+        boot = report.mc_slope_boot_stderr
+        mc_text = (f"mc {mc.slope:+.4f} (stderr {mc.slope_stderr:.4f}, "
+                   f"bootstrap {'undefined' if boot is None else f'{boot:.4f}'})")
     _info(f"fitted slopes: oracle {report.oracle_fit.slope:+.4f} "
-          f"(stderr {report.oracle_fit.slope_stderr:.4f}), "
-          f"mc {report.mc_fit.slope:+.4f} (stderr {report.mc_fit.slope_stderr:.4f}, "
-          f"bootstrap {'undefined' if boot is None else f'{boot:.4f}'})")
+          f"(stderr {report.oracle_fit.slope_stderr:.4f}), {mc_text}")
     _info(f"long-range dependent: {report.is_lrd}")
     if gap > LRD_SLOPE_TOLERANCE:
         _info(f"FAIL: |oracle slope - predicted| = {gap:.4f} > {LRD_SLOPE_TOLERANCE}")
@@ -381,7 +381,7 @@ def main(argv=None) -> int:
             return cmd_cov_table(config)
         if args.command == "lrd":
             config = _make_config(values, needs_fit_grid=True, grid_above_s=True)
-            return cmd_lrd(config, force_predicted=args.force_predicted)
+            return cmd_lrd(config)
         if args.command == "moments":
             config = _make_config(values)
             return cmd_moments(config)

@@ -26,22 +26,12 @@ class ConditioningError(RuntimeError):
     """Covariance factorization failed even after maximal diagonal jitter."""
 
 
-@dataclass(frozen=True)
-class HurstIndex:
-    """Self-similarity exponent, constrained to the open interval (0,1)."""
-
-    h: float
-
-    def __post_init__(self):
-        if not 0.0 < self.h < 1.0:
-            raise ValueError(f"Hurst index must lie in (0,1), got {self.h}")
-
-
 def as_hurst(h) -> float:
-    """Coerce a float or HurstIndex to a validated float."""
-    if isinstance(h, HurstIndex):
-        return h.h
-    return HurstIndex(float(h)).h
+    """Validate a Hurst index: a float in the open interval (0,1)."""
+    h = float(h)
+    if not 0.0 < h < 1.0:
+        raise ValueError(f"Hurst index must lie in (0,1), got {h}")
+    return h
 
 
 @dataclass(frozen=True)

@@ -103,8 +103,7 @@ def _sample_paths(spec: TimeChangedSpec, times: np.ndarray, n_paths: int,
 
     def fill(block) -> None:
         stream, lo, hi = block
-        out[lo:hi] = sample_timechanged_path(spec, times, stream,
-                                             size=hi - lo).values
+        out[lo:hi] = sample_timechanged_path(spec, times, stream, size=hi - lo)
 
     _run_blocks(fill, n_paths, master_seed, n_workers)
     return out
@@ -204,7 +203,8 @@ def fit_decay(points) -> DecayFit:
     """OLS fit of log(value) against log(t); the slope estimates -d for a
     power law c * t**-d.
 
-    Requires at least 5 points with strictly positive t and value.
+    Requires at least 5 points with strictly positive t and value, and at
+    least two distinct t.
     """
     pts = [(float(t), float(v)) for t, v in points]
     if len(pts) < 5:
@@ -218,6 +218,8 @@ def fit_decay(points) -> DecayFit:
     n = len(x)
     xc = x - x.mean()
     sxx = float(xc @ xc)
+    if sxx == 0.0:
+        raise ValueError("need at least two distinct t")
     slope = float(xc @ y) / sxx
     intercept = float(y.mean() - slope * x.mean())
     resid = y - (intercept + slope * x)
@@ -232,9 +234,11 @@ def fit_decay(points) -> DecayFit:
 class LrdReport:
     """Predicted vs measured correlation decay, plus the LRD verdict.
 
-    ``mc_slope_boot_stderr`` is the paired-bootstrap error of the MC slope
-    (None when undefined); ``mc_fit.slope_stderr`` is the OLS residual
-    error, which ignores the Monte Carlo noise.
+    ``mc_fit`` is None when a Monte Carlo correlation is not positive, so
+    its log and the MC slope are undefined.  ``mc_slope_boot_stderr`` is
+    the paired-bootstrap error of the MC slope (None when undefined);
+    ``mc_fit.slope_stderr`` is the OLS residual error, which ignores the
+    Monte Carlo noise.
     """
 
     s: float
@@ -242,7 +246,7 @@ class LrdReport:
     oracle_curve: list[tuple[float, float]]
     mc_curve: list[tuple[float, float, float]]
     oracle_fit: DecayFit
-    mc_fit: DecayFit
+    mc_fit: DecayFit | None
     mc_slope_boot_stderr: float | None
     is_lrd: bool
     n_paths: int
@@ -260,7 +264,7 @@ class LrdReport:
             "oracle_curve": [[t, c] for t, c in self.oracle_curve],
             "mc_curve": [[t, c, se] for t, c, se in self.mc_curve],
             "oracle_fit": _fit_dict(self.oracle_fit),
-            "mc_fit": _fit_dict(self.mc_fit),
+            "mc_fit": None if self.mc_fit is None else _fit_dict(self.mc_fit),
             "mc_slope_boot_stderr": self.mc_slope_boot_stderr,
             "is_lrd": self.is_lrd,
             "n_paths": self.n_paths,
@@ -314,13 +318,15 @@ def lrd_report(spec: TimeChangedSpec, s: float, t_grid, n_paths: int,
     corr, reps = corr[col], reps[:, col]
     mc_curve = [(float(t), float(c), float(se))
                 for t, c, se in zip(t_grid, corr, reps.std(axis=0, ddof=1))]
+    mc_fit = (fit_decay([(t, c) for t, c, _ in mc_curve]) if np.all(corr > 0.0)
+              else None)
     return LrdReport(
         s=float(s),
         predicted=predicted,
         oracle_curve=oracle_curve,
         mc_curve=mc_curve,
         oracle_fit=oracle_fit,
-        mc_fit=fit_decay([(t, c) for t, c, _ in mc_curve]),
+        mc_fit=mc_fit,
         mc_slope_boot_stderr=_slope_boot_stderr(t_grid, reps),
         is_lrd=theory.is_lrd(spec),
         n_paths=n_paths,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from gmfbm import fbm
-from gmfbm.fbm import TimeGrid, as_hurst, as_time_grid
+from gmfbm.fbm import as_hurst
 from gmfbm.randkit import RngStream, derive_substream
 from gmfbm.subordinators import (
     SubordinatorSpec,
@@ -71,27 +71,6 @@ class TimeChangedSpec:
     subordinator: SubordinatorSpec
 
 
-@dataclass(frozen=True)
-class ProcessPath:
-    """Process values on a time grid: shape (len(grid),) for one path or
-    (B, len(grid)) for a block of B paths."""
-
-    grid: TimeGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim not in (1, 2) or values.shape[-1] != len(self.grid):
-            raise ValueError("values must match the grid length")
-        object.__setattr__(self, "values", values)
-
-
-def gmfbm_cov(s: float, t: float, p: GmfbmParams) -> float:
-    """Covariance a**2 C_H1(s,t) + b**2 C_H2(s,t) of the mixed process."""
-    return (p.a ** 2 * fbm.fbm_cov(s, t, p.h1)
-            + p.b ** 2 * fbm.fbm_cov(s, t, p.h2))
-
-
 def sample_gmfbm_given_clock(p: GmfbmParams, clock_values, stream: RngStream,
                              size=None) -> np.ndarray:
     """Mixed-process values at the (nondecreasing) clock times.
@@ -107,11 +86,6 @@ def sample_gmfbm_given_clock(p: GmfbmParams, clock_values, stream: RngStream,
     b2 = fbm.fbm_values_at_times(clock_values, p.h2,
                                  derive_substream(stream, _LANE_FBM2), size=size)
     return p.a * b1 + p.b * b2
-
-
-def sample_gmfbm_at(grid, p: GmfbmParams, stream: RngStream, size=None) -> np.ndarray:
-    """Exact sample of the mixed process on a TimeGrid (identity clock)."""
-    return sample_gmfbm_given_clock(p, as_time_grid(grid).times, stream, size=size)
 
 
 def sample_timechanged_pair(spec: TimeChangedSpec, s: float, t: float,
@@ -138,18 +112,17 @@ def sample_timechanged_path_with_clock(spec: TimeChangedSpec, grid,
                                        stream: RngStream, size=None):
     """Sample the clock on the grid and the mixed process at the clock times.
 
-    Returns (SubordinatorPath, ProcessPath), each holding one path, or a
-    block of ``size`` paths as rows; the CLI uses both columns.
+    Returns the arrays (clock_values, values), each of shape (len(grid),)
+    for one path or (size, len(grid)) for a block of paths as rows; the CLI
+    uses both columns.
     """
-    grid = as_time_grid(grid)
     clock = sample_path(spec.subordinator, grid,
                         derive_substream(stream, _LANE_CLOCK), size=size)
-    values = sample_gmfbm_given_clock(spec.gmfbm, clock.values, stream)
-    return clock, ProcessPath(grid, values)
+    return clock, sample_gmfbm_given_clock(spec.gmfbm, clock, stream)
 
 
 def sample_timechanged_path(spec: TimeChangedSpec, grid, stream: RngStream,
-                            size=None) -> ProcessPath:
+                            size=None) -> np.ndarray:
     """Sample the clock on the grid, then the mixed process at the clock times."""
     return sample_timechanged_path_with_clock(spec, grid, stream, size=size)[1]
 

@@ -139,8 +139,9 @@ def sample_gamma(stream: RngStream, shape: float, size=None):
 
 
 def _stable_unit(gen: np.random.Generator, alpha: float, n: int) -> np.ndarray:
-    # Kanter's representation of the positive alpha-stable law with Laplace
-    # transform exp(-u**alpha):
+    # Kanter's representation (Ann. Probab. 1975) of the positive
+    # alpha-stable law with Laplace transform exp(-u**alpha), the proposal
+    # of the thinning sampler below:
     #   S = sin(alpha V) sin((1-alpha) V)**((1-alpha)/alpha)
     #       / (sin(V)**(1/alpha) * E**((1-alpha)/alpha))
     # with V ~ Uniform(0, pi), E ~ Exp(1).
@@ -153,24 +154,6 @@ def _stable_unit(gen: np.random.Generator, alpha: float, n: int) -> np.ndarray:
     return (np.sin(alpha * v)
             * np.sin((1.0 - alpha) * v) ** frac
             / (np.sin(v) ** (1.0 / alpha) * e ** frac))
-
-
-def sample_stable_subordinator_increment(stream: RngStream, alpha: float,
-                                         scale: float, size=None):
-    """Positive stable variate with Laplace transform exp(-scale * u**alpha).
-
-    This is the increment of an (untempered) stable subordinator over a span
-    with total jump intensity ``scale``.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0,1), got {alpha}")
-    if not scale > 0.0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    n = _size_count(size)
-    out = scale ** (1.0 / alpha) * _stable_unit(stream.gen, alpha, n)
-    if size is None:
-        return float(out[0])
-    return out.reshape(size)
 
 
 def _tempered_by_thinning(gen: np.random.Generator, alpha: float, lam: float,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gmfbm.fbm import TimeGrid, as_time_grid
+from gmfbm.fbm import as_time_grid
 from gmfbm.randkit import (
     RngStream,
     sample_gamma,
@@ -101,26 +101,6 @@ class SubordinatorSpec:
         return cls("gamma", GammaParams(nu))
 
 
-@dataclass(frozen=True)
-class SubordinatorPath:
-    """Sampled clock: nondecreasing nonnegative values on a time grid.
-
-    ``values`` has shape (len(grid),) for one path or (B, len(grid)) for a
-    block of B paths, one row per path.
-    """
-
-    grid: TimeGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim not in (1, 2) or values.shape[-1] != len(self.grid):
-            raise ValueError("values must match the grid length")
-        if np.any(values[..., 0] < 0.0) or np.any(np.diff(values, axis=-1) < 0.0):
-            raise ValueError("subordinator values must be nonnegative and nondecreasing")
-        object.__setattr__(self, "values", values)
-
-
 def sample_increment(spec: SubordinatorSpec, dt: float, stream: RngStream, size=None):
     """Increment of the subordinator over a span dt (dt = 0 gives 0)."""
     if dt < 0.0:
@@ -134,11 +114,12 @@ def sample_increment(spec: SubordinatorSpec, dt: float, stream: RngStream, size=
 
 
 def sample_path(spec: SubordinatorSpec, grid, stream: RngStream,
-                size=None) -> SubordinatorPath:
+                size=None) -> np.ndarray:
     """Sample the clock on a grid by summing independent increments over gaps.
 
-    Each gap takes one vector draw across the block; ``size`` paths give
-    values of shape (size, len(grid)), and ``size=None`` one path.
+    Returns the nonnegative, nondecreasing clock values: shape (len(grid),)
+    for ``size=None``, or (size, len(grid)) with one row per path.  Each gap
+    takes one vector draw across the block.
     """
     grid = as_time_grid(grid)
     count = 1 if size is None else size
@@ -146,7 +127,7 @@ def sample_path(spec: SubordinatorSpec, grid, stream: RngStream,
     incs = np.column_stack([sample_increment(spec, g, stream, size=count)
                             for g in gaps])
     values = np.cumsum(incs, axis=-1)
-    return SubordinatorPath(grid, values[0] if size is None else values)
+    return values[0] if size is None else values
 
 
 # ---------------------------------------------------------------------------

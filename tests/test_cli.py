@@ -8,11 +8,12 @@ import sys
 import numpy as np
 import pytest
 
-from gmfbm import cli, selftest
+from gmfbm import cli, selftest, theory
 from gmfbm.cli import (EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_STATISTICAL,
                        EXIT_USAGE, main)
 from gmfbm.fbm import ConditioningError
 from gmfbm.subordinators import QuadratureError
+from gmfbm.theory import DecayPrediction
 
 FAST_LRD = ["--subordinator", "gamma", "--paths", "300", "--seed", "5",
             "--t-min", "100", "--t-max", "10000", "--t-count", "6"]
@@ -101,9 +102,24 @@ class TestLrd:
         assert ", bootstrap " in err
         assert "PASS" in err
 
-    def test_forced_wrong_prediction_fails(self, tmp_path):
-        code, _ = run(tmp_path, "lrd", *FAST_LRD, "--force-predicted", "-0.9")
+    def test_forced_wrong_prediction_fails(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(theory, "corr_decay_prediction",
+                            lambda p: DecayPrediction(-0.9, -0.9, -0.9, True))
+        code, _ = run(tmp_path, "lrd", *FAST_LRD)
         assert code == EXIT_STATISTICAL
+
+    def test_nonpositive_mc_correlation_leaves_mc_fit_undefined(self, tmp_path, capsys):
+        # at 100 paths one MC correlation of this run is <= 0: the MC slope
+        # is undefined, and the verdict still follows the oracle slope
+        code, text = run(tmp_path, "lrd", "--subordinator", "gamma", "--paths", "100",
+                         "--seed", "3", fmt="json")
+        assert code == EXIT_OK
+        payload = json.loads(text)
+        assert payload["summary"]["mc_fit"] is None
+        assert min(row[2] for row in payload["rows"]) <= 0.0
+        err = capsys.readouterr().err
+        assert ", mc undefined (" in err
+        assert "PASS" in err
 
     def test_verdict_field_matches_classifier(self, tmp_path):
         code, text = run(tmp_path, "lrd", *FAST_LRD, fmt="json")
@@ -230,6 +246,27 @@ class TestRuntimeImports:
                               capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+class TestBenchmarkTracer:
+    def test_install_binds_every_traced_name(self):
+        # the traced benchmark run wraps gmfbm functions by name; a renamed or
+        # removed one must fail here.  install() patches modules globally, so
+        # it runs in its own interpreter
+        root = os.path.join(os.path.dirname(cli.__file__), os.pardir, os.pardir)
+        script = (
+            "import gmfbm.cli\n"
+            "from spans import Tracer\n"
+            "tracer = Tracer()\n"
+            "tracer.install()\n"
+            "print(len(tracer.bindings))\n"
+        )
+        paths = [os.path.abspath(os.path.join(root, d)) for d in ("perfbench", "src")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) > 0
 
 
 class TestSelftest:

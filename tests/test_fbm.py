@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from gmfbm.fbm import (
     ConditioningError,
-    HurstIndex,
     TimeGrid,
+    as_hurst,
     fbm_cov,
     fbm_cov_matrix,
     fbm_values_at_times,
@@ -45,7 +45,7 @@ class TestCov:
     def test_hurst_domain(self):
         for bad in (0.0, 1.0, -0.3, 2.0):
             with pytest.raises(ValueError):
-                HurstIndex(bad)
+                as_hurst(bad)
 
     @given(s=times, t=times, h=hursts)
     @settings(max_examples=200, deadline=None)

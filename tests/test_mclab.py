@@ -230,6 +230,8 @@ class TestFitDecay:
             fit_decay([(1.0, 1.0), (2.0, -0.5), (3.0, 1.0), (4.0, 1.0), (5.0, 1.0)])
         with pytest.raises(ValueError):
             fit_decay([(0.0, 1.0), (2.0, 0.5), (3.0, 1.0), (4.0, 1.0), (5.0, 1.0)])
+        with pytest.raises(ValueError, match="two distinct t"):
+            fit_decay([(2.0, 1.0)] * 5)
 
 
 @pytest.fixture(scope="module")

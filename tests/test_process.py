@@ -7,16 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from gmfbm.fbm import TimeGrid, fbm_cov, sample_fbm_at
+from gmfbm.fbm import TimeGrid, fbm_cov_matrix, sample_fbm_at
 from gmfbm.process import (
     GmfbmParams,
-    ProcessPath,
     TimeChangedSpec,
     exact_cov_oracle,
     exact_increment_second_moment,
     exact_var_oracle,
-    gmfbm_cov,
-    sample_gmfbm_at,
     sample_gmfbm_given_clock,
     sample_timechanged_pair,
     sample_timechanged_path,
@@ -52,46 +49,22 @@ class TestParams:
             GmfbmParams(1.0, 1.0, 1.2, 0.5)
 
 
-class TestCov:
-    def test_single_component_reduction(self):
-        p = GmfbmParams(1.0, 0.0, 0.6, 0.8)
-        assert gmfbm_cov(1.0, 3.0, p) == fbm_cov(1.0, 3.0, 0.6)
-
-    def test_equal_index_reduction(self):
-        p = GmfbmParams(1.0, 1.0, 0.7, 0.7)
-        assert gmfbm_cov(2.0, 5.0, p) == pytest.approx(2.0 * fbm_cov(2.0, 5.0, 0.7),
-                                                       rel=1e-14)
-
-    def test_mixture_value(self):
-        p = GmfbmParams(1.0, 2.0, 0.55, 0.8)
-        expected = fbm_cov(1.0, 2.0, 0.55) + 4.0 * fbm_cov(1.0, 2.0, 0.8)
-        assert gmfbm_cov(1.0, 2.0, p) == pytest.approx(expected, rel=1e-14)
-
-    @given(a=weights, b=weights, h1=hursts, h2=hursts,
-           s=st.floats(0.1, 10.0), t=st.floats(0.1, 10.0))
-    @settings(max_examples=100, deadline=None)
-    def test_swap_symmetry(self, a, b, h1, h2, s, t):
-        one = gmfbm_cov(s, t, GmfbmParams(a, b, h1, h2))
-        two = gmfbm_cov(s, t, GmfbmParams(b, a, h2, h1))
-        assert one == two
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            gmfbm_cov(-1.0, 1.0, MIX)
-
-
 class TestSampling:
+    # the identity clock: the mixed process itself, sampled on the grid times
+
     def test_mc_covariance_matches_analytic(self):
         grid = TimeGrid.regular(8, 1.0)
         n = 50_000
-        paths = sample_gmfbm_at(grid, MIX, derive_stream(21, 0), size=n)
-        cov = np.array([[gmfbm_cov(s, t, MIX) for t in grid.times] for s in grid.times])
+        paths = sample_gmfbm_given_clock(MIX, grid.times, derive_stream(21, 0), size=n)
+        cov = (MIX.a ** 2 * fbm_cov_matrix(grid, MIX.h1)
+               + MIX.b ** 2 * fbm_cov_matrix(grid, MIX.h2))
         assert max_entrywise_z(paths, cov) < 3.0
 
     def test_single_component_matches_fbm_marginal(self):
         grid = TimeGrid(np.array([2.0]))
         p = GmfbmParams(1.0, 0.0, 0.6, 0.8)
-        mixed = sample_gmfbm_at(grid, p, derive_stream(21, 1), size=20_000)[:, 0]
+        mixed = sample_gmfbm_given_clock(p, grid.times, derive_stream(21, 1),
+                                         size=20_000)[:, 0]
         plain = sample_fbm_at(grid, 0.6, derive_stream(21, 2), size=20_000)[:, 0]
         assert stats.ks_2samp(mixed, plain).pvalue > 0.01
 
@@ -99,11 +72,17 @@ class TestSampling:
         t = 3.0
         n = 50_000
         p = GmfbmParams(1.0, 2.0, 0.55, 0.8)
-        vals = sample_gmfbm_at(TimeGrid(np.array([t])), p, derive_stream(21, 3),
-                               size=n)[:, 0]
+        vals = sample_gmfbm_given_clock(p, np.array([t]), derive_stream(21, 3),
+                                        size=n)[:, 0]
         target = t ** 1.1 + 4.0 * t ** 1.6
         sq = vals ** 2
         assert mean_z(sq, target) < 3.0
+
+    def test_invalid_clock_rejected(self):
+        # a negative or decreasing clock fails before any value is drawn
+        for clock in ([-1.0, 1.0], [2.0, 1.0], [[1.0, 2.0], [1.0, 0.5]]):
+            with pytest.raises(ValueError):
+                sample_gmfbm_given_clock(MIX, np.array(clock), derive_stream(21, 4))
 
 
 class TestTimeChangedPair:
@@ -143,7 +122,7 @@ class TestTimeChangedPath:
     def test_starts_at_zero(self):
         grid = TimeGrid(np.array([0.0, 1.0, 2.0]))
         path = sample_timechanged_path(TSS_SPEC, grid, derive_stream(23, 0))
-        assert path.values[0] == 0.0
+        assert path[0] == 0.0
 
     @pytest.mark.parametrize("spec,sid", [(TSS_SPEC, 1), (GAMMA_SPEC, 2)])
     def test_marginal_variance_matches_oracle(self, spec, sid):
@@ -151,7 +130,7 @@ class TestTimeChangedPath:
         n = 10_000
         grid = TimeGrid(np.array([t]))
         vals = np.array([
-            sample_timechanged_path(spec, grid, derive_stream(23, 100 + sid * n + i)).values[0]
+            sample_timechanged_path(spec, grid, derive_stream(23, 100 + sid * n + i))[0]
             for i in range(n)
         ])
         sq = vals ** 2
@@ -162,27 +141,22 @@ class TestTimeChangedPath:
         # one block of paths drawn through size=, rows are paths
         n = 10_000
         grid = TimeGrid(np.array([1.0, 4.0]))
-        clock, path = sample_timechanged_path_with_clock(spec, grid,
-                                                         derive_stream(23, sid), size=n)
-        assert clock.values.shape == path.values.shape == (n, 2)
-        assert np.all(np.diff(clock.values, axis=1) >= 0.0)
-        sq = path.values[:, 1] ** 2
+        clock, values = sample_timechanged_path_with_clock(spec, grid,
+                                                           derive_stream(23, sid), size=n)
+        assert clock.shape == values.shape == (n, 2)
+        assert np.all(np.diff(clock, axis=1) >= 0.0)
+        sq = values[:, 1] ** 2
         assert mean_z(sq, exact_var_oracle(spec, 4.0)) < 3.0
 
-    def test_identity_clock_equals_plain_process(self):
-        # deterministic clock values equal to the grid reduce the composition
-        # to the plain mixed process
-        grid = TimeGrid(np.array([1.0, 2.0, 4.0]))
-        n = 20_000
-        via_clock = sample_gmfbm_given_clock(MIX, grid.times, derive_stream(23, 3),
-                                             size=n)
-        plain = sample_gmfbm_at(grid, MIX, derive_stream(23, 4), size=n)
-        for j in range(len(grid)):
-            assert stats.ks_2samp(via_clock[:, j], plain[:, j]).pvalue > 0.01
-
     def test_path_type_invariant(self):
-        with pytest.raises(ValueError):
-            ProcessPath(TimeGrid(np.array([1.0, 2.0])), np.array([0.0]))
+        # the samplers return arrays: (len(grid),) for one path, one row per
+        # path for a block, with the clock values in the same shape
+        grid = TimeGrid(np.array([1.0, 2.0, 4.0]))
+        one = sample_timechanged_path(TSS_SPEC, grid, derive_stream(23, 7))
+        clock, values = sample_timechanged_path_with_clock(TSS_SPEC, grid,
+                                                           derive_stream(23, 8), size=5)
+        assert one.shape == (3,)
+        assert clock.shape == values.shape == (5, 3)
 
 
 class TestOracles:

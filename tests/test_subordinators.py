@@ -17,7 +17,6 @@ from gmfbm.selftest import mean_z
 from gmfbm.subordinators import (
     GammaParams,
     QuadratureError,
-    SubordinatorPath,
     SubordinatorSpec,
     TssParams,
     gamma_moment,
@@ -513,11 +512,14 @@ class TestTypes:
             SubordinatorSpec("poisson", GammaParams(1.0))
 
     def test_path_invariants(self):
-        grid = TimeGrid(np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            SubordinatorPath(grid, np.array([2.0, 1.0]))
-        with pytest.raises(ValueError):
-            SubordinatorPath(grid, np.array([1.0]))
+        # sample_path returns the clock values as an array: nonnegative and
+        # nondecreasing, shape (len(grid),) for one path, one row per path
+        grid = TimeGrid(np.array([0.0, 1.0, 2.0]))
+        spec = SubordinatorSpec.tss(0.6, 1.0)
+        one = sample_path(spec, grid, derive_stream(11, 3))
+        block = sample_path(spec, grid, derive_stream(11, 4), size=4)
+        assert one.shape == (3,) and block.shape == (4, 3)
+        assert np.all(block >= 0.0) and np.all(np.diff(block, axis=1) >= 0.0)
 
 
 class TestSamplePath:
@@ -538,13 +540,13 @@ class TestSamplePath:
     def test_paths_nondecreasing(self, spec, seed):
         grid = TimeGrid(np.array([0.5, 1.0, 1.25, 4.0, 9.0]))
         path = sample_path(spec, grid, derive_stream(seed, 0))
-        assert path.values[0] >= 0.0
-        assert np.all(np.diff(path.values) >= 0.0)
+        assert path[0] >= 0.0
+        assert np.all(np.diff(path) >= 0.0)
 
     def test_grid_starting_at_zero(self):
         grid = TimeGrid(np.array([0.0, 1.0]))
         path = sample_path(SubordinatorSpec.gamma(0.5), grid, derive_stream(11, 2))
-        assert path.values[0] == 0.0
+        assert path[0] == 0.0
 
     @pytest.mark.parametrize("spec", [SubordinatorSpec.gamma(1.0),
                                       SubordinatorSpec.tss(0.6, 1.0)])
@@ -554,7 +556,7 @@ class TestSamplePath:
         s, t = 1.0, 2.5
         stream = derive_stream(12, 0)
         grid = TimeGrid(np.array([s, t]))
-        incs = np.array([np.diff(sample_path(spec, grid, stream).values)[0]
+        incs = np.array([np.diff(sample_path(spec, grid, stream))[0]
                          for _ in range(n)])
         direct = sample_increment(spec, t - s, derive_stream(12, 1), size=n)
         assert stats.ks_2samp(incs, direct).pvalue > 0.01
