@@ -1,5 +1,5 @@
 """Fractional Brownian motion: covariance, exact Gaussian sampling on
-arbitrary grids (Cholesky), and a circulant-embedding fast path for long
+arbitrary grids (Cholesky), and a circulant-embedding sampler for long
 regular grids.
 
 The process B^H is centered Gaussian with B_0 = 0 and
@@ -208,24 +208,22 @@ def sample_fgn_regular(n: int, dt: float, h, stream: RngStream, size=None) -> np
     Circulant embedding of the increment autocovariance: the covariance is
     embedded in a circulant of order 2n whose eigenvalues come from one FFT;
     a complex Gaussian vector shaped by sqrt(eigenvalues) transforms back to
-    an exact stationary sample.  If the embedding has materially negative
-    eigenvalues the sampler falls back to Cholesky, so it never fails.
-    Cumulative sums reproduce B^H on the grid dt, 2dt, ..., n*dt.
+    an exact stationary sample.  This minimal embedding of fGn is
+    nonnegative definite for every H (Dietrich & Newsam 1997; Craigmile
+    2003), so negative eigenvalues are rounding and are clipped to 0; one
+    below -1e-6 of the largest raises ConditioningError.  Cumulative sums
+    reproduce B^H on the grid dt, 2dt, ..., n*dt.
     """
     hh = as_hurst(h)
     if n < 1 or dt <= 0.0:
         raise ValueError("need n >= 1 and dt > 0")
-    if n == 1:
-        z = sample_std_normal(stream, None if size is None else (size, 1))
-        out = dt ** hh * z
-        return np.atleast_1d(out) if size is None else out
     gamma = _fgn_autocov(n, dt, hh)
     circ = np.concatenate([gamma, gamma[-2:0:-1]])
     lam = np.fft.fft(circ).real
-    if lam.min() < -1e-10 * lam.max():
-        # embedding not nonnegative: exact fallback
-        fbm = fbm_values_at_times(dt * np.arange(1, n + 1), hh, stream, size=size)
-        return np.diff(fbm, axis=-1, prepend=0.0)
+    if lam.min() < -1e-6 * lam.max():
+        raise ConditioningError(
+            f"circulant embedding is not nonnegative definite (n={n}, H={hh}, "
+            f"min/max eigenvalue {lam.min() / lam.max():.3g})")
     lam = np.maximum(lam, 0.0)
     m = 2 * n
     batch = () if size is None else (size,)

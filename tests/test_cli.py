@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from gmfbm import cli, selftest, theory
@@ -70,17 +69,6 @@ class TestCovTable:
         assert lines[0] == "t,oracle_cov,asymptotic_cov,ratio,mc_cov,mc_stderr"
         assert len(lines) == 1 + 5
 
-    def test_csv_json_same_numbers(self, tmp_path):
-        _, csv_text = run(tmp_path, *self.ARGS, name="c")
-        code, json_text = run(tmp_path, *self.ARGS, fmt="json", name="j")
-        assert code == EXIT_OK
-        payload = json.loads(json_text)
-        csv_rows = [[float(x) for x in line.split(",")]
-                    for line in csv_text.strip().split("\n")[1:]]
-        assert payload["columns"] == ["t", "oracle_cov", "asymptotic_cov",
-                                      "ratio", "mc_cov", "mc_stderr"]
-        np.testing.assert_array_equal(np.array(csv_rows), np.array(payload["rows"]))
-
     def test_json_top_level_keys(self, tmp_path):
         _, text = run(tmp_path, *self.ARGS, fmt="json")
         payload = json.loads(text)
@@ -91,6 +79,37 @@ class TestCovTable:
         code, _ = run(tmp_path, "cov-table", "--s", "50", "--t-min", "10",
                       "--t-max", "100", "--t-count", "5", "--paths", "200")
         assert code == EXIT_USAGE
+
+
+class TestOutputContract:
+    ARGS = {
+        "simulate": ("simulate", "--paths", "3", "--t-count", "4", "--t-min", "1",
+                     "--t-max", "50", "--seed", "4"),
+        "cov-table": TestCovTable.ARGS,
+        "lrd": ("lrd", *FAST_LRD),
+        "moments": ("moments", "--subordinator", "gamma", "--t-min", "10",
+                    "--t-max", "1000", "--t-count", "4", "--q", "0.6,1.0"),
+    }
+
+    @pytest.mark.parametrize("command", list(ARGS))
+    def test_csv_json_same_numbers(self, tmp_path, command):
+        # one set of columns feeds both writers: the CSV cells and the JSON
+        # rows hold the same numbers, and only simulate's path is an integer
+        _, csv_text = run(tmp_path, *self.ARGS[command], name="c")
+        code, json_text = run(tmp_path, *self.ARGS[command], fmt="json", name="j")
+        assert code == EXIT_OK
+        payload = json.loads(json_text)
+        header, *lines = csv_text.strip().split("\n")
+        assert payload["columns"] == header.split(",")
+        assert len(lines) == len(payload["rows"])
+        for line, row in zip(lines, payload["rows"]):
+            cells = line.split(",")
+            assert len(cells) == len(row)
+            for name, cell, x in zip(payload["columns"], cells, row):
+                if name == "path":
+                    assert type(x) is int and cell == "%d" % x
+                else:
+                    assert type(x) is float and float(cell) == x
 
 
 class TestLrd:
@@ -184,9 +203,13 @@ class TestConfigFile:
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.ini"
-        cfg.write_text("mystery = 1\n")
-        code, _ = run(tmp_path, "moments", "--config", str(cfg))
-        assert code == EXIT_USAGE
+        # an unknown key, known keys whose values the table's types reject,
+        # and a key repeated in a file without a section header
+        for text in ("mystery = 1\n", "paths = many\n", "subordinator = brownian\n",
+                     "paths = 1\npaths = 2\n"):
+            cfg.write_text(text)
+            code, _ = run(tmp_path, "moments", "--config", str(cfg))
+            assert code == EXIT_USAGE, text
 
     def test_missing_file(self, tmp_path):
         code, _ = run(tmp_path, "moments", "--config", str(tmp_path / "none.ini"))
@@ -196,6 +219,7 @@ class TestConfigFile:
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self):
         assert main(["simulate", "--bogus", "1"]) == EXIT_USAGE
+        assert main(["simulate", "--q", "1"]) == EXIT_USAGE  # a moments flag only
 
     def test_unknown_command_is_usage_error(self):
         assert main(["frobnicate"]) == EXIT_USAGE
@@ -205,6 +229,16 @@ class TestExitCodes:
                       "--subordinator", "tss", "--t-min", "1", "--t-max", "2",
                       "--t-count", "2")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("command", ["simulate", "moments"])
+    def test_seed_range(self, tmp_path, capsys, command):
+        args = (command, "--paths", "1", "--t-min", "1", "--t-max", "2", "--t-count", "2")
+        code, text = run(tmp_path, *args, "--seed", str(2**64))
+        assert code == EXIT_USAGE
+        assert text is None
+        assert "seed must be a nonnegative 64-bit integer" in capsys.readouterr().err
+        code, _ = run(tmp_path, *args, "--seed", str(2**64 - 1))
+        assert code == EXIT_OK
 
     def test_io_error(self):
         code = main(["moments", "--t-min", "1", "--t-max", "10", "--t-count", "2",

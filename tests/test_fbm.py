@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gmfbm import fbm
 from gmfbm.fbm import (
     ConditioningError,
     TimeGrid,
@@ -237,6 +238,25 @@ class TestFgn:
         x = sample_fgn_regular(64, 1.0, h, derive_stream(3, 4), size=5_000).ravel()
         sq = x ** 2
         assert mean_z(sq, 1.0) < 4.0
+
+    def test_near_one_hurst_stays_on_the_embedding(self):
+        # rounding leaves eigenvalues of -1.3e-10 of the largest here; the
+        # circulant embedding is still exact, and no n x n matrix is built
+        n, h = 16384, 0.999999
+        gamma = fbm._fgn_autocov(n, 1.0, h)
+        lam = np.fft.fft(np.concatenate([gamma, gamma[-2:0:-1]])).real
+        assert -1e-6 < lam.min() / lam.max() < -1e-10
+        x = sample_fgn_regular(n, 1.0, h, derive_stream(3, 6), size=4)
+        assert x.shape == (4, n)
+        # lag correlations are all within 1e-5 of 1: each row is nearly flat
+        assert np.all(np.ptp(x, axis=1) < 0.1)
+
+    def test_indefinite_embedding_raises(self, monkeypatch):
+        # lag-1 covariance twice the variance: the circulant is indefinite
+        monkeypatch.setattr(fbm, "_fgn_autocov",
+                            lambda n, dt, hh: np.r_[1.0, 2.0, np.zeros(n - 1)])
+        with pytest.raises(ConditioningError):
+            sample_fgn_regular(8, 1.0, 0.5, derive_stream(3, 7))
 
     def test_domain(self):
         with pytest.raises(ValueError):
