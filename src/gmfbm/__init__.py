@@ -9,15 +9,12 @@ from gmfbm.randkit import (
     derive_stream,
     derive_substream,
     sample_gamma,
-    sample_std_normal,
     sample_tempered_stable_increment,
 )
 from gmfbm.fbm import (
     ConditioningError,
-    TimeGrid,
     fbm_cov,
     fbm_cov_matrix,
-    sample_fbm_at,
     sample_fbm_pair,
     sample_fgn_regular,
 )

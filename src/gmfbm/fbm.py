@@ -9,11 +9,9 @@ The process B^H is centered Gaussian with B_0 = 0 and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from gmfbm.randkit import RngStream, sample_std_normal
+from gmfbm.randkit import RngStream
 
 # Jitter ladder for nearly singular covariance matrices (subordinated grids
 # can contain almost-coincident times): start at 1e-12 of the max diagonal,
@@ -34,51 +32,24 @@ def as_hurst(h) -> float:
     return h
 
 
-@dataclass(frozen=True)
-class TimeGrid:
-    """Strictly increasing times, all nonnegative (only the first may be 0)."""
-
-    times: np.ndarray
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        if times.ndim != 1 or times.size == 0:
-            raise ValueError("time grid must be a nonempty 1-d array")
-        if times[0] < 0.0:
-            raise ValueError("times must be nonnegative")
-        if np.any(np.diff(times) <= 0.0):
-            raise ValueError("times must be strictly increasing")
-        object.__setattr__(self, "times", times)
-
-    def __len__(self) -> int:
-        return self.times.size
-
-    @classmethod
-    def regular(cls, n: int, dt: float) -> "TimeGrid":
-        if n < 1 or dt <= 0.0:
-            raise ValueError("need n >= 1 and dt > 0")
-        return cls(dt * np.arange(1, n + 1))
-
-
-def as_time_grid(grid) -> TimeGrid:
-    if isinstance(grid, TimeGrid):
-        return grid
-    return TimeGrid(np.asarray(grid, dtype=float))
-
-
 def fbm_cov(s: float, t: float, h) -> float:
     """Covariance E[B_s B_t] = (s**2H + t**2H - |t-s|**2H)/2."""
     hh = as_hurst(h)
-    if s < 0.0 or t < 0.0:
+    if not (s >= 0.0 and t >= 0.0):
         raise ValueError("times must be nonnegative")
     two_h = 2.0 * hh
     return 0.5 * (s ** two_h + t ** two_h - abs(t - s) ** two_h)
 
 
-def fbm_cov_matrix(grid, h) -> np.ndarray:
-    """Covariance matrix of B^H on the grid; symmetric positive semidefinite."""
+def fbm_cov_matrix(times, h) -> np.ndarray:
+    """Covariance matrix of B^H at the nonnegative 1-d ``times``; symmetric
+    positive semidefinite (singular where a time repeats or is 0)."""
     hh = as_hurst(h)
-    times = as_time_grid(grid).times
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size == 0:
+        raise ValueError("times must be a nonempty 1-d array")
+    if not np.all(times >= 0.0):
+        raise ValueError("times must be nonnegative")
     return _cov_matrix_at(times, hh)
 
 
@@ -120,20 +91,20 @@ def fbm_values_at_times(times: np.ndarray, h, stream: RngStream, size=None) -> n
 
     ``times`` is one grid of shape (n,) or a stack of per-path grids of
     shape (B, n), one row per path; the result has the shape of ``times``,
-    with a leading ``size`` axis when ``size`` is given.  Unlike the
-    TimeGrid-facing sampler this accepts repeated consecutive times (which
-    subordinated clocks produce) and leading zeros: such a time gets an
-    independent unit dummy variable in the covariance, and after sampling
-    it is overwritten by the previous value, or by the exact zero of
-    B_0 = 0.  Since the dummy is independent of every other variable, the
-    values at the distinct positive times keep their exact joint law.
+    with a leading ``size`` axis when ``size`` is given.  Repeated
+    consecutive times (which subordinated clocks produce) and leading zeros
+    are allowed: such a time gets an independent unit dummy variable in
+    the covariance, and after sampling it is overwritten by the previous
+    value, or by the exact zero of B_0 = 0.  Since the dummy is
+    independent of every other variable, the values at the distinct
+    positive times keep their exact joint law.
     """
     hh = as_hurst(h)
     times = np.asarray(times, dtype=float)
     if times.ndim not in (1, 2) or times.shape[-1] == 0:
         raise ValueError("times must be a nonempty 1-d array or a 2-d stack of rows")
     steps = np.diff(times, axis=-1, prepend=0.0)
-    if np.any(steps < 0.0):
+    if not np.all(steps >= 0.0):
         raise ValueError("times must be nonnegative and nondecreasing")
     n = times.shape[-1]
     dummy = steps == 0.0
@@ -144,20 +115,12 @@ def fbm_values_at_times(times: np.ndarray, h, stream: RngStream, size=None) -> n
     cov[..., diag, diag] += dummy
     chol = _cholesky_with_jitter(cov)
     batch = () if size is None else (size,)
-    z = sample_std_normal(stream, batch + times.shape)
+    z = stream.gen.standard_normal(batch + times.shape)
     sampled = np.einsum("...ij,...j->...i", chol, z)
     # forward fill: column 0 of the padded array is the exact zero B_0
     src = np.maximum.accumulate(np.where(dummy, 0, diag + 1), axis=-1)
     padded = np.concatenate([np.zeros(sampled.shape[:-1] + (1,)), sampled], axis=-1)
     return np.take_along_axis(padded, np.broadcast_to(src, sampled.shape), axis=-1)
-
-
-def sample_fbm_at(grid, h, stream: RngStream, size=None) -> np.ndarray:
-    """Exact sample of B^H on a TimeGrid via Cholesky factorization.
-
-    Returns shape (len(grid),), or (size, len(grid)) when ``size`` is given.
-    """
-    return fbm_values_at_times(as_time_grid(grid).times, h, stream, size=size)
 
 
 def sample_fbm_pair(u, v, h, stream: RngStream, size=None):
@@ -171,15 +134,15 @@ def sample_fbm_pair(u, v, h, stream: RngStream, size=None):
     hh = as_hurst(h)
     u_arr = np.asarray(u, dtype=float)
     v_arr = np.asarray(v, dtype=float)
-    if np.any(u_arr < 0.0) or np.any(v_arr < 0.0):
+    if not (np.all(u_arr >= 0.0) and np.all(v_arr >= 0.0)):
         raise ValueError("times must be nonnegative")
-    if np.any(u_arr > v_arr):
+    if not np.all(u_arr <= v_arr):
         raise ValueError("need u <= v")
     scalar_in = u_arr.ndim == 0 and v_arr.ndim == 0 and size is None
     shape = np.broadcast_shapes(u_arr.shape, v_arr.shape)
     if size is not None:
         shape = (size,) + shape
-    z = sample_std_normal(stream, (2,) + shape)
+    z = stream.gen.standard_normal((2,) + shape)
     two_h = 2.0 * hh
     var_u = np.broadcast_to(u_arr ** two_h, shape)
     b_u = np.sqrt(var_u) * z[0]
@@ -227,9 +190,9 @@ def sample_fgn_regular(n: int, dt: float, h, stream: RngStream, size=None) -> np
     lam = np.maximum(lam, 0.0)
     m = 2 * n
     batch = () if size is None else (size,)
-    z_ends = sample_std_normal(stream, batch + (2,))
-    z_re = sample_std_normal(stream, batch + (n - 1,))
-    z_im = sample_std_normal(stream, batch + (n - 1,))
+    z_ends = stream.gen.standard_normal(batch + (2,))
+    z_re = stream.gen.standard_normal(batch + (n - 1,))
+    z_im = stream.gen.standard_normal(batch + (n - 1,))
     xi = np.empty(batch + (m,), dtype=complex)
     xi[..., 0] = z_ends[..., 0]
     xi[..., n] = z_ends[..., 1]

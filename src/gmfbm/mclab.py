@@ -252,30 +252,6 @@ class LrdReport:
     n_paths: int
     master_seed: int
 
-    def to_dict(self) -> dict:
-        return {
-            "s": self.s,
-            "predicted": {
-                "exponent_mixed": self.predicted.exponent_mixed,
-                "exponent_pure": self.predicted.exponent_pure,
-                "dominant": self.predicted.dominant,
-                "lrd_condition_holds": self.predicted.lrd_condition_holds,
-            },
-            "oracle_curve": [[t, c] for t, c in self.oracle_curve],
-            "mc_curve": [[t, c, se] for t, c, se in self.mc_curve],
-            "oracle_fit": _fit_dict(self.oracle_fit),
-            "mc_fit": None if self.mc_fit is None else _fit_dict(self.mc_fit),
-            "mc_slope_boot_stderr": self.mc_slope_boot_stderr,
-            "is_lrd": self.is_lrd,
-            "n_paths": self.n_paths,
-            "master_seed": self.master_seed,
-        }
-
-
-def _fit_dict(fit: DecayFit) -> dict:
-    return {"slope": fit.slope, "intercept": fit.intercept,
-            "slope_stderr": fit.slope_stderr, "r_squared": fit.r_squared}
-
 
 def _slope_boot_stderr(t: np.ndarray, reps: np.ndarray) -> float | None:
     """Standard deviation of the OLS slope of log(corr) on log(t) over the
@@ -308,8 +284,8 @@ def lrd_report(spec: TimeChangedSpec, s: float, t_grid, n_paths: int,
     predicted = theory.corr_decay_prediction(spec)
     oracle_curve = corr_curve_oracle(spec, s, t_grid)
     oracle_fit = fit_decay(oracle_curve)
-    # path grids must be strictly increasing: sample the distinct times in
-    # order and map each grid time back to its column
+    # path grids must be nondecreasing: sample the distinct times in order
+    # and map each grid time back to its column
     t_unique, col = np.unique(t_grid, return_inverse=True)
     _check_estimator_args(s, float(t_unique[0]), n_paths)
     paths = _sample_paths(spec, np.concatenate([[s], t_unique]), n_paths,

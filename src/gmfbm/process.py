@@ -14,6 +14,7 @@ Monte Carlo layer is checked against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,8 @@ class GmfbmParams:
         h2 = as_hurst(self.h2)
         a = float(self.a)
         b = float(self.b)
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValueError(f"a and b must be finite, got a={a}, b={b}")
         if a == 0.0 and b == 0.0:
             raise ValueError("a and b must not both be zero")
         if h1 > h2:

@@ -122,11 +122,6 @@ def _size_count(size) -> int:
     return int(np.prod(size))
 
 
-def sample_std_normal(stream: RngStream, size=None):
-    """Standard normal variate(s); advances the stream."""
-    return stream.gen.standard_normal(size)
-
-
 def sample_gamma(stream: RngStream, shape: float, size=None):
     """Gamma(shape, rate 1) variate(s).
 

@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from gmfbm import mclab, theory
-from gmfbm.fbm import TimeGrid, fbm_cov_matrix, sample_fbm_at, sample_fgn_regular
+from gmfbm.fbm import fbm_cov_matrix, fbm_values_at_times, sample_fgn_regular
 from gmfbm.process import (
     GmfbmParams,
     TimeChangedSpec,
@@ -105,12 +105,13 @@ def monotone_approach(gaps, floor=1e-10):
 @_criterion
 def fbm_correctness():
     seed = 2024
-    grid = TimeGrid.regular(16, 1.0)
+    grid = np.arange(1.0, 17.0)
     n_paths = 50_000
     worst = 0.0
     for idx, h in enumerate((0.3, 0.5, 0.75)):
         cov = fbm_cov_matrix(grid, h)
-        chol = sample_fbm_at(grid, h, derive_stream(seed, 2 * idx), size=n_paths)
+        chol = fbm_values_at_times(grid, h, derive_stream(seed, 2 * idx),
+                                   size=n_paths)
         fgn = np.cumsum(sample_fgn_regular(16, 1.0, h,
                                            derive_stream(seed, 2 * idx + 1),
                                            size=n_paths), axis=1)

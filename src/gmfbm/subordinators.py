@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gmfbm.fbm import as_time_grid
 from gmfbm.randkit import (
     RngStream,
     sample_gamma,
@@ -53,8 +52,8 @@ class TssParams:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0,1), got {self.alpha}")
-        if not self.lam > 0.0:
-            raise ValueError(f"lambda must be positive, got {self.lam}")
+        if not 0.0 < self.lam < math.inf:
+            raise ValueError(f"lambda must be positive and finite, got {self.lam}")
 
 
 @dataclass(frozen=True)
@@ -64,8 +63,8 @@ class GammaParams:
     nu: float
 
     def __post_init__(self):
-        if not self.nu > 0.0:
-            raise ValueError(f"nu must be positive, got {self.nu}")
+        if not 0.0 < self.nu < math.inf:
+            raise ValueError(f"nu must be positive and finite, got {self.nu}")
 
 
 @dataclass(frozen=True)
@@ -103,7 +102,7 @@ class SubordinatorSpec:
 
 def sample_increment(spec: SubordinatorSpec, dt: float, stream: RngStream, size=None):
     """Increment of the subordinator over a span dt (dt = 0 gives 0)."""
-    if dt < 0.0:
+    if not dt >= 0.0:
         raise ValueError("dt must be nonnegative")
     if dt == 0.0:
         return 0.0 if size is None else np.zeros(size)
@@ -113,17 +112,20 @@ def sample_increment(spec: SubordinatorSpec, dt: float, stream: RngStream, size=
         stream, spec.params.alpha, spec.params.lam, dt, size=size)
 
 
-def sample_path(spec: SubordinatorSpec, grid, stream: RngStream,
+def sample_path(spec: SubordinatorSpec, times, stream: RngStream,
                 size=None) -> np.ndarray:
-    """Sample the clock on a grid by summing independent increments over gaps.
+    """Sample the clock at nondecreasing ``times`` >= 0 by summing
+    independent increments over the gaps (a repeated time gives a zero gap).
 
-    Returns the nonnegative, nondecreasing clock values: shape (len(grid),)
-    for ``size=None``, or (size, len(grid)) with one row per path.  Each gap
+    Returns the nonnegative, nondecreasing clock values: shape (len(times),)
+    for ``size=None``, or (size, len(times)) with one row per path.  Each gap
     takes one vector draw across the block.
     """
-    grid = as_time_grid(grid)
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or not np.all(np.isfinite(times)):
+        raise ValueError("times must be a finite 1-d array")
     count = 1 if size is None else size
-    gaps = np.diff(grid.times, prepend=0.0)
+    gaps = np.diff(times, prepend=0.0)
     incs = np.column_stack([sample_increment(spec, g, stream, size=count)
                             for g in gaps])
     values = np.cumsum(incs, axis=-1)

@@ -1,16 +1,18 @@
 """Command-line contract: exit codes, output schemas, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
 
-from gmfbm import cli, selftest, theory
+from gmfbm import cli, mclab, selftest, theory
 from gmfbm.cli import (EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_STATISTICAL,
                        EXIT_USAGE, main)
 from gmfbm.fbm import ConditioningError
+from gmfbm.mclab import DecayFit
 from gmfbm.subordinators import QuadratureError
 from gmfbm.theory import DecayPrediction
 
@@ -127,6 +129,14 @@ class TestLrd:
         code, _ = run(tmp_path, "lrd", *FAST_LRD)
         assert code == EXIT_STATISTICAL
 
+    def test_nan_oracle_slope_fails(self, tmp_path, monkeypatch, capsys):
+        # the slope gate fails closed: a NaN gap is not within tolerance
+        monkeypatch.setattr(mclab, "fit_decay",
+                            lambda curve: DecayFit(math.nan, 0.0, 0.0, 1.0))
+        code, _ = run(tmp_path, "lrd", *FAST_LRD)
+        assert code == EXIT_STATISTICAL
+        assert "FAIL" in capsys.readouterr().err
+
     def test_nonpositive_mc_correlation_leaves_mc_fit_undefined(self, tmp_path, capsys):
         # at 100 paths one MC correlation of this run is <= 0: the MC slope
         # is undefined, and the verdict still follows the oracle slope
@@ -230,6 +240,19 @@ class TestExitCodes:
                       "--t-count", "2")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("args", [
+        ("lrd", "--a", "nan", "--paths", "300"),
+        ("simulate", "--a", "inf"),
+        ("simulate", "--lambda", "inf"),
+        ("simulate", "--subordinator", "gamma", "--nu", "inf"),
+        ("moments", "--t-max", "inf"),
+    ])
+    def test_nonfinite_parameter(self, tmp_path, capsys, args):
+        code, text = run(tmp_path, *args)
+        assert code == EXIT_USAGE
+        assert text is None
+        assert "finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["simulate", "moments"])
     def test_seed_range(self, tmp_path, capsys, command):
         args = (command, "--paths", "1", "--t-min", "1", "--t-max", "2", "--t-count", "2")
@@ -260,6 +283,14 @@ class TestExitCodes:
         assert code == EXIT_NUMERICAL
         assert text is None
         assert err == "gmfbm: numerical failure: forced\n"
+
+    def test_overflow_is_numerical_failure(self, tmp_path, capsys):
+        # t/nu = 1e302 overflows the log-Gamma of the exact moment
+        code, text = run(tmp_path, "moments", "--subordinator", "gamma", "--nu", "1e-300")
+        err = capsys.readouterr().err
+        assert code == EXIT_NUMERICAL
+        assert text is None
+        assert err.startswith("gmfbm: numerical failure: ") and err.count("\n") == 1
 
 
 class TestRuntimeImports:

@@ -11,17 +11,16 @@ from hypothesis import strategies as st
 from gmfbm import fbm
 from gmfbm.fbm import (
     ConditioningError,
-    TimeGrid,
     as_hurst,
     fbm_cov,
     fbm_cov_matrix,
     fbm_values_at_times,
-    sample_fbm_at,
     sample_fbm_pair,
     sample_fgn_regular,
 )
 from gmfbm.randkit import derive_stream
 from gmfbm.selftest import max_entrywise_z, mean_z
+from gmfbm.subordinators import SubordinatorSpec, sample_path
 
 hursts = st.floats(0.05, 0.95)
 times = st.floats(0.0, 50.0)
@@ -66,43 +65,50 @@ class TestCov:
 
 class TestCovMatrix:
     def test_single_point(self):
-        mat = fbm_cov_matrix(TimeGrid(np.array([1.0])), 0.42)
+        mat = fbm_cov_matrix(np.array([1.0]), 0.42)
         np.testing.assert_allclose(mat, [[1.0]])
 
     def test_brownian_two_points(self):
-        mat = fbm_cov_matrix(TimeGrid(np.array([1.0, 2.0])), 0.5)
+        mat = fbm_cov_matrix(np.array([1.0, 2.0]), 0.5)
         np.testing.assert_allclose(mat, [[1.0, 1.0], [1.0, 2.0]])
 
     @pytest.mark.parametrize("h", [0.3, 0.5, 0.75, 0.9])
     def test_psd(self, h):
-        grid = TimeGrid(np.concatenate([np.arange(1.0, 17.0), [17.3, 21.9]]))
+        grid = np.concatenate([np.arange(1.0, 17.0), [17.3, 21.9]])
         eig = np.linalg.eigvalsh(fbm_cov_matrix(grid, h))
         assert eig.min() >= -1e-10 * eig.max()
 
     def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            TimeGrid(np.array([1.0, 1.0, 2.0]))
-        with pytest.raises(ValueError):
-            TimeGrid(np.array([-1.0, 2.0]))
-        with pytest.raises(ValueError):
-            TimeGrid(np.array([]))
+        # each function checks what its own math needs; repeated times are
+        # valid input to both
+        for bad in ([-1.0, 2.0], [], [1.0, np.nan]):
+            with pytest.raises(ValueError):
+                fbm_cov_matrix(np.array(bad), 0.5)
+        spec = SubordinatorSpec.gamma(1.0)
+        for bad in ([2.0, 1.0], [1.0, np.nan]):
+            with pytest.raises(ValueError):
+                sample_path(spec, np.array(bad), derive_stream(1, 7))
+        repeated = np.array([1.0, 1.0, 2.0])
+        assert np.all(fbm_cov_matrix(repeated, 0.5) == [[1, 1, 1], [1, 1, 1], [1, 1, 2]])
+        clock = sample_path(spec, repeated, derive_stream(1, 7))
+        assert clock[0] == clock[1] < clock[2]
 
 
 class TestSampleAt:
     def test_zero_time_is_exact_zero(self):
-        grid = TimeGrid(np.array([0.0, 1.0, 2.0]))
-        vals = sample_fbm_at(grid, 0.7, derive_stream(1, 0), size=50)
+        vals = fbm_values_at_times(np.array([0.0, 1.0, 2.0]), 0.7,
+                                   derive_stream(1, 0), size=50)
         assert np.all(vals[:, 0] == 0.0)
         assert np.all(vals[:, 1] != 0.0)
 
     def test_mc_covariance(self):
-        grid = TimeGrid.regular(8, 1.0)
-        paths = sample_fbm_at(grid, 0.7, derive_stream(1, 1), size=50_000)
+        grid = np.arange(1.0, 9.0)
+        paths = fbm_values_at_times(grid, 0.7, derive_stream(1, 1), size=50_000)
         assert max_entrywise_z(paths, fbm_cov_matrix(grid, 0.7)) < 3.0
 
     def test_brownian_independent_increments(self):
-        paths = sample_fbm_at(TimeGrid(np.array([1.0, 2.0])), 0.5,
-                              derive_stream(1, 2), size=50_000)
+        paths = fbm_values_at_times(np.array([1.0, 2.0]), 0.5,
+                                    derive_stream(1, 2), size=50_000)
         inc = paths[:, 1] - paths[:, 0]
         rho = np.corrcoef(inc, paths[:, 0])[0, 1]
         assert abs(rho) < 3.0 / math.sqrt(paths.shape[0])
@@ -129,12 +135,28 @@ class TestSampleAt:
 
         monkeypatch.setattr(np.linalg, "cholesky", always_fail)
         with pytest.raises(ConditioningError):
-            sample_fbm_at(TimeGrid.regular(4, 1.0), 0.7, derive_stream(1, 5))
+            fbm_values_at_times(np.arange(1.0, 5.0), 0.7, derive_stream(1, 5))
         assert calls["n"] >= 5  # initial attempt plus the jitter ladder
 
     def test_nondecreasing_required(self):
         with pytest.raises(ValueError):
             fbm_values_at_times(np.array([2.0, 1.0]), 0.5, derive_stream(1, 6))
+
+    def test_nan_times_raise(self):
+        nan = float("nan")
+        calls = [
+            lambda: fbm_cov(nan, 1.0, 0.7),
+            lambda: fbm_cov_matrix(np.array([1.0, nan, 3.0]), 0.7),
+            lambda: fbm_values_at_times(np.array([1.0, nan, 3.0]), 0.7,
+                                        derive_stream(1, 8)),
+            lambda: sample_fbm_pair(np.array([nan, 1.0]), np.array([2.0, 2.0]), 0.7,
+                                    derive_stream(1, 8)),
+            lambda: sample_path(SubordinatorSpec.tss(0.7, 1.0), np.array([1.0, nan, 3.0]),
+                                derive_stream(1, 8)),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError):
+                call()
 
 
 class TestStackedRows:
@@ -158,7 +180,7 @@ class TestStackedRows:
         t = np.tile(np.stack(grids), (n, 1))  # rows alternate between grids
         vals = fbm_values_at_times(t, 0.7, derive_stream(4, 1))
         for k, grid in enumerate(grids):
-            assert max_entrywise_z(vals[k::2], fbm_cov_matrix(TimeGrid(grid), 0.7)) < 3.0
+            assert max_entrywise_z(vals[k::2], fbm_cov_matrix(grid, 0.7)) < 3.0
 
     def test_near_duplicate_rows_jitter(self):
         t = np.array([[1.0, 1.0 + 1e-14, 2.0, 2.0 + 1e-14, 3.0],
@@ -223,8 +245,7 @@ class TestFgn:
 
     def test_matches_cholesky_sampler(self):
         n, n_paths = 16, 50_000
-        grid = TimeGrid.regular(n, 1.0)
-        cov = fbm_cov_matrix(grid, 0.7)
+        cov = fbm_cov_matrix(np.arange(1.0, n + 1.0), 0.7)
         fgn = sample_fgn_regular(n, 1.0, 0.7, derive_stream(3, 2), size=n_paths)
         assert max_entrywise_z(np.cumsum(fgn, axis=1), cov) < 3.0
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import asdict
 from statistics import NormalDist
 
 import numpy as np
@@ -253,7 +254,7 @@ class TestLrdReport:
         assert abs(report.mc_fit.slope - report.oracle_fit.slope) < tol
 
     def test_serializable(self, report):
-        payload = json.loads(json.dumps(report.to_dict()))
+        payload = json.loads(json.dumps(asdict(report)))
         assert payload["predicted"]["dominant"] == pytest.approx(-0.2)
         assert len(payload["oracle_curve"]) == 8
         assert len(payload["mc_curve"]) == 8
@@ -263,7 +264,7 @@ class TestLrdReport:
     def test_slope_boot_stderr(self, report):
         assert math.isfinite(report.mc_slope_boot_stderr)
         assert report.mc_slope_boot_stderr > 0.0
-        payload = json.loads(json.dumps(report.to_dict()))
+        payload = json.loads(json.dumps(asdict(report)))
         assert payload["mc_slope_boot_stderr"] == report.mc_slope_boot_stderr
 
     def test_slope_boot_stderr_undefined_for_nonpositive_replicate(self):

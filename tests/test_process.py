@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from gmfbm.fbm import TimeGrid, fbm_cov_matrix, sample_fbm_at
+from gmfbm.fbm import fbm_cov_matrix, fbm_values_at_times
 from gmfbm.process import (
     GmfbmParams,
     TimeChangedSpec,
@@ -53,19 +53,19 @@ class TestSampling:
     # the identity clock: the mixed process itself, sampled on the grid times
 
     def test_mc_covariance_matches_analytic(self):
-        grid = TimeGrid.regular(8, 1.0)
+        grid = np.arange(1.0, 9.0)
         n = 50_000
-        paths = sample_gmfbm_given_clock(MIX, grid.times, derive_stream(21, 0), size=n)
+        paths = sample_gmfbm_given_clock(MIX, grid, derive_stream(21, 0), size=n)
         cov = (MIX.a ** 2 * fbm_cov_matrix(grid, MIX.h1)
                + MIX.b ** 2 * fbm_cov_matrix(grid, MIX.h2))
         assert max_entrywise_z(paths, cov) < 3.0
 
     def test_single_component_matches_fbm_marginal(self):
-        grid = TimeGrid(np.array([2.0]))
+        grid = np.array([2.0])
         p = GmfbmParams(1.0, 0.0, 0.6, 0.8)
-        mixed = sample_gmfbm_given_clock(p, grid.times, derive_stream(21, 1),
+        mixed = sample_gmfbm_given_clock(p, grid, derive_stream(21, 1),
                                          size=20_000)[:, 0]
-        plain = sample_fbm_at(grid, 0.6, derive_stream(21, 2), size=20_000)[:, 0]
+        plain = fbm_values_at_times(grid, 0.6, derive_stream(21, 2), size=20_000)[:, 0]
         assert stats.ks_2samp(mixed, plain).pvalue > 0.01
 
     def test_marginal_variance(self):
@@ -120,7 +120,7 @@ class TestTimeChangedPair:
 
 class TestTimeChangedPath:
     def test_starts_at_zero(self):
-        grid = TimeGrid(np.array([0.0, 1.0, 2.0]))
+        grid = np.array([0.0, 1.0, 2.0])
         path = sample_timechanged_path(TSS_SPEC, grid, derive_stream(23, 0))
         assert path[0] == 0.0
 
@@ -128,7 +128,7 @@ class TestTimeChangedPath:
     def test_marginal_variance_matches_oracle(self, spec, sid):
         t = 4.0
         n = 10_000
-        grid = TimeGrid(np.array([t]))
+        grid = np.array([t])
         vals = np.array([
             sample_timechanged_path(spec, grid, derive_stream(23, 100 + sid * n + i))[0]
             for i in range(n)
@@ -140,7 +140,7 @@ class TestTimeChangedPath:
     def test_block_marginal_variance_matches_oracle(self, spec, sid):
         # one block of paths drawn through size=, rows are paths
         n = 10_000
-        grid = TimeGrid(np.array([1.0, 4.0]))
+        grid = np.array([1.0, 4.0])
         clock, values = sample_timechanged_path_with_clock(spec, grid,
                                                            derive_stream(23, sid), size=n)
         assert clock.shape == values.shape == (n, 2)
@@ -151,7 +151,7 @@ class TestTimeChangedPath:
     def test_path_type_invariant(self):
         # the samplers return arrays: (len(grid),) for one path, one row per
         # path for a block, with the clock values in the same shape
-        grid = TimeGrid(np.array([1.0, 2.0, 4.0]))
+        grid = np.array([1.0, 2.0, 4.0])
         one = sample_timechanged_path(TSS_SPEC, grid, derive_stream(23, 7))
         clock, values = sample_timechanged_path_with_clock(TSS_SPEC, grid,
                                                            derive_stream(23, 8), size=5)

@@ -17,7 +17,6 @@ from gmfbm.randkit import (
     derive_stream,
     derive_substream,
     sample_gamma,
-    sample_std_normal,
     sample_tempered_stable_increment,
     tempered_stable_substep_count,
 )
@@ -33,50 +32,53 @@ def tss_laplace(alpha, lam, dt, u):
 
 class TestStreams:
     def test_same_key_same_draws(self):
-        a = sample_std_normal(derive_stream(1, 0), size=100)
-        b = sample_std_normal(derive_stream(1, 0), size=100)
+        a = derive_stream(1, 0).gen.standard_normal(100)
+        b = derive_stream(1, 0).gen.standard_normal(100)
         np.testing.assert_array_equal(a, b)
 
     def test_scalar_and_vector_draws_agree_on_bitstream(self):
         s1 = derive_stream(5, 9)
         s2 = derive_stream(5, 9)
-        vec = sample_std_normal(s1, size=4)
-        scalars = [sample_std_normal(s2) for _ in range(4)]
+        vec = s1.gen.standard_normal(4)
+        scalars = [s2.gen.standard_normal() for _ in range(4)]
         np.testing.assert_array_equal(vec, scalars)
 
     def test_seed_sensitivity(self):
-        assert sample_std_normal(derive_stream(1, 0)) != sample_std_normal(derive_stream(2, 0))
-        assert sample_std_normal(derive_stream(1, 0)) != sample_std_normal(derive_stream(1, 1))
+        def first(seed, sid):
+            return derive_stream(seed, sid).gen.standard_normal()
+
+        assert first(1, 0) != first(2, 0)
+        assert first(1, 0) != first(1, 1)
 
     def test_distinct_streams_uncorrelated(self):
-        a = sample_std_normal(derive_stream(1, 0), size=N_MED)
-        b = sample_std_normal(derive_stream(1, 1), size=N_MED)
+        a = derive_stream(1, 0).gen.standard_normal(N_MED)
+        b = derive_stream(1, 1).gen.standard_normal(N_MED)
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.05
 
     def test_gapped_stream_ids_uncorrelated(self):
-        a = sample_std_normal(derive_stream(3, 17), size=N_MED)
-        b = sample_std_normal(derive_stream(3, 2**63 + 12345), size=N_MED)
+        a = derive_stream(3, 17).gen.standard_normal(N_MED)
+        b = derive_stream(3, 2**63 + 12345).gen.standard_normal(N_MED)
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.05
 
     def test_substream_independent_of_parent_consumption(self):
         parent = derive_stream(11, 4)
-        sample_std_normal(parent, size=50)
-        child_after = sample_std_normal(derive_substream(parent, 0), size=20)
-        child_fresh = sample_std_normal(derive_substream(derive_stream(11, 4), 0), size=20)
+        parent.gen.standard_normal(50)
+        child_after = derive_substream(parent, 0).gen.standard_normal(20)
+        child_fresh = derive_substream(derive_stream(11, 4), 0).gen.standard_normal(20)
         np.testing.assert_array_equal(child_after, child_fresh)
 
     def test_substreams_distinct(self):
         parent = derive_stream(11, 4)
-        a = sample_std_normal(derive_substream(parent, 0), size=N_MED)
-        b = sample_std_normal(derive_substream(parent, 1), size=N_MED)
-        c = sample_std_normal(parent, size=N_MED)
+        a = derive_substream(parent, 0).gen.standard_normal(N_MED)
+        b = derive_substream(parent, 1).gen.standard_normal(N_MED)
+        c = parent.gen.standard_normal(N_MED)
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.05
         assert abs(np.corrcoef(a, c)[0, 1]) < 0.05
 
     def test_nested_substreams(self):
         child = derive_substream(derive_stream(1, 2), 3)
         grand = derive_substream(child, 0)
-        assert sample_std_normal(grand) != sample_std_normal(child)
+        assert grand.gen.standard_normal() != child.gen.standard_normal()
         with pytest.raises(ValueError):
             derive_substream(derive_substream(grand, 1), 0)
 
@@ -103,20 +105,8 @@ class TestStreams:
     @given(seed=st.integers(0, 2**64 - 1), sid=st.integers(0, 2**64 - 1))
     @settings(max_examples=25, deadline=None)
     def test_derivation_reproducible(self, seed, sid):
-        assert sample_std_normal(derive_stream(seed, sid)) == \
-            sample_std_normal(derive_stream(seed, sid))
-
-
-class TestStdNormal:
-    def test_moments(self):
-        draws = sample_std_normal(derive_stream(2024, 0), size=N_BIG)
-        assert abs(draws.mean()) < 0.01
-        assert abs(draws.var() - 1.0) < 0.015
-
-    def test_ks_against_normal_cdf(self):
-        draws = sample_std_normal(derive_stream(2024, 1), size=N_MED)
-        stat = stats.kstest(draws, "norm").statistic
-        assert stat < 0.0163  # 1% critical value at n=10^4
+        assert derive_stream(seed, sid).gen.standard_normal() == \
+            derive_stream(seed, sid).gen.standard_normal()
 
 
 class TestGamma:
