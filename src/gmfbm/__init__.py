@@ -53,6 +53,7 @@ from gmfbm.mclab import (
     corr_curve_oracle,
     estimate_corr,
     estimate_cov,
+    estimate_cov_curve,
     estimate_increment_sm,
     fit_decay,
     lrd_report,

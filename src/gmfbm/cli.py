@@ -14,7 +14,9 @@ import configparser
 import json
 import math
 import sys
+import traceback
 from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -232,15 +234,15 @@ def cmd_simulate(config: RunConfig) -> int:
 
 def cmd_cov_table(config: RunConfig) -> int:
     """oracle vs asymptotic vs Monte Carlo covariance"""
-    s = config["s"]
+    s, grid = config["s"], config.t_grid()
     rows = []
-    for t in config.t_grid().tolist():
+    for t in grid.tolist():
         oracle = exact_cov_oracle(config.spec, s, t)
         asym = theory.cov_asymptotic(config.spec, s, t)
-        est = mclab.estimate_cov(config.spec, s, t, config["paths"], config["seed"])
-        rows.append((t, oracle, asym, oracle / asym, est.value, est.stderr))
+        rows.append((t, oracle, asym, oracle / asym))
+    est = mclab.estimate_cov_curve(config.spec, s, grid, config["paths"], config["seed"])
     _emit(config, ["t", "oracle_cov", "asymptotic_cov", "ratio", "mc_cov", "mc_stderr"],
-          list(zip(*rows)), {"s": s})
+          [*zip(*rows), [e.value for e in est], [e.stderr for e in est]], {"s": s})
     return EXIT_OK
 
 
@@ -302,6 +304,14 @@ _COMMANDS = {
 }
 
 
+def _raised_in(exc: BaseException) -> str:
+    # "module.function" of the innermost traceback frame inside this package
+    package = Path(__file__).resolve().parent
+    frame = [f for f in traceback.extract_tb(exc.__traceback__)
+             if Path(f.filename).resolve().parent == package][-1]
+    return f"{Path(frame.filename).stem}.{frame.name}"
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -322,8 +332,12 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"gmfbm: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (QuadratureError, ConditioningError, OverflowError) as exc:
+    except (QuadratureError, ConditioningError) as exc:
         print(f"gmfbm: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except OverflowError as exc:
+        print(f"gmfbm: numerical failure: float overflow in {_raised_in(exc)} "
+              f"during {args.command!r}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -32,24 +32,29 @@ def as_hurst(h) -> float:
     return h
 
 
+def _finite_nonnegative(times) -> bool:
+    # written so that NaN fails too
+    return bool(np.all((times >= 0.0) & (times < np.inf)))
+
+
 def fbm_cov(s: float, t: float, h) -> float:
     """Covariance E[B_s B_t] = (s**2H + t**2H - |t-s|**2H)/2."""
     hh = as_hurst(h)
-    if not (s >= 0.0 and t >= 0.0):
-        raise ValueError("times must be nonnegative")
+    if not (_finite_nonnegative(s) and _finite_nonnegative(t)):
+        raise ValueError("times must be finite and nonnegative")
     two_h = 2.0 * hh
     return 0.5 * (s ** two_h + t ** two_h - abs(t - s) ** two_h)
 
 
 def fbm_cov_matrix(times, h) -> np.ndarray:
-    """Covariance matrix of B^H at the nonnegative 1-d ``times``; symmetric
+    """Covariance matrix of B^H at the finite nonnegative 1-d ``times``; symmetric
     positive semidefinite (singular where a time repeats or is 0)."""
     hh = as_hurst(h)
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a nonempty 1-d array")
-    if not np.all(times >= 0.0):
-        raise ValueError("times must be nonnegative")
+    if not _finite_nonnegative(times):
+        raise ValueError("times must be finite and nonnegative")
     return _cov_matrix_at(times, hh)
 
 
@@ -87,7 +92,7 @@ def _cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
 
 
 def fbm_values_at_times(times: np.ndarray, h, stream: RngStream, size=None) -> np.ndarray:
-    """Exact joint Gaussian sample of B^H at nondecreasing ``times``.
+    """Exact joint Gaussian sample of B^H at finite nondecreasing ``times``.
 
     ``times`` is one grid of shape (n,) or a stack of per-path grids of
     shape (B, n), one row per path; the result has the shape of ``times``,
@@ -104,8 +109,8 @@ def fbm_values_at_times(times: np.ndarray, h, stream: RngStream, size=None) -> n
     if times.ndim not in (1, 2) or times.shape[-1] == 0:
         raise ValueError("times must be a nonempty 1-d array or a 2-d stack of rows")
     steps = np.diff(times, axis=-1, prepend=0.0)
-    if not np.all(steps >= 0.0):
-        raise ValueError("times must be nonnegative and nondecreasing")
+    if not (np.all(steps >= 0.0) and _finite_nonnegative(times)):
+        raise ValueError("times must be finite, nonnegative and nondecreasing")
     n = times.shape[-1]
     dummy = steps == 0.0
     real = ~dummy
@@ -124,7 +129,7 @@ def fbm_values_at_times(times: np.ndarray, h, stream: RngStream, size=None) -> n
 
 
 def sample_fbm_pair(u, v, h, stream: RngStream, size=None):
-    """Exact bivariate draw (B_u, B_v) for 0 <= u <= v.
+    """Exact bivariate draw (B_u, B_v) for finite 0 <= u <= v.
 
     ``u`` and ``v`` may be arrays (elementwise pairs, one per path of a
     block); scalar inputs return floats unless ``size`` is given.  This is
@@ -134,8 +139,8 @@ def sample_fbm_pair(u, v, h, stream: RngStream, size=None):
     hh = as_hurst(h)
     u_arr = np.asarray(u, dtype=float)
     v_arr = np.asarray(v, dtype=float)
-    if not (np.all(u_arr >= 0.0) and np.all(v_arr >= 0.0)):
-        raise ValueError("times must be nonnegative")
+    if not (_finite_nonnegative(u_arr) and _finite_nonnegative(v_arr)):
+        raise ValueError("times must be finite and nonnegative")
     if not np.all(u_arr <= v_arr):
         raise ValueError("need u <= v")
     scalar_in = u_arr.ndim == 0 and v_arr.ndim == 0 and size is None

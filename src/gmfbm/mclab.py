@@ -9,6 +9,8 @@ its own slice of the path array, which is reduced once, so results are
 bit-identical for a fixed master seed no matter how the blocks are spread
 across workers.
 
+``estimate_cov_curve`` samples each path's clock once over [s, t_1, ...],
+with one exact (Y_s, Y_t) pair per grid time given the clock.
 ``lrd_report`` samples every path once on the whole grid [s, t_1, ...],
 so the correlations at all grid times share their paths (exact common
 random numbers), and one set of bootstrap resamples serves every grid
@@ -82,15 +84,17 @@ def _run_blocks(fill, n_paths: int, master_seed: int, n_workers: int) -> None:
             list(pool.map(fill, blocks))
 
 
-def _sample_pairs(spec: TimeChangedSpec, s: float, t: float, n_paths: int,
+def _sample_pairs(spec: TimeChangedSpec, s: float, times, n_paths: int,
                   master_seed: int, n_workers: int) -> tuple[np.ndarray, np.ndarray]:
-    ys = np.empty(n_paths)
-    yt = np.empty(n_paths)
+    # (len(times), n_paths) draws of Y_s and Y_t, one row per increasing
+    # time above s; each path samples its clock once over [s, *times]
+    ys = np.empty((len(times), n_paths))
+    yt = np.empty((len(times), n_paths))
 
     def fill(block) -> None:
         stream, lo, hi = block
-        ys[lo:hi], yt[lo:hi] = sample_timechanged_pair(spec, s, t, stream,
-                                                       size=hi - lo)
+        y_s, y_t = sample_timechanged_pair(spec, s, times, stream, size=hi - lo)
+        ys[:, lo:hi], yt[:, lo:hi] = y_s.T, y_t.T
 
     _run_blocks(fill, n_paths, master_seed, n_workers)
     return ys, yt
@@ -146,19 +150,34 @@ def _check_estimator_args(s: float, t: float, n_paths: int,
         raise ValueError(f"need at least 100 paths, got {n_paths}")
 
 
+def estimate_cov_curve(spec: TimeChangedSpec, s: float, t_grid, n_paths: int,
+                       master_seed: int, n_workers: int = 1) -> list[MomentEstimate]:
+    """Sample covariances of (Y_s, Y_t) at every grid time, one estimate per
+    grid time in input order.
+
+    Each path samples its clock once, over s and the distinct grid times in
+    increasing order, so the estimates share their clock paths (common
+    random numbers) while each (Y_s, Y_t) keeps its exact joint law.  The
+    grid may be unsorted or repeat a time.  Each standard error comes from
+    the sample variance of the per-path centered products.
+    """
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or t_grid.size == 0:
+        raise ValueError("t_grid must be a nonempty 1-d array")
+    t_unique, col = np.unique(t_grid, return_inverse=True)
+    _check_estimator_args(s, float(t_unique[0]), n_paths)
+    ys, yt = _sample_pairs(spec, s, t_unique, n_paths, master_seed, n_workers)
+    dev = (ys - ys.mean(axis=1, keepdims=True)) * (yt - yt.mean(axis=1, keepdims=True))
+    value = dev.sum(axis=1) / (n_paths - 1)
+    stderr = dev.std(axis=1, ddof=1) / math.sqrt(n_paths)
+    return [MomentEstimate(float(value[j]), float(stderr[j]), n_paths) for j in col]
+
+
 def estimate_cov(spec: TimeChangedSpec, s: float, t: float, n_paths: int,
                  master_seed: int, n_workers: int = 1) -> MomentEstimate:
-    """Sample covariance of (Y_s, Y_t) over independent paths.
-
-    The standard error comes from the sample variance of the per-path
-    centered products.
-    """
-    _check_estimator_args(s, t, n_paths)
-    ys, yt = _sample_pairs(spec, s, t, n_paths, master_seed, n_workers)
-    dev = (ys - ys.mean()) * (yt - yt.mean())
-    value = dev.sum() / (n_paths - 1)
-    stderr = dev.std(ddof=1) / math.sqrt(n_paths)
-    return MomentEstimate(float(value), float(stderr), n_paths)
+    """Sample covariance of (Y_s, Y_t) over independent paths: the one-time
+    case of ``estimate_cov_curve``."""
+    return estimate_cov_curve(spec, s, [t], n_paths, master_seed, n_workers)[0]
 
 
 def estimate_corr(spec: TimeChangedSpec, s: float, t: float, n_paths: int,
@@ -172,8 +191,8 @@ def estimate_corr(spec: TimeChangedSpec, s: float, t: float, n_paths: int,
     _check_estimator_args(s, t, n_paths, allow_equal=True)
     if s == t:
         return MomentEstimate(1.0, 0.0, n_paths)
-    ys, yt = _sample_pairs(spec, s, t, n_paths, master_seed, n_workers)
-    corr, reps = _corr_with_bootstrap(ys, yt[:, None], master_seed)
+    ys, yt = _sample_pairs(spec, s, [t], n_paths, master_seed, n_workers)
+    corr, reps = _corr_with_bootstrap(ys[0], yt[0][:, None], master_seed)
     return MomentEstimate(float(corr[0]), float(reps[:, 0].std(ddof=1)), n_paths)
 
 
@@ -181,8 +200,8 @@ def estimate_increment_sm(spec: TimeChangedSpec, s: float, t: float, n_paths: in
                           master_seed: int, n_workers: int = 1) -> MomentEstimate:
     """Sample mean of (Y_t - Y_s)**2 with its standard error."""
     _check_estimator_args(s, t, n_paths)
-    ys, yt = _sample_pairs(spec, s, t, n_paths, master_seed, n_workers)
-    sq = (yt - ys) ** 2
+    ys, yt = _sample_pairs(spec, s, [t], n_paths, master_seed, n_workers)
+    sq = (yt[0] - ys[0]) ** 2
     return MomentEstimate(float(sq.mean()),
                           float(sq.std(ddof=1) / math.sqrt(n_paths)), n_paths)
 

@@ -24,7 +24,6 @@ from gmfbm.fbm import as_hurst
 from gmfbm.randkit import RngStream, derive_substream
 from gmfbm.subordinators import (
     SubordinatorSpec,
-    sample_increment,
     sample_path,
     subordinator_moment,
 )
@@ -91,24 +90,34 @@ def sample_gmfbm_given_clock(p: GmfbmParams, clock_values, stream: RngStream,
     return p.a * b1 + p.b * b2
 
 
-def sample_timechanged_pair(spec: TimeChangedSpec, s: float, t: float,
+def sample_timechanged_pair(spec: TimeChangedSpec, s: float, t,
                             stream: RngStream, size=None):
-    """Exact draw of (Y_s, Y_t) for 0 < s < t at O(1) cost per path.
+    """Exact draws of (Y_s, Y_t) for 0 < s < t at O(1) cost per path and time.
 
-    The clock is sampled as S_s plus an independent increment over t-s;
-    each motion then contributes an exact bivariate pair at the two clock
-    times.  All draws come sequentially from ``stream``, as vectors over
-    the ``size`` paths of a block.  This is the workhorse of the Monte Carlo
-    covariance estimator.
+    ``t`` is one time or an increasing 1-d grid above s.  The clock is
+    sampled once on [s, *t]: S_s, then one independent increment per gap,
+    all from ``stream`` in that order.  Each motion then contributes an
+    exact bivariate pair at (S_s, S_t) for every grid time, so each
+    (Y_s, Y_t) has its exact joint law and the grid times share the clock
+    path.  The pairs are drawn as vectors over the ``size`` paths of a
+    block; the results have shape (size, len(t)), without the last axis for
+    a scalar ``t`` (floats for a scalar ``t`` and ``size=None``).  This is the workhorse of the Monte Carlo covariance
+    estimator.
     """
-    if not 0.0 < s < t:
-        raise ValueError(f"need 0 < s < t, got s={s}, t={t}")
-    u = sample_increment(spec.subordinator, s, stream, size=size)
-    v = u + sample_increment(spec.subordinator, t - s, stream, size=size)
+    t_arr = np.asarray(t, dtype=float)
+    times = np.append(s, t_arr)
+    if t_arr.ndim > 1 or t_arr.size == 0 or not (s > 0.0 and np.all(np.diff(times) > 0.0)):
+        raise ValueError(f"need 0 < s < t, t increasing, got s={s}, t={t}")
+    clock = sample_path(spec.subordinator, times, stream, size=size)
+    u, v = clock[..., :1], clock[..., 1:]
     p = spec.gmfbm
     b1_u, b1_v = fbm.sample_fbm_pair(u, v, p.h1, stream)
     b2_u, b2_v = fbm.sample_fbm_pair(u, v, p.h2, stream)
-    return p.a * b1_u + p.b * b2_u, p.a * b1_v + p.b * b2_v
+    y_s, y_t = p.a * b1_u + p.b * b2_u, p.a * b1_v + p.b * b2_v
+    if t_arr.ndim == 0:
+        # [()] makes the one-path result a float, as for a scalar pair
+        return y_s[..., 0][()], y_t[..., 0][()]
+    return y_s, y_t
 
 
 def sample_timechanged_path_with_clock(spec: TimeChangedSpec, grid,

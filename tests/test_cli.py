@@ -285,12 +285,23 @@ class TestExitCodes:
         assert err == "gmfbm: numerical failure: forced\n"
 
     def test_overflow_is_numerical_failure(self, tmp_path, capsys):
-        # t/nu = 1e302 overflows the log-Gamma of the exact moment
-        code, text = run(tmp_path, "moments", "--subordinator", "gamma", "--nu", "1e-300")
-        err = capsys.readouterr().err
-        assert code == EXIT_NUMERICAL
-        assert text is None
-        assert err.startswith("gmfbm: numerical failure: ") and err.count("\n") == 1
+        # the stderr line names the command and the innermost gmfbm function
+        cases = [
+            # t/nu = 1e302 overflows the log-Gamma of the exact moment
+            (("moments", "--subordinator", "gamma", "--nu", "1e-300"),
+             "subordinators.subordinator_moment_asymptotic"),
+            (("cov-table", "--lambda", "1e-300", "--t-min", "2", "--t-max", "3",
+              "--t-count", "2", "--paths", "100"), "subordinators.tss_variance"),
+            (("lrd", "--a", "1e200"), "process.exact_var_oracle"),
+        ]
+        for args, where in cases:
+            code, text = run(tmp_path, *args)
+            err = capsys.readouterr().err
+            assert code == EXIT_NUMERICAL
+            assert text is None
+            assert err.startswith(f"gmfbm: numerical failure: float overflow in {where} "
+                                  f"during {args[0]!r}: ")
+            assert err.count("\n") == 1
 
 
 class TestRuntimeImports:

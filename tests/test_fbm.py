@@ -143,20 +143,26 @@ class TestSampleAt:
             fbm_values_at_times(np.array([2.0, 1.0]), 0.5, derive_stream(1, 6))
 
     def test_nan_times_raise(self):
-        nan = float("nan")
-        calls = [
-            lambda: fbm_cov(nan, 1.0, 0.7),
-            lambda: fbm_cov_matrix(np.array([1.0, nan, 3.0]), 0.7),
-            lambda: fbm_values_at_times(np.array([1.0, nan, 3.0]), 0.7,
+        # NaN and infinite times both fail
+        for bad in (float("nan"), float("inf")):
+            calls = [
+                lambda: fbm_cov(bad, 1.0, 0.7),
+                lambda: fbm_cov(1.0, bad, 0.7),
+                lambda: fbm_cov_matrix(np.array([1.0, bad, 3.0]), 0.7),
+                lambda: fbm_cov_matrix(np.array([1.0, bad]), 0.7),
+                lambda: fbm_values_at_times(np.array([1.0, bad, 3.0]), 0.7,
+                                            derive_stream(1, 8)),
+                lambda: fbm_values_at_times(np.array([1.0, bad]), 0.7,
+                                            derive_stream(1, 8)),
+                lambda: sample_fbm_pair(np.array([bad, 1.0]), np.array([2.0, 2.0]), 0.7,
                                         derive_stream(1, 8)),
-            lambda: sample_fbm_pair(np.array([nan, 1.0]), np.array([2.0, 2.0]), 0.7,
-                                    derive_stream(1, 8)),
-            lambda: sample_path(SubordinatorSpec.tss(0.7, 1.0), np.array([1.0, nan, 3.0]),
-                                derive_stream(1, 8)),
-        ]
-        for call in calls:
-            with pytest.raises(ValueError):
-                call()
+                lambda: sample_fbm_pair(1.0, bad, 0.7, derive_stream(1, 8)),
+                lambda: sample_path(SubordinatorSpec.tss(0.7, 1.0),
+                                    np.array([1.0, bad, 3.0]), derive_stream(1, 8)),
+            ]
+            for call in calls:
+                with pytest.raises(ValueError):
+                    call()
 
 
 class TestStackedRows:

@@ -19,6 +19,7 @@ from gmfbm.mclab import (
     corr_curve_oracle,
     estimate_corr,
     estimate_cov,
+    estimate_cov_curve,
     estimate_increment_sm,
     fit_decay,
     lrd_report,
@@ -29,6 +30,7 @@ from gmfbm.process import (
     exact_cov_oracle,
     exact_increment_second_moment,
     exact_var_oracle,
+    sample_timechanged_pair,
 )
 from gmfbm.randkit import derive_stream
 from gmfbm.subordinators import SubordinatorSpec
@@ -98,6 +100,51 @@ class TestEstimateCov:
             estimate_cov(GAMMA_SPEC, 2.0, 1.0, 1000, 0)
         with pytest.raises(ValueError):
             estimate_cov(GAMMA_SPEC, 1.0, 2.0, 99, 0)
+
+
+class TestEstimateCovCurve:
+    @pytest.mark.parametrize("spec", [TSS_SPEC, GAMMA_SPEC])
+    def test_every_point_within_family_z_bound(self, spec):
+        grid = np.geomspace(2.0, 200.0, 12)
+        curve = estimate_cov_curve(spec, 1.0, grid, N_UNIT, 110)
+        bound = NormalDist().inv_cdf(1.0 - FAMILY_ALPHA / (2.0 * len(grid)))
+        assert bound < 4.46
+        for t, est in zip(grid, curve):
+            oracle = exact_cov_oracle(spec, 1.0, t)
+            assert abs(est.value - oracle) < bound * est.stderr, f"t={t:g}"
+
+    @pytest.mark.parametrize("spec", [TSS_SPEC, GAMMA_SPEC])
+    def test_single_time_is_estimate_cov(self, spec):
+        assert estimate_cov_curve(spec, 1.0, [10.0], 3000, 111)[0] == \
+            estimate_cov(spec, 1.0, 10.0, 3000, 111)
+        # reference: one block of paths reduced as a flat sample, bit for bit
+        n = 1000
+        ys, yt = sample_timechanged_pair(spec, 1.0, 10.0, derive_stream(111, 0), size=n)
+        dev = (ys - ys.mean()) * (yt - yt.mean())
+        assert estimate_cov(spec, 1.0, 10.0, n, 111) == MomentEstimate(
+            float(dev.sum() / (n - 1)), float(dev.std(ddof=1) / math.sqrt(n)), n)
+
+    def test_worker_invariance(self):
+        grid = np.geomspace(2.0, 50.0, 5)
+        base = estimate_cov_curve(TSS_SPEC, 1.0, grid, 2500, 112)
+        for n_workers in (4, 7):
+            assert estimate_cov_curve(TSS_SPEC, 1.0, grid, 2500, 112,
+                                      n_workers=n_workers) == base
+
+    def test_unsorted_grid_with_repeat(self):
+        grid = np.array([8.0, 2.0, 30.0, 2.5, 8.0, 100.0])
+        ordered = estimate_cov_curve(GAMMA_SPEC, 1.0, np.unique(grid), 1000, 113)
+        mixed = estimate_cov_curve(GAMMA_SPEC, 1.0, grid, 1000, 113)
+        by_t = dict(zip(np.unique(grid).tolist(), ordered))
+        assert len(mixed) == len(grid)
+        assert mixed == [by_t[t] for t in grid.tolist()]
+
+    def test_argument_domains(self):
+        for grid in ([0.5, 2.0], [2.0, 1.0], [3.0, 1.0, 5.0], [], [[2.0, 3.0]]):
+            with pytest.raises(ValueError):
+                estimate_cov_curve(GAMMA_SPEC, 1.0, grid, 1000, 0)
+        with pytest.raises(ValueError):
+            estimate_cov_curve(GAMMA_SPEC, 1.0, [2.0, 3.0], 99, 0)
 
 
 class TestEstimateCorr:

@@ -87,10 +87,23 @@ class TestSampling:
 
 class TestTimeChangedPair:
     def test_argument_order(self):
-        with pytest.raises(ValueError):
-            sample_timechanged_pair(TSS_SPEC, 2.0, 1.0, derive_stream(22, 0))
-        with pytest.raises(ValueError):
-            sample_timechanged_pair(TSS_SPEC, 0.0, 1.0, derive_stream(22, 0))
+        for s, t in [(2.0, 1.0), (0.0, 1.0), (1.0, [2.0, 2.0]), (1.0, [3.0, 2.0]),
+                     (2.0, [1.0, 3.0]), (1.0, []), (1.0, [[2.0, 3.0]])]:
+            with pytest.raises(ValueError):
+                sample_timechanged_pair(TSS_SPEC, s, t, derive_stream(22, 0))
+
+    @pytest.mark.parametrize("spec", [TSS_SPEC, GAMMA_SPEC])
+    def test_grid_shapes(self, spec):
+        # one row per path and one column per grid time; a scalar t is the
+        # one-point grid without its last axis
+        y_s, y_t = sample_timechanged_pair(spec, 1.0, np.array([2.0, 5.0, 40.0]),
+                                           derive_stream(22, 5), size=64)
+        assert y_s.shape == y_t.shape == (64, 3)
+        assert np.all(np.isfinite(y_s)) and np.all(np.isfinite(y_t))
+        grid = sample_timechanged_pair(spec, 1.0, [2.0], derive_stream(22, 6), size=64)
+        scalar = sample_timechanged_pair(spec, 1.0, 2.0, derive_stream(22, 6), size=64)
+        for g, x in zip(grid, scalar):
+            np.testing.assert_array_equal(g[:, 0], x)
 
     def test_brownian_gamma_second_moment(self):
         # H1=H2=1/2 with a Gamma clock of unit mean rate: E[Y_t^2] = 2t
