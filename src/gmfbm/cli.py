@@ -267,9 +267,8 @@ def cmd_lrd(config: RunConfig) -> int:
     if mc is None:
         mc_text = "mc undefined (a Monte Carlo correlation is not positive)"
     else:
-        boot = report.mc_slope_boot_stderr
         mc_text = (f"mc {mc.slope:+.4f} (stderr {mc.slope_stderr:.4f}, "
-                   f"bootstrap {'undefined' if boot is None else f'{boot:.4f}'})")
+                   f"paired {report.mc_slope_paired_stderr:.4f})")
     _info(f"fitted slopes: oracle {report.oracle_fit.slope:+.4f} "
           f"(stderr {report.oracle_fit.slope_stderr:.4f}), {mc_text}")
     _info(f"long-range dependent: {report.is_lrd}")

@@ -9,13 +9,13 @@ its own slice of the path array, which is reduced once, so results are
 bit-identical for a fixed master seed no matter how the blocks are spread
 across workers.
 
-``estimate_cov_curve`` samples each path's clock once over [s, t_1, ...],
-with one exact (Y_s, Y_t) pair per grid time given the clock.
-``lrd_report`` samples every path once on the whole grid [s, t_1, ...],
-so the correlations at all grid times share their paths (exact common
-random numbers), and one set of bootstrap resamples serves every grid
-time: each resample is a vector of path counts, and its correlations
-follow from count-weighted moments.
+Every estimator runs on one sampler: each path samples its clock once over
+[s, t_1, ...], with one exact (Y_s, Y_t) pair per grid time given the
+clock.  The grid times share the clock path, not the fBm draws.
+Correlations take their standard errors from each path's influence on the
+Pearson r, the nonparametric delta method or infinitesimal jackknife
+(Efron and Tibshirani, *An Introduction to the Bootstrap*, 1993, ch. 21):
+one pass over the paths, with no resampling and no random numbers.
 """
 
 from __future__ import annotations
@@ -32,14 +32,9 @@ from gmfbm.process import (
     exact_cov_oracle,
     exact_var_oracle,
     sample_timechanged_pair,
-    sample_timechanged_path,
 )
-from gmfbm.randkit import derive_stream, path_blocks
+from gmfbm.randkit import path_blocks
 from gmfbm.theory import DecayPrediction
-
-# stream id reserved for bootstrap resampling, far above any block index
-_BOOTSTRAP_STREAM_ID = (1 << 64) - 1
-_BOOTSTRAP_RESAMPLES = 200
 
 
 @dataclass(frozen=True)
@@ -100,44 +95,30 @@ def _sample_pairs(spec: TimeChangedSpec, s: float, times, n_paths: int,
     return ys, yt
 
 
-def _sample_paths(spec: TimeChangedSpec, times: np.ndarray, n_paths: int,
-                  master_seed: int, n_workers: int) -> np.ndarray:
-    # (n_paths, len(times)) values of Y at the strictly increasing times
-    out = np.empty((n_paths, len(times)))
+def _corr_errors(ys: np.ndarray, yt: np.ndarray, slope_weights=None):
+    """Pearson r of each row pair of ys and yt (m, n), its standard error,
+    and the paired standard error of ``slope_weights @ log(r)``.
 
-    def fill(block) -> None:
-        stream, lo, hi = block
-        out[lo:hi] = sample_timechanged_path(spec, times, stream, size=hi - lo)
-
-    _run_blocks(fill, n_paths, master_seed, n_workers)
-    return out
-
-
-def _corr_with_bootstrap(x: np.ndarray, y: np.ndarray,
-                         master_seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pearson correlations of x (n,) with each column of y (n, m), and
-    their bootstrap replicates.
-
-    Returns (corr, reps) of shapes (m,) and (_BOOTSTRAP_RESAMPLES, m).
-    Each resample draws n path indices from the reserved bootstrap stream;
-    as counts w, its moments are ``w @ cols / n`` over the columns
-    [x, x², y, y², x·y], centred on the full-sample means, so no resampled
-    copy of the data is built and every column shares the same resamples.
+    Path i moves r_j by its influence IF_ij = zx zy - r_j (zx² + zy²) / 2,
+    with zx and zy its standardised values, so each error is the standard
+    deviation of the per-path influences over sqrt(n); the weighted log
+    slope has the influence sum_j w_j IF_ij / r_j, which carries the
+    correlation across rows.  The slope error is None without weights or
+    when a correlation is not positive, since its log is undefined.
     """
-    n, m = y.shape
-    xc = x - x.mean()
-    yc = y - y.mean(axis=0)
-    cols = np.column_stack([xc, xc * xc, yc, yc * yc, xc[:, None] * yc])
-    gen = derive_stream(master_seed, _BOOTSTRAP_STREAM_ID).gen
-    moments = np.empty((_BOOTSTRAP_RESAMPLES + 1, cols.shape[1]))
-    moments[0] = cols.mean(axis=0)
-    for r in range(1, _BOOTSTRAP_RESAMPLES + 1):
-        w = np.bincount(gen.integers(0, n, size=n), minlength=n)
-        moments[r] = w @ cols / n
-    mx, mxx = moments[:, :1], moments[:, 1:2]
-    my, myy, mxy = np.split(moments[:, 2:], 3, axis=1)
-    corr = (mxy - mx * my) / np.sqrt((mxx - mx * mx) * (myy - my * my))
-    return corr[0], corr[1:]
+    n = ys.shape[1]
+    zx = ys - ys.mean(axis=1, keepdims=True)
+    zy = yt - yt.mean(axis=1, keepdims=True)
+    zx /= np.sqrt((zx * zx).mean(axis=1, keepdims=True))
+    zy /= np.sqrt((zy * zy).mean(axis=1, keepdims=True))
+    prod = zx * zy
+    corr = prod.mean(axis=1)
+    infl = prod - 0.5 * corr[:, None] * (zx * zx + zy * zy)
+    stderr = infl.std(axis=1, ddof=1) / math.sqrt(n)
+    if slope_weights is None or not np.all(corr > 0.0):
+        return corr, stderr, None
+    slope_infl = (slope_weights / corr) @ infl
+    return corr, stderr, float(slope_infl.std(ddof=1) / math.sqrt(n))
 
 
 def _check_estimator_args(s: float, t: float, n_paths: int,
@@ -182,18 +163,19 @@ def estimate_cov(spec: TimeChangedSpec, s: float, t: float, n_paths: int,
 
 def estimate_corr(spec: TimeChangedSpec, s: float, t: float, n_paths: int,
                   master_seed: int, n_workers: int = 1) -> MomentEstimate:
-    """Pearson correlation of (Y_s, Y_t), stderr by nonparametric bootstrap.
+    """Pearson correlation of (Y_s, Y_t): the one-time case of the
+    correlation curve that ``lrd_report`` measures, on the same sampler.
 
-    The bootstrap uses 200 resamples drawn from a reserved stream id, so it
-    never collides with block streams and is reproducible.  The degenerate
-    case s == t returns correlation exactly 1.
+    The stderr is the standard deviation of each path's influence on r over
+    sqrt(n_paths), the nonparametric delta method (Efron and Tibshirani,
+    1993, ch. 21).  The degenerate case s == t returns correlation exactly 1.
     """
     _check_estimator_args(s, t, n_paths, allow_equal=True)
     if s == t:
         return MomentEstimate(1.0, 0.0, n_paths)
     ys, yt = _sample_pairs(spec, s, [t], n_paths, master_seed, n_workers)
-    corr, reps = _corr_with_bootstrap(ys[0], yt[0][:, None], master_seed)
-    return MomentEstimate(float(corr[0]), float(reps[:, 0].std(ddof=1)), n_paths)
+    corr, stderr, _ = _corr_errors(ys, yt)
+    return MomentEstimate(float(corr[0]), float(stderr[0]), n_paths)
 
 
 def estimate_increment_sm(spec: TimeChangedSpec, s: float, t: float, n_paths: int,
@@ -254,8 +236,9 @@ class LrdReport:
     """Predicted vs measured correlation decay, plus the LRD verdict.
 
     ``mc_fit`` is None when a Monte Carlo correlation is not positive, so
-    its log and the MC slope are undefined.  ``mc_slope_boot_stderr`` is
-    the paired-bootstrap error of the MC slope (None when undefined);
+    its log and the MC slope are undefined.  ``mc_slope_paired_stderr`` is
+    the influence-function error of the MC slope, paired across grid times
+    because they share each path's clock (None exactly when ``mc_fit`` is);
     ``mc_fit.slope_stderr`` is the OLS residual error, which ignores the
     Monte Carlo noise.
     """
@@ -266,53 +249,41 @@ class LrdReport:
     mc_curve: list[tuple[float, float, float]]
     oracle_fit: DecayFit
     mc_fit: DecayFit | None
-    mc_slope_boot_stderr: float | None
+    mc_slope_paired_stderr: float | None
     is_lrd: bool
     n_paths: int
     master_seed: int
-
-
-def _slope_boot_stderr(t: np.ndarray, reps: np.ndarray) -> float | None:
-    """Standard deviation of the OLS slope of log(corr) on log(t) over the
-    bootstrap replicate curves ``reps`` (resamples x grid times).
-
-    Each replicate is a whole curve on one set of resampled paths, so the
-    spread includes the Monte Carlo noise and its correlation across t.
-    None when a replicate correlation is not positive: its log is undefined.
-    """
-    if not np.all(reps > 0.0):
-        return None
-    xc = np.log(t) - np.log(t).mean()
-    slopes = np.log(reps) @ xc / (xc @ xc)
-    return float(slopes.std(ddof=1))
 
 
 def lrd_report(spec: TimeChangedSpec, s: float, t_grid, n_paths: int,
                master_seed: int, n_workers: int = 1) -> LrdReport:
     """Assemble predictions, oracle and Monte Carlo decay curves, and fits.
 
-    Each path is sampled once, on the whole grid [s, t_1, ...], so every
-    grid time sees the same paths (exact common random numbers), which
-    keeps the MC curve parallel to the oracle curve and sharpens the slope
-    comparison.  One set of bootstrap resamples of the paths gives the
-    stderr at every grid time and the paired-bootstrap slope error
-    ``mc_slope_boot_stderr``.  The grid may be unsorted or repeat a time;
-    the MC curve keeps its order, one row per grid time.
+    Each path samples its clock once over [s, *grid] and draws one exact
+    (Y_s, Y_t) pair per grid time given it, so the grid times share the
+    clock path but not the fBm draws.  Every MC correlation takes its
+    stderr from the per-path influences on it, and the slope of log r on
+    log t takes ``mc_slope_paired_stderr`` from the same influences summed
+    across grid times with the OLS weights (Efron and Tibshirani, *An
+    Introduction to the Bootstrap*, 1993, ch. 21).  The grid may be
+    unsorted or repeat a time; the MC curve keeps its order, one row per
+    grid time.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     predicted = theory.corr_decay_prediction(spec)
     oracle_curve = corr_curve_oracle(spec, s, t_grid)
     oracle_fit = fit_decay(oracle_curve)
-    # path grids must be nondecreasing: sample the distinct times in order
-    # and map each grid time back to its column
+    # sample the distinct times in order and map each grid time back to its
+    # column; a repeated time adds its OLS weights into that column
     t_unique, col = np.unique(t_grid, return_inverse=True)
     _check_estimator_args(s, float(t_unique[0]), n_paths)
-    paths = _sample_paths(spec, np.concatenate([[s], t_unique]), n_paths,
-                          master_seed, n_workers)
-    corr, reps = _corr_with_bootstrap(paths[:, 0], paths[:, 1:], master_seed)
-    corr, reps = corr[col], reps[:, col]
+    ys, yt = _sample_pairs(spec, s, t_unique, n_paths, master_seed, n_workers)
+    xc = np.log(t_grid) - np.log(t_grid).mean()
+    weights = np.bincount(col, weights=xc / (xc @ xc), minlength=len(t_unique))
+    corr, stderr, slope_stderr = _corr_errors(ys, yt, weights)
+    corr, stderr = corr[col], stderr[col]
     mc_curve = [(float(t), float(c), float(se))
-                for t, c, se in zip(t_grid, corr, reps.std(axis=0, ddof=1))]
+                for t, c, se in zip(t_grid, corr, stderr)]
     mc_fit = (fit_decay([(t, c) for t, c, _ in mc_curve]) if np.all(corr > 0.0)
               else None)
     return LrdReport(
@@ -322,7 +293,7 @@ def lrd_report(spec: TimeChangedSpec, s: float, t_grid, n_paths: int,
         mc_curve=mc_curve,
         oracle_fit=oracle_fit,
         mc_fit=mc_fit,
-        mc_slope_boot_stderr=_slope_boot_stderr(t_grid, reps),
+        mc_slope_paired_stderr=slope_stderr,
         is_lrd=theory.is_lrd(spec),
         n_paths=n_paths,
         master_seed=master_seed,

@@ -246,12 +246,11 @@ def decay_exponents():
         _require(mc_gap < max(0.15, 3.0 * mc.slope_stderr),
                  f"{name}: |mc slope - oracle slope| = {mc_gap:.4f}")
         _require(rep.is_lrd, f"{name}: not classified long-range dependent")
-        # the gate reads the OLS stderr; the paired-bootstrap one is shown
+        # the gate reads the OLS stderr; the paired influence one is shown
         # beside it because it also carries the Monte Carlo noise
-        boot = rep.mc_slope_boot_stderr
         details.append(f"{name}: oracle {rep.oracle_fit.slope:+.4f}, "
                        f"mc {mc.slope:+.4f} (stderr ols {mc.slope_stderr:.4f}, "
-                       f"bootstrap {'undefined' if boot is None else f'{boot:.4f}'})")
+                       f"paired {rep.mc_slope_paired_stderr:.4f})")
     for h1, h2 in [(0.55, 0.8), (0.3, 0.6), (0.7, 0.7), (0.9, 0.9)]:
         _require(theory.is_lrd(GmfbmParams(1.0, 1.0, h1, h2)),
                  f"(H1,H2)=({h1},{h2}) not classified long-range dependent")

@@ -10,12 +10,10 @@ import pytest
 
 from gmfbm import theory
 from gmfbm.mclab import (
-    _BOOTSTRAP_RESAMPLES,
-    _BOOTSTRAP_STREAM_ID,
     DecayFit,
     MomentEstimate,
-    _corr_with_bootstrap,
-    _slope_boot_stderr,
+    _corr_errors,
+    _sample_pairs,
     corr_curve_oracle,
     estimate_corr,
     estimate_cov,
@@ -177,37 +175,95 @@ class TestEstimateCorr:
         assert one == two
 
 
-class TestCorrWithBootstrap:
+class TestCorrErrors:
+    SCALES = (1e-3, 1.0, 1e3, 1e6)
+    RESAMPLES = 2000
+    # 2000 resamples carry about 1.6% noise of their own in a standard error
+    RATIO_BAND = (0.9, 1.1)
+
+    @classmethod
+    def columns(cls, n=2000):
+        # one row pair per scale, heavy-tailed through a shared Gamma
+        # variance mixture; the rows also share most of their noise, so
+        # their correlations co-vary and the paired slope error is well
+        # below the one that treats the rows as independent
+        gen = derive_stream(31, 0).gen
+        m = len(cls.SCALES)
+        g = np.sqrt(gen.gamma(2.0, size=n))
+        x = 2.0 + g * (gen.standard_normal(n) + 0.2 * gen.standard_normal((m, n)))
+        weights = np.linspace(0.9, 0.3, m)[:, None]
+        y = np.array(cls.SCALES)[:, None] * (
+            3.0 + weights * x
+            + g * (gen.standard_normal(n) + 0.2 * gen.standard_normal((m, n))))
+        return x, y
+
     @staticmethod
-    def gather_bootstrap(x, y, seed):
+    def plain_bootstrap(x, y, resamples):
         # reference: resample the paths by fancy indexing, one Pearson r per
-        # resample and column, on the same index draws
-        gen = derive_stream(seed, _BOOTSTRAP_STREAM_ID).gen
-        n, m = y.shape
-        reps = np.empty((_BOOTSTRAP_RESAMPLES, m))
-        for r in range(_BOOTSTRAP_RESAMPLES):
+        # resample and row, each resample shared by every row
+        gen = derive_stream(41, 0).gen
+        m, n = x.shape
+        reps = np.empty((resamples, m))
+        for r in range(resamples):
             idx = gen.integers(0, n, size=n)
-            xr = x[idx] - x[idx].mean()
             for j in range(m):
-                yr = y[idx, j] - y[idx, j].mean()
+                xr = x[j, idx] - x[j, idx].mean()
+                yr = y[j, idx] - y[j, idx].mean()
                 reps[r, j] = xr @ yr / math.sqrt((xr @ xr) * (yr @ yr))
         return reps
 
-    @pytest.mark.parametrize("scales", [(1.0,), (1e-3, 1.0, 1e3, 1e6)])
-    def test_matches_gather_loop(self, scales):
-        gen = derive_stream(31, 0).gen
-        n = 500
-        x = 2.0 + gen.standard_normal(n)
-        noise = gen.standard_normal((n, len(scales)))
-        weights = np.linspace(0.2, 0.9, len(scales))
-        y = np.array(scales) * (3.0 + weights * x[:, None] + noise)
-        corr, reps = _corr_with_bootstrap(x, y, 41)
-        for j in range(len(scales)):
-            xc, yc = x - x.mean(), y[:, j] - y[:, j].mean()
+    def test_exact_correlation(self):
+        x, y = self.columns()
+        corr, _, _ = _corr_errors(x, y)
+        for j in range(len(self.SCALES)):
+            xc, yc = x[j] - x[j].mean(), y[j] - y[j].mean()
             assert corr[j] == pytest.approx(
                 xc @ yc / math.sqrt((xc @ xc) * (yc @ yc)), rel=1e-10)
-        np.testing.assert_allclose(reps, self.gather_bootstrap(x, y, 41),
-                                   rtol=1e-10, atol=0.0)
+
+    def test_matches_plain_bootstrap(self):
+        x, y = self.columns()
+        log_t = np.log(np.geomspace(10.0, 1000.0, len(self.SCALES)))
+        xc = log_t - log_t.mean()
+        weights = xc / (xc @ xc)
+        _, stderr, slope_stderr = _corr_errors(x, y, weights)
+        reps = self.plain_bootstrap(x, y, self.RESAMPLES)
+        lo, hi = self.RATIO_BAND
+        ratios = stderr / reps.std(axis=0, ddof=1)
+        assert np.all((lo < ratios) & (ratios < hi)), ratios
+        slope_ratio = slope_stderr / (np.log(reps) @ weights).std(ddof=1)
+        assert lo < slope_ratio < hi
+
+    def test_repeated_time_adds_its_weights(self):
+        # lrd_report's paired error on a grid with a repeat equals the error
+        # of the OLS slope over the grid with that time's column duplicated
+        grid = np.array([800.0, 100.0, 3000.0, 250.0, 800.0, 10000.0])
+        rep = lrd_report(GAMMA_SPEC, 1.0, grid, 2000, 115)
+        t_unique, col = np.unique(grid, return_inverse=True)
+        ys, yt = _sample_pairs(GAMMA_SPEC, 1.0, t_unique, 2000, 115, 1)
+        xc = np.log(grid) - np.log(grid).mean()
+        _, _, expected = _corr_errors(ys[col], yt[col], xc / (xc @ xc))
+        assert rep.mc_slope_paired_stderr == pytest.approx(expected, rel=1e-12)
+
+    def test_slope_stderr_needs_weights_and_positive_correlations(self):
+        x, y = self.columns(n=500)
+        weights = np.array([-0.5, -0.1, 0.1, 0.5])
+        assert _corr_errors(x, y)[2] is None
+        assert _corr_errors(x, y, weights)[2] > 0.0
+        y[2] *= -1.0
+        assert _corr_errors(x, y, weights)[2] is None
+
+    @pytest.mark.parametrize("spec", [TSS_SPEC, GAMMA_SPEC])
+    def test_estimate_corr_is_one_time_case(self, spec):
+        ys, yt = _sample_pairs(spec, 1.0, [10.0], 3000, 114, 1)
+        corr, stderr, _ = _corr_errors(ys, yt)
+        assert estimate_corr(spec, 1.0, 10.0, 3000, 114) == MomentEstimate(
+            float(corr[0]), float(stderr[0]), 3000)
+        # reference: one block of pairs reduced as a flat sample, bit for bit
+        n = 1000
+        ys, yt = sample_timechanged_pair(spec, 1.0, 10.0, derive_stream(114, 0), size=n)
+        corr, stderr, _ = _corr_errors(ys[None], yt[None])
+        assert estimate_corr(spec, 1.0, 10.0, n, 114) == MomentEstimate(
+            float(corr[0]), float(stderr[0]), n)
 
 
 class TestEstimateIncrementSm:
@@ -308,17 +364,21 @@ class TestLrdReport:
         assert {"slope", "intercept", "slope_stderr", "r_squared"} <= \
             set(payload["oracle_fit"])
 
-    def test_slope_boot_stderr(self, report):
-        assert math.isfinite(report.mc_slope_boot_stderr)
-        assert report.mc_slope_boot_stderr > 0.0
+    def test_slope_paired_stderr(self, report):
+        assert math.isfinite(report.mc_slope_paired_stderr)
+        assert report.mc_slope_paired_stderr > 0.0
         payload = json.loads(json.dumps(asdict(report)))
-        assert payload["mc_slope_boot_stderr"] == report.mc_slope_boot_stderr
+        assert payload["mc_slope_paired_stderr"] == report.mc_slope_paired_stderr
 
-    def test_slope_boot_stderr_undefined_for_nonpositive_replicate(self):
-        t = np.geomspace(100.0, 10000.0, 6)
-        reps = np.tile(0.5 * t ** -0.2, (_BOOTSTRAP_RESAMPLES, 1))
-        reps[17, 3] = -0.01
-        assert _slope_boot_stderr(t, reps) is None
+    def test_slope_paired_stderr_undefined_exactly_without_mc_fit(self):
+        # at 100 paths some seeds give a nonpositive correlation at 10^4
+        grid = np.geomspace(100.0, 10000.0, 12)
+        undefined = []
+        for seed in range(1, 9):
+            rep = lrd_report(GAMMA_SPEC, 1.0, grid, 100, seed)
+            assert (rep.mc_slope_paired_stderr is None) == (rep.mc_fit is None)
+            undefined.append(rep.mc_fit is None)
+        assert any(undefined) and not all(undefined)
 
     def test_unsorted_grid_with_repeat(self):
         grid = np.array([800.0, 100.0, 3000.0, 250.0, 800.0, 10000.0])
@@ -337,8 +397,27 @@ class TestLrdReport:
             assert abs(mc - oracle) < bound * se, f"t={t:g}"
 
     def test_deterministic(self):
+        # 2500 paths are three blocks, so 2 and 3 workers split them unevenly
         grid = np.geomspace(100.0, 1000.0, 5)
-        one = lrd_report(GAMMA_SPEC, 1.0, grid, 1000, 107)
-        two = lrd_report(GAMMA_SPEC, 1.0, grid, 1000, 107, n_workers=2)
-        assert one.mc_curve == two.mc_curve
-        assert one.mc_fit == two.mc_fit
+        one = lrd_report(GAMMA_SPEC, 1.0, grid, 2500, 107)
+        assert one.mc_slope_paired_stderr is not None
+        for n_workers in (2, 3):
+            assert lrd_report(GAMMA_SPEC, 1.0, grid, 2500, 107,
+                              n_workers=n_workers) == one
+
+    def test_paired_errors_calibrated_over_seeds(self):
+        # over 100 seeds on criterion 7's grid, the spread of the MC slopes
+        # matches the median paired error, and each grid time's z scores
+        # against the oracle have unit spread
+        grid = np.geomspace(100.0, 10000.0, 12)
+        slopes, slope_stderrs, z = [], [], []
+        for seed in range(100):
+            rep = lrd_report(GAMMA_SPEC, 1.0, grid, 2000, seed)
+            slopes.append(rep.mc_fit.slope)
+            slope_stderrs.append(rep.mc_slope_paired_stderr)
+            z.append([(mc - oracle) / se for (_, oracle), (_, mc, se)
+                      in zip(rep.oracle_curve, rep.mc_curve)])
+        slope_ratio = np.std(slopes, ddof=1) / np.median(slope_stderrs)
+        assert 0.75 <= slope_ratio <= 1.33
+        z_spread = np.std(z, axis=0, ddof=1)
+        assert np.all((0.75 <= z_spread) & (z_spread <= 1.33)), z_spread
