@@ -3,8 +3,9 @@ covariances and moments, run the long-range-dependence verification, and
 run the built-in self test.
 
 Exit codes: 0 success, 1 usage/config error, 2 I/O error, 3 statistical
-verification failure, 4 numerical failure (a quadrature or Cholesky
-factorisation that could not reach its tolerance, or a float overflow).
+verification failure, 4 numerical failure (a quadrature that could not
+reach its tolerance, a covariance with an eigenvalue below -1e-6 of its
+largest, or a float overflow).
 """
 
 from __future__ import annotations

@@ -5,6 +5,11 @@ regular grids.
 The process B^H is centered Gaussian with B_0 = 0 and
 
     E[B_s B_t] = (s**2H + t**2H - |t-s|**2H) / 2,   0 < H < 1.
+
+No matrix is perturbed: a step within the rank tolerance of LAPACK's
+semidefinite Cholesky (dpstrf; Higham 2002, Sec. 10.3) is a repeat, a
+stack LAPACK still rejects is factored by eigh, and only an eigenvalue
+below -1e-6 of the largest raises ConditioningError.
 """
 
 from __future__ import annotations
@@ -13,15 +18,9 @@ import numpy as np
 
 from gmfbm.randkit import RngStream
 
-# Jitter ladder for nearly singular covariance matrices (subordinated grids
-# can contain almost-coincident times): start at 1e-12 of the max diagonal,
-# escalate x10, give up past 1e-8.
-_JITTER_START = 1e-12
-_JITTER_MAX = 1e-8
-
 
 class ConditioningError(RuntimeError):
-    """Covariance factorization failed even after maximal diagonal jitter."""
+    """A covariance eigenvalue below -1e-6 of the largest: not rounding."""
 
 
 def as_hurst(h) -> float:
@@ -72,23 +71,25 @@ def _cov_matrix_at(times: np.ndarray, hh: float) -> np.ndarray:
     return cov
 
 
-def _cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
-    # factors a stack of matrices; a failure anywhere jitters the whole stack
+def _clip_rounding(lam: np.ndarray, what: str) -> np.ndarray:
+    # eigenvalues (last axis) of a matrix that is nonnegative definite in
+    # exact arithmetic: clip the rounding below 0, raise on a real deficit
+    lo, hi = lam.min(axis=-1), lam.max(axis=-1)
+    if np.any(lo < -1e-6 * hi):
+        raise ConditioningError(f"{what} is not nonnegative definite "
+                                f"(min/max eigenvalue {np.min(lo / hi):.3g})")
+    return np.maximum(lam, 0.0)
+
+
+def _factor(cov: np.ndarray) -> np.ndarray:
+    # a square root L with L @ L.T == cov for each matrix of the stack:
+    # LAPACK's Cholesky, or V sqrt(W) from eigh for a stack it rejects
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
-        pass
-    max_diag = np.max(np.diagonal(cov, axis1=-2, axis2=-1), axis=-1)
-    eps = _JITTER_START
-    eye = np.eye(cov.shape[-1])
-    while eps <= _JITTER_MAX:
-        try:
-            return np.linalg.cholesky(cov + eps * max_diag[..., None, None] * eye)
-        except np.linalg.LinAlgError:
-            eps *= 10.0
-    raise ConditioningError(
-        f"covariance factorization failed at jitter {_JITTER_MAX} * max diagonal "
-        f"(n={cov.shape[-1]}, max diag={float(np.max(max_diag)):g})")
+        lam, vecs = np.linalg.eigh(cov)
+        lam = _clip_rounding(lam, f"an fBm covariance on {cov.shape[-1]} points")
+        return vecs * np.sqrt(lam)[..., None, :]
 
 
 def fbm_values_at_times(times: np.ndarray, h, stream: RngStream, size=None) -> np.ndarray:
@@ -102,7 +103,11 @@ def fbm_values_at_times(times: np.ndarray, h, stream: RngStream, size=None) -> n
     the covariance, and after sampling it is overwritten by the previous
     value, or by the exact zero of B_0 = 0.  Since the dummy is
     independent of every other variable, the values at the distinct
-    positive times keep their exact joint law.
+    positive times keep their exact joint law.  A time whose step from the
+    previous one has increment variance step**2H <= n*u*t_last**2H
+    (u = eps/2; t_last**2H is the largest diagonal entry) is a numerical
+    repeat and is collapsed the same way, so each collapsed step changes
+    the value by a variance of at most n*u*t_last**2H.
     """
     hh = as_hurst(h)
     times = np.asarray(times, dtype=float)
@@ -112,13 +117,13 @@ def fbm_values_at_times(times: np.ndarray, h, stream: RngStream, size=None) -> n
     if not (np.all(steps >= 0.0) and _finite_nonnegative(times)):
         raise ValueError("times must be finite, nonnegative and nondecreasing")
     n = times.shape[-1]
-    dummy = steps == 0.0
+    dummy = steps <= (n * np.finfo(float).eps / 2.0) ** (0.5 / hh) * times[..., -1:]
     real = ~dummy
     cov = _cov_matrix_at(times, hh)
     cov *= real[..., :, None] & real[..., None, :]
     diag = np.arange(n)
     cov[..., diag, diag] += dummy
-    chol = _cholesky_with_jitter(cov)
+    chol = _factor(cov)
     batch = () if size is None else (size,)
     z = stream.gen.standard_normal(batch + times.shape)
     sampled = np.einsum("...ij,...j->...i", chol, z)
@@ -187,12 +192,8 @@ def sample_fgn_regular(n: int, dt: float, h, stream: RngStream, size=None) -> np
         raise ValueError("need n >= 1 and dt > 0")
     gamma = _fgn_autocov(n, dt, hh)
     circ = np.concatenate([gamma, gamma[-2:0:-1]])
-    lam = np.fft.fft(circ).real
-    if lam.min() < -1e-6 * lam.max():
-        raise ConditioningError(
-            f"circulant embedding is not nonnegative definite (n={n}, H={hh}, "
-            f"min/max eigenvalue {lam.min() / lam.max():.3g})")
-    lam = np.maximum(lam, 0.0)
+    lam = _clip_rounding(np.fft.fft(circ).real,
+                         f"the circulant embedding (n={n}, H={hh})")
     m = 2 * n
     batch = () if size is None else (size,)
     z_ends = stream.gen.standard_normal(batch + (2,))

@@ -29,7 +29,6 @@ import numpy as np
 from gmfbm import theory
 from gmfbm.process import (
     TimeChangedSpec,
-    exact_cov_oracle,
     exact_var_oracle,
     sample_timechanged_pair,
 )
@@ -189,14 +188,15 @@ def estimate_increment_sm(spec: TimeChangedSpec, s: float, t: float, n_paths: in
 
 
 def corr_curve_oracle(spec: TimeChangedSpec, s: float, t_grid) -> list[tuple[float, float]]:
-    """Noise-free correlation curve Corr(Y_s, Y_t) from the exact oracles."""
+    """Noise-free correlation curve Corr(Y_s, Y_t) from exact_var_oracle alone."""
     var_s = exact_var_oracle(spec, s)
     out = []
     for t in np.asarray(t_grid, dtype=float):
         if t <= s:
             raise ValueError("all grid times must exceed s")
-        corr = exact_cov_oracle(spec, s, t) / math.sqrt(exact_var_oracle(spec, t) * var_s)
-        out.append((float(t), corr))
+        var_t = exact_var_oracle(spec, t)
+        cov = 0.5 * (var_t + var_s - exact_var_oracle(spec, t - s))
+        out.append((float(t), cov / math.sqrt(var_t * var_s)))
     return out
 
 

@@ -153,24 +153,16 @@ def exact_var_oracle(spec: TimeChangedSpec, t: float) -> float:
 
 
 def exact_cov_oracle(spec: TimeChangedSpec, s: float, t: float) -> float:
-    """Cov(Y_s, Y_t) from clock moments; symmetric, exact up to quadrature.
+    """Cov(Y_s, Y_t) = (V(t) + V(s) - V(|t-s|)) / 2 with V = exact_var_oracle.
 
-    Uses stationarity of clock increments: E[S_t - S_s]**q terms reduce to
-    m(|t-s|, q).
+    Stationary clock increments turn E[|S_t - S_s|**2H] into m(|t-s|, 2H).
     """
     if not (s > 0.0 and t > 0.0):
         raise ValueError("need s > 0 and t > 0")
     if s == t:
         return exact_var_oracle(spec, t)
-    p = spec.gmfbm
-    d = abs(t - s)
-
-    def block(coeff: float, h: float) -> float:
-        q = 2.0 * h
-        m = lambda tt: subordinator_moment(spec.subordinator, tt, q)
-        return 0.5 * coeff ** 2 * (m(t) + m(s) - m(d))
-
-    return block(p.a, p.h1) + block(p.b, p.h2)
+    return 0.5 * (exact_var_oracle(spec, t) + exact_var_oracle(spec, s)
+                  - exact_var_oracle(spec, abs(t - s)))
 
 
 def exact_increment_second_moment(spec: TimeChangedSpec, s: float, t: float) -> float:

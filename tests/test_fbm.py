@@ -119,24 +119,33 @@ class TestSampleAt:
         np.testing.assert_array_equal(vals[:, 1], vals[:, 2])
         assert np.all(vals[:, 1] != vals[:, 3])
 
-    def test_near_duplicate_times_jitter(self):
-        # nearly coincident times make the covariance numerically singular;
-        # the jitter ladder must still produce a sample
+    def test_near_duplicate_times_collapse(self):
+        # a step of 1e-14 has increment variance far below LAPACK's rank
+        # tolerance n*u*t_last**2H: it is a numerical repeat, like an exact one
         t = np.array([1.0, 1.0 + 1e-14, 2.0, 2.0 + 1e-14, 3.0])
         vals = fbm_values_at_times(t, 0.7, derive_stream(1, 4), size=10)
         assert np.all(np.isfinite(vals))
+        np.testing.assert_array_equal(vals[:, 0], vals[:, 1])
+        np.testing.assert_array_equal(vals[:, 2], vals[:, 3])
+        assert np.all(vals[:, 1] != vals[:, 2])
 
-    def test_conditioning_error_after_max_jitter(self, monkeypatch):
-        calls = {"n": 0}
-
+    def test_rejected_stack_is_factored_exactly(self, monkeypatch):
+        # with LAPACK's Cholesky failing, the eigh square root carries the law
         def always_fail(_):
-            calls["n"] += 1
             raise np.linalg.LinAlgError("forced")
 
         monkeypatch.setattr(np.linalg, "cholesky", always_fail)
+        grid = np.arange(1.0, 9.0)
+        paths = fbm_values_at_times(grid, 0.7, derive_stream(1, 5), size=50_000)
+        assert max_entrywise_z(paths, fbm_cov_matrix(grid, 0.7)) < 3.0
+
+    def test_indefinite_stack_raises(self, monkeypatch):
+        # a correlation of 2 between the first two times: eigenvalue -1 of 3
+        monkeypatch.setattr(fbm, "_cov_matrix_at", lambda times, hh: np.array(
+            [[1.0, 2.0, 0.0, 0.0], [2.0, 1.0, 0.0, 0.0],
+             [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]))
         with pytest.raises(ConditioningError):
             fbm_values_at_times(np.arange(1.0, 5.0), 0.7, derive_stream(1, 5))
-        assert calls["n"] >= 5  # initial attempt plus the jitter ladder
 
     def test_nondecreasing_required(self):
         with pytest.raises(ValueError):
@@ -188,12 +197,41 @@ class TestStackedRows:
         for k, grid in enumerate(grids):
             assert max_entrywise_z(vals[k::2], fbm_cov_matrix(grid, 0.7)) < 3.0
 
-    def test_near_duplicate_rows_jitter(self):
+    def test_near_duplicate_rows_collapse(self):
         t = np.array([[1.0, 1.0 + 1e-14, 2.0, 2.0 + 1e-14, 3.0],
                       [0.5, 1.0, 2.0, 3.0, 4.0]])
         vals = fbm_values_at_times(t, 0.7, derive_stream(4, 2), size=10)
         assert vals.shape == (10, 2, 5)
         assert np.all(np.isfinite(vals))
+        np.testing.assert_array_equal(vals[:, 0, 0], vals[:, 0, 1])
+        np.testing.assert_array_equal(vals[:, 0, 2], vals[:, 0, 3])
+        assert len(np.unique(vals[:, 1])) == vals[:, 1].size
+
+    def test_gamma_clock_at_h099_takes_the_exact_fallback(self, monkeypatch):
+        # at H = 0.99 LAPACK rejects this stack even after the numerical
+        # repeats are collapsed; the eigh square root must rebuild it
+        clock = sample_path(SubordinatorSpec.gamma(100.0), np.geomspace(1.0, 100.0, 20),
+                            derive_stream(99, 17), size=1024)
+        eigh, factored = np.linalg.eigh, []
+
+        def counting_eigh(a):
+            factored.append(a.copy())
+            return eigh(a)
+
+        factor, roots = fbm._factor, []
+
+        def recording_factor(cov):
+            roots.append(factor(cov))
+            return roots[-1]
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(fbm, "_factor", recording_factor)
+        vals = fbm_values_at_times(clock, 0.99, derive_stream(99, 18))
+        assert np.all(np.isfinite(vals))
+        assert len(factored) == 1 and len(roots) == 1
+        cov, chol = factored[0], roots[0]
+        resid = np.abs(chol @ np.swapaxes(chol, -1, -2) - cov).max(axis=(-2, -1))
+        assert np.all(resid <= 1e-12 * np.diagonal(cov, axis1=-2, axis2=-1).max(axis=-1))
 
 
 class TestPair:

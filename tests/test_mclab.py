@@ -8,7 +8,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from gmfbm import theory
+from gmfbm import process, theory
 from gmfbm.mclab import (
     DecayFit,
     MomentEstimate,
@@ -31,7 +31,7 @@ from gmfbm.process import (
     sample_timechanged_pair,
 )
 from gmfbm.randkit import derive_stream
-from gmfbm.subordinators import SubordinatorSpec
+from gmfbm.subordinators import SubordinatorSpec, subordinator_moment
 
 MIX = GmfbmParams(1.0, 1.0, 0.55, 0.8)
 TSS_SPEC = TimeChangedSpec(MIX, SubordinatorSpec.tss(0.7, 1.0))
@@ -302,6 +302,20 @@ class TestCorrCurveOracle:
     def test_grid_must_exceed_s(self):
         with pytest.raises(ValueError):
             corr_curve_oracle(GAMMA_SPEC, 5.0, [4.0, 10.0])
+
+    def test_one_variance_per_distinct_time(self, monkeypatch):
+        # V(s) once, then V(t) and V(t-s) per grid time, two moments each:
+        # 2 * (1 + 2 * 12) = 50 calls on lrd's 12-point grid
+        calls = []
+
+        def counting_moment(sub, t, q):
+            calls.append((t, q))
+            return subordinator_moment(sub, t, q)
+
+        monkeypatch.setattr(process, "subordinator_moment", counting_moment)
+        curve = corr_curve_oracle(TSS_SPEC, 1.0, np.geomspace(100.0, 10000.0, 12))
+        assert len(curve) == 12
+        assert len(calls) == len(set(calls)) == 50
 
 
 class TestFitDecay:

@@ -1,6 +1,8 @@
 """Mixed-process covariance, time-changed sampling, and the exact
 second-order oracles."""
 
+from statistics import NormalDist
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,7 @@ from gmfbm.process import (
     sample_timechanged_path,
     sample_timechanged_path_with_clock,
 )
-from gmfbm.randkit import derive_stream
+from gmfbm.randkit import derive_stream, path_blocks
 from gmfbm.selftest import max_entrywise_z, mean_z
 from gmfbm.subordinators import SubordinatorSpec, subordinator_moment
 
@@ -170,6 +172,34 @@ class TestTimeChangedPath:
                                                            derive_stream(23, 8), size=5)
         assert one.shape == (3,)
         assert clock.shape == values.shape == (5, 3)
+
+    # the README's Gamma simulate grids; rounding pushes their clock
+    # covariances just below semidefinite, which the numerical-repeat rule
+    # must absorb without perturbing the law or reaching the eigh fallback
+    @pytest.mark.parametrize("nu,grid", [(10.0, np.geomspace(1.0, 100.0, 20)),
+                                         (1.0, np.geomspace(0.1, 5.0, 50))])
+    def test_readme_gamma_grids_keep_the_law(self, monkeypatch, nu, grid):
+        eigh, fallbacks = np.linalg.eigh, []
+
+        def counting_eigh(a):
+            fallbacks.append(np.shape(a))
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        spec = TimeChangedSpec(MIX, SubordinatorSpec.gamma(nu))
+        n = 8192
+        values = np.empty((n, grid.size))
+        for stream, lo, hi in path_blocks(12345, n):
+            values[lo:hi] = sample_timechanged_path_with_clock(spec, grid, stream,
+                                                               size=hi - lo)[1]
+        assert fallbacks == []
+        # family-wise error 1e-4 over the variances and lag-1 covariances
+        bound = NormalDist().inv_cdf(1.0 - 1e-4 / (2.0 * (2 * grid.size - 1)))
+        for k, t in enumerate(grid):
+            assert mean_z(values[:, k] ** 2, exact_var_oracle(spec, t)) < bound
+        for k in range(grid.size - 1):
+            target = exact_cov_oracle(spec, grid[k], grid[k + 1])
+            assert mean_z(values[:, k] * values[:, k + 1], target) < bound
 
 
 class TestOracles:
