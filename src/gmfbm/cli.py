@@ -236,14 +236,12 @@ def cmd_simulate(config: RunConfig) -> int:
 def cmd_cov_table(config: RunConfig) -> int:
     """oracle vs asymptotic vs Monte Carlo covariance"""
     s, grid = config["s"], config.t_grid()
-    rows = []
-    for t in grid.tolist():
-        oracle = exact_cov_oracle(config.spec, s, t)
-        asym = theory.cov_asymptotic(config.spec, s, t)
-        rows.append((t, oracle, asym, oracle / asym))
+    oracle = exact_cov_oracle(config.spec, s, grid)
+    asym = np.array([theory.cov_asymptotic(config.spec, s, t) for t in grid.tolist()])
     est = mclab.estimate_cov_curve(config.spec, s, grid, config["paths"], config["seed"])
     _emit(config, ["t", "oracle_cov", "asymptotic_cov", "ratio", "mc_cov", "mc_stderr"],
-          [*zip(*rows), [e.value for e in est], [e.stderr for e in est]], {"s": s})
+          [grid, oracle, asym, oracle / asym, [e.value for e in est],
+           [e.stderr for e in est]], {"s": s})
     return EXIT_OK
 
 

@@ -152,17 +152,21 @@ def exact_var_oracle(spec: TimeChangedSpec, t: float) -> float:
             + p.b ** 2 * subordinator_moment(spec.subordinator, t, 2.0 * p.h2))
 
 
-def exact_cov_oracle(spec: TimeChangedSpec, s: float, t: float) -> float:
+def exact_cov_oracle(spec: TimeChangedSpec, s: float, t):
     """Cov(Y_s, Y_t) = (V(t) + V(s) - V(|t-s|)) / 2 with V = exact_var_oracle.
 
-    Stationary clock increments turn E[|S_t - S_s|**2H] into m(|t-s|, 2H).
+    ``t`` is one time (a float result) or a 1-d grid of times (an array),
+    which share one V(s).  Stationary clock increments turn
+    E[|S_t - S_s|**2H] into m(|t-s|, 2H).
     """
-    if not (s > 0.0 and t > 0.0):
-        raise ValueError("need s > 0 and t > 0")
-    if s == t:
-        return exact_var_oracle(spec, t)
-    return 0.5 * (exact_var_oracle(spec, t) + exact_var_oracle(spec, s)
-                  - exact_var_oracle(spec, abs(t - s)))
+    t_arr = np.asarray(t, dtype=float)
+    if not (s > 0.0 and t_arr.ndim <= 1 and np.all(t_arr > 0.0)):
+        raise ValueError(f"need s > 0 and t > 0, got s={s}, t={t}")
+    var_s = exact_var_oracle(spec, s)
+    cov = [var_s if u == s else
+           0.5 * (exact_var_oracle(spec, u) + var_s - exact_var_oracle(spec, abs(u - s)))
+           for u in t_arr.ravel().tolist()]
+    return cov[0] if t_arr.ndim == 0 else np.array(cov)
 
 
 def exact_increment_second_moment(spec: TimeChangedSpec, s: float, t: float) -> float:

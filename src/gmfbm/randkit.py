@@ -9,7 +9,8 @@ worker layouts.  Substreams occupy disjoint 2**128-wide blocks of the
 the parent.
 
 Every sampler draws a vector through its ``size=`` argument; ``size=None``
-is a draw of one through the same code, returned as a scalar.
+is a draw of one through the same code, returned as a scalar.  The tempered
+stable samplers keep the accepted trials of i.i.d. batches in trial order.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ BLOCK_PATHS = 1024
 
 # Beyond this many tilting-rejection substeps per increment the exact
 # double-rejection sampler is cheaper (cost O(1) vs O(dt * lam**alpha)).
-# Measured on a 2-core x86 host in blocks of 1024 draws, alpha in 0.3..0.9,
-# lam = 1: thinning is cheaper up to 5 substeps, the two tie at 6, and
-# double rejection is cheaper from 7 on.
+# Median us per draw, thinning/double rejection, at 6 and 7 substeps (2-core
+# x86 host, blocks of 1024, lam = 1): alpha 0.3 1.70/2.29, 1.97/1.71; 0.5
+# 1.64/1.66, 1.92/1.53; 0.7 1.67/2.27, 2.00/1.76; 0.9 1.76/1.93, 2.04/2.07.
 _SUBSTEP_LIMIT = 6
 
 
@@ -116,12 +117,6 @@ def path_blocks(master_seed: int, n_paths: int) -> list[tuple[RngStream, int, in
             for k, lo in enumerate(range(0, n_paths, BLOCK_PATHS))]
 
 
-def _size_count(size) -> int:
-    if size is None:
-        return 1
-    return int(np.prod(size))
-
-
 def sample_gamma(stream: RngStream, shape: float, size=None):
     """Gamma(shape, rate 1) variate(s).
 
@@ -151,24 +146,37 @@ def _stable_unit(gen: np.random.Generator, alpha: float, n: int) -> np.ndarray:
             / (np.sin(v) ** (1.0 / alpha) * e ** frac))
 
 
+def _accept_in_trial_order(trials, n: int, k: int) -> np.ndarray:
+    # The first n accepted trials of a rejection sequence are an exact
+    # sample.  trials(k) returns the accepted values of k i.i.d. trials in
+    # trial order; a short round is refilled at its acceptance rate.
+    out = np.empty(n)
+    filled = 0
+    while filled < n:
+        x = trials(k)[:n - filled]
+        out[filled:filled + x.size] = x
+        filled += x.size
+        k = (n - filled) * min(-(-k // max(x.size, 1)), 64)
+    return out
+
+
 def _tempered_by_thinning(gen: np.random.Generator, alpha: float, lam: float,
                           dt: float, n: int, n_sub: int) -> np.ndarray:
-    # Exponential-tilting rejection: propose stable increments over dt/n_sub
-    # and accept with probability exp(-lam * x).  The substep split keeps
-    # dt' * lam**alpha <= ln 2, so each substep accepts with probability
-    # exp(-dt' * lam**alpha) >= 1/2 and the expected proposal count per
-    # substep is at most 2.
+    # Exponential tilting: a stable proposal x over dt' = dt/n_sub is kept
+    # when an Exp(1) draw exceeds lam * x, with exact acceptance probability
+    # p = exp(-dt' * lam**alpha) >= 1/2 as dt' * lam**alpha <= ln 2.  One batch
+    # 3 sd (+2) above the mean trial count m/p is short in 0.1-0.3% of calls.
     dt_sub = dt / n_sub
     scale_fac = dt_sub ** (1.0 / alpha)
     m = n * n_sub
-    out = np.empty(m)
-    pending = np.arange(m)
-    while pending.size:
-        prop = scale_fac * _stable_unit(gen, alpha, pending.size)
-        accept = gen.random(pending.size) < np.exp(-lam * prop)
-        out[pending[accept]] = prop[accept]
-        pending = pending[~accept]
-    return out.reshape(n, n_sub).sum(axis=1)
+    p = math.exp(-dt_sub * lam ** alpha)
+
+    def trials(k):
+        x = _stable_unit(gen, alpha, k)
+        return scale_fac * x[gen.standard_exponential(k) > lam * scale_fac * x]
+
+    k = math.ceil((m + 3.0 * math.sqrt(m * (1.0 - p))) / p) + 2
+    return _accept_in_trial_order(trials, m, k).reshape(n, n_sub).sum(axis=1)
 
 
 def _sinc(x: np.ndarray) -> np.ndarray:
@@ -191,12 +199,10 @@ def _tilted_stable_double_rejection(gen: np.random.Generator, alpha: float,
     # Devroye's double rejection for the exponentially tilted positive
     # stable law (density proportional to exp(-lam*x) times the unit stable
     # density).  Expected cost is O(1) uniformly in the tilt, which is what
-    # makes large time spans affordable.  Each round runs k independent
-    # trials as arrays (outer angle stage, then the inner stage for the
-    # survivors); a trial rejected at either stage is dropped, and the
-    # accepted values fill the output in trial order.  The outer acceptance
-    # ratio is kept in log space; with lam**alpha in the thousands it
-    # overflows otherwise.
+    # makes large time spans affordable.  A trial runs the outer angle
+    # stage, then the inner stage, and is dropped if either rejects.  The
+    # outer acceptance ratio is kept in log space; with lam**alpha in the
+    # thousands it overflows otherwise.
     b = (1.0 - alpha) / alpha
     lam_alpha = lam ** alpha
     gam = lam_alpha * alpha * (1.0 - alpha)
@@ -209,10 +215,7 @@ def _tilted_stable_double_rejection(gen: np.random.Generator, alpha: float,
     w2 = 2.0 * math.sqrt(math.pi) * psi
     w3 = xi * math.pi
 
-    out = np.empty(n)
-    filled = 0
-    k = 2 * n
-    while filled < n:
+    def trials(k):
         # outer stage: sample the Zolotarev angle U from a three-piece
         # envelope, accept against the marginal ratio
         v = gen.random(k)
@@ -257,12 +260,9 @@ def _tilted_stable_double_rejection(gen: np.random.Generator, alpha: float,
         ok = x > 0.0
         x, m, a, bonus, log_accept = x[ok], m[ok], a[ok], bonus[ok], log_accept[ok]
         cost = a * (x - m) + lam * m ** (-b) * ((m / x) ** b - 1.0) - bonus
-        x = x[cost <= -log_accept][:n - filled]
-        out[filled:filled + x.size] = x ** (-b)
-        filled += x.size
-        # size the next round from this round's acceptance rate
-        k = (n - filled) * min(-(-k // max(x.size, 1)), 64)
-    return out
+        return x[cost <= -log_accept] ** (-b)
+
+    return _accept_in_trial_order(trials, n, 2 * n)
 
 
 def tempered_stable_substep_count(alpha: float, lam: float, dt: float) -> int:
@@ -287,7 +287,7 @@ def sample_tempered_stable_increment(stream: RngStream, alpha: float,
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     n_sub = tempered_stable_substep_count(alpha, lam, dt)
-    n = _size_count(size)
+    n = 1 if size is None else int(np.prod(size))
     if n_sub <= _SUBSTEP_LIMIT:
         out = _tempered_by_thinning(stream.gen, alpha, lam, dt, n, n_sub)
     else:

@@ -67,7 +67,7 @@ class TestEstimateCov:
         (estimate_corr, exact_cov_oracle(GAMMA_SPEC, 1.0, 5.0) / math.sqrt(
             exact_var_oracle(GAMMA_SPEC, 1.0) * exact_var_oracle(GAMMA_SPEC, 5.0))),
         (estimate_increment_sm, exact_increment_second_moment(GAMMA_SPEC, 1.0, 5.0)),
-    ])
+    ], ids=["estimate_cov", "estimate_corr", "estimate_increment_sm"])
     def test_coverage_over_repeated_seeds(self, estimator, target):
         # |estimate - oracle| < 3 stderr in at least 95 of 100 seeded trials
         hits = 0

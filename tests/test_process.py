@@ -207,6 +207,13 @@ class TestOracles:
         for spec in (TSS_SPEC, GAMMA_SPEC):
             assert exact_cov_oracle(spec, 3.0, 3.0) == exact_var_oracle(spec, 3.0)
 
+    @pytest.mark.parametrize("spec", [TSS_SPEC, GAMMA_SPEC])
+    def test_grid_matches_scalar_calls(self, spec):
+        # one V(s) serves the whole grid, with the scalar call's bits
+        grid = np.array([0.5, 1.0, 3.0, 7.0])
+        np.testing.assert_array_equal(exact_cov_oracle(spec, 1.0, grid),
+                                      [exact_cov_oracle(spec, 1.0, t) for t in grid])
+
     def test_brownian_gamma_closed_form(self):
         # H1=H2=1/2, Gamma(nu=1): m(t,1)=t so Cov(Y_s,Y_t)=2s exactly
         spec = TimeChangedSpec(GmfbmParams(1.0, 1.0, 0.5, 0.5),
@@ -254,6 +261,8 @@ class TestOracles:
             exact_var_oracle(TSS_SPEC, 0.0)
         with pytest.raises(ValueError):
             exact_cov_oracle(TSS_SPEC, -1.0, 2.0)
+        with pytest.raises(ValueError):
+            exact_cov_oracle(TSS_SPEC, 1.0, [2.0, 0.0])
 
 
 class TestIncrementSecondMoment:

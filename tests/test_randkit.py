@@ -11,6 +11,7 @@ from scipy import stats
 
 from gmfbm.randkit import (
     _SUBSTEP_LIMIT,
+    _accept_in_trial_order,
     _stable_unit,
     _tempered_by_thinning,
     _tilted_stable_double_rejection,
@@ -207,6 +208,48 @@ class TestTemperedStable:
             dbl = scale * _tilted_stable_double_rejection(
                 derive_stream(45, 100 + n_sub).gen, alpha, lam * scale, N_BIG)
             assert stats.ks_2samp(thin, dbl).pvalue > 0.01 / 3
+
+    def test_fill_refills_in_trial_order(self):
+        # trials numbered 0, 1, 2, ... of which every third is accepted: the
+        # first rounds come up short, and the refills must continue the
+        # sequence, so the output is the first ten accepted trials in order
+        counter = iter(range(10 ** 6))
+
+        def trials(k):
+            x = np.array([next(counter) for _ in range(k)], dtype=float)
+            return x[x % 3 == 0]
+
+        np.testing.assert_array_equal(_accept_in_trial_order(trials, 10, 4),
+                                      3.0 * np.arange(10))
+
+    def test_single_draws_match_vector_draw(self):
+        # size=None runs the thinning fill loop on one increment of 3
+        # substeps per call, so some calls take its refill round; two-sample
+        # KS against a vector draw of the same law
+        alpha, lam, dt = 0.7, 1.0, 2.0
+        assert tempered_stable_substep_count(alpha, lam, dt) <= _SUBSTEP_LIMIT
+        stream = derive_stream(49, 0)
+        single = [sample_tempered_stable_increment(stream, alpha, lam, dt)
+                  for _ in range(20_000)]
+        vector = sample_tempered_stable_increment(derive_stream(49, 1), alpha, lam, dt,
+                                                  size=N_BIG)
+        assert stats.ks_2samp(single, vector).pvalue > 0.01
+
+    @pytest.mark.parametrize("lam,dt", [(1e-6, 1.0), (1.0, math.log(2.0))],
+                             ids=["weak", "strong"])
+    def test_thinning_trials_per_substep(self, lam, dt):
+        # one substep per draw, accepted with probability p ~ 1 (weak
+        # tempering) or p = 1/2 (strong).  A trial takes three words, a
+        # uniform and two exponentials (more on a rare ziggurat retry), and
+        # the batch holds at least m/p trials: the mean trial count per
+        # substep lies in [1/p, 1/p + 1)
+        alpha = 0.7
+        assert tempered_stable_substep_count(alpha, lam, dt) == 1
+        p = math.exp(-dt * lam ** alpha)
+        stream = derive_stream(50, int(lam))
+        sample_tempered_stable_increment(stream, alpha, lam, dt, size=N_MED)
+        trials_per_substep = stream.words_consumed / 3 / N_MED
+        assert 1.0 / p <= trials_per_substep < 1.0 / p + 1.0
 
     @pytest.mark.parametrize("alpha", [0.05, 0.2, 0.7, 0.99])
     @pytest.mark.parametrize("lam", [1e-4, 1.0, 100.0])
