@@ -6,6 +6,10 @@ The process B^H is centered Gaussian with B_0 = 0 and
 
     E[B_s B_t] = (s**2H + t**2H - |t-s|**2H) / 2,   0 < H < 1.
 
+The Cholesky and pair samplers serve any centered process, zero at 0, with
+stationary increments of variance v(lag), covariance (v(s) + v(t) -
+v(|t-s|)) / 2: B^H has v(lag) = lag**2H, and ``gmfbm.process`` mixes two.
+
 No matrix is perturbed: a step within the rank tolerance of LAPACK's
 semidefinite Cholesky (dpstrf; Higham 2002, Sec. 10.3) is a repeat, a
 stack LAPACK still rejects is factored by eigh, and only an eigenvalue
@@ -54,17 +58,22 @@ def fbm_cov_matrix(times, h) -> np.ndarray:
         raise ValueError("times must be a nonempty 1-d array")
     if not _finite_nonnegative(times):
         raise ValueError("times must be finite and nonnegative")
-    return _cov_matrix_at(times, hh)
+    return _cov_matrix_at(times, _power_var(hh))
 
 
-def _cov_matrix_at(times: np.ndarray, hh: float) -> np.ndarray:
-    # covariance matrices of the rows of ``times`` (shape (..., n)), built
-    # in one (..., n, n) array: a stack of them is the peak memory of a block
-    two_h = 2.0 * hh
-    pw = times ** two_h
+def _power_var(hh: float):
+    # lag**2H, the increment variance of B^H; into ``out`` when given
+    return lambda lag, out=None: np.power(lag, 2.0 * hh, out=out)
+
+
+def _cov_matrix_at(times: np.ndarray, var) -> np.ndarray:
+    # covariance matrices of the rows of ``times`` (shape (..., n)) for the
+    # increment variance var(lag), built in place in one (..., n, n) array:
+    # a stack of them is the peak memory of a block
+    pw = var(times)
     cov = np.subtract(times[..., :, None], times[..., None, :])
     np.abs(cov, out=cov)
-    np.power(cov, two_h, out=cov)
+    var(cov, out=cov)
     np.subtract(pw[..., :, None], cov, out=cov)
     cov += pw[..., None, :]
     cov *= 0.5
@@ -109,7 +118,11 @@ def fbm_values_at_times(times: np.ndarray, h, stream: RngStream, size=None) -> n
     repeat and is collapsed the same way, so each collapsed step changes
     the value by a variance of at most n*u*t_last**2H.
     """
-    hh = as_hurst(h)
+    return _values_at_times(times, _power_var(as_hurst(h)), stream, size)
+
+
+def _values_at_times(times, var, stream: RngStream, size=None) -> np.ndarray:
+    # fbm_values_at_times for an increasing increment variance var(lag)
     times = np.asarray(times, dtype=float)
     if times.ndim not in (1, 2) or times.shape[-1] == 0:
         raise ValueError("times must be a nonempty 1-d array or a 2-d stack of rows")
@@ -117,9 +130,9 @@ def fbm_values_at_times(times: np.ndarray, h, stream: RngStream, size=None) -> n
     if not (np.all(steps >= 0.0) and _finite_nonnegative(times)):
         raise ValueError("times must be finite, nonnegative and nondecreasing")
     n = times.shape[-1]
-    dummy = steps <= (n * np.finfo(float).eps / 2.0) ** (0.5 / hh) * times[..., -1:]
+    dummy = var(steps) <= n * np.finfo(float).eps / 2.0 * var(times[..., -1:])
     real = ~dummy
-    cov = _cov_matrix_at(times, hh)
+    cov = _cov_matrix_at(times, var)
     cov *= real[..., :, None] & real[..., None, :]
     diag = np.arange(n)
     cov[..., diag, diag] += dummy
@@ -141,7 +154,11 @@ def sample_fbm_pair(u, v, h, stream: RngStream, size=None):
     the O(1) sampler the Monte Carlo covariance estimator runs on: B_u from
     its variance, then B_v from its Gaussian conditional law given B_u.
     """
-    hh = as_hurst(h)
+    return _sample_pair(u, v, _power_var(as_hurst(h)), stream, size)
+
+
+def _sample_pair(u, v, var, stream: RngStream, size=None):
+    # sample_fbm_pair for the increment variance var(lag): two normals a pair
     u_arr = np.asarray(u, dtype=float)
     v_arr = np.asarray(v, dtype=float)
     if not (_finite_nonnegative(u_arr) and _finite_nonnegative(v_arr)):
@@ -153,14 +170,13 @@ def sample_fbm_pair(u, v, h, stream: RngStream, size=None):
     if size is not None:
         shape = (size,) + shape
     z = stream.gen.standard_normal((2,) + shape)
-    two_h = 2.0 * hh
-    var_u = np.broadcast_to(u_arr ** two_h, shape)
+    var_u = np.broadcast_to(var(u_arr), shape)
+    var_v = var(v_arr)
     b_u = np.sqrt(var_u) * z[0]
-    cov_uv = np.broadcast_to(0.5 * (var_u + v_arr ** two_h
-                                    - (v_arr - u_arr) ** two_h), shape)
+    cov_uv = np.broadcast_to(0.5 * (var_u + var_v - var(v_arr - u_arr)), shape)
     # conditional B_v | B_u; where u == 0 the slope is 0/0, fix it to 0
     slope = np.divide(cov_uv, var_u, out=np.zeros(shape), where=var_u > 0.0)
-    resid = v_arr ** two_h - slope * cov_uv
+    resid = var_v - slope * cov_uv
     b_v = slope * b_u + np.sqrt(np.maximum(resid, 0.0)) * z[1]
     if scalar_in:
         return float(b_u), float(b_v)

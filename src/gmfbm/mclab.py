@@ -78,10 +78,19 @@ def _run_blocks(fill, n_paths: int, master_seed: int, n_workers: int) -> None:
             list(pool.map(fill, blocks))
 
 
-def _sample_pairs(spec: TimeChangedSpec, s: float, times, n_paths: int,
-                  master_seed: int, n_workers: int) -> tuple[np.ndarray, np.ndarray]:
-    # (len(times), n_paths) draws of Y_s and Y_t, one row per increasing
-    # time above s; each path samples its clock once over [s, *times]
+def _sample_pairs(spec: TimeChangedSpec, s: float, t_grid, n_paths: int,
+                  master_seed: int, n_workers: int):
+    # (m, n_paths) draws of Y_s and Y_t, one row per distinct grid time in
+    # increasing order, and the row of each grid time; each path samples its
+    # clock once over s and the m distinct times
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or t_grid.size == 0:
+        raise ValueError("t_grid must be a nonempty 1-d array")
+    times, col = np.unique(t_grid, return_inverse=True)
+    if not 0.0 < s < times[0]:
+        raise ValueError(f"need 0 < s < t, got s={s}, t={times[0]}")
+    if n_paths < 100:
+        raise ValueError(f"need at least 100 paths, got {n_paths}")
     ys = np.empty((len(times), n_paths))
     yt = np.empty((len(times), n_paths))
 
@@ -91,7 +100,7 @@ def _sample_pairs(spec: TimeChangedSpec, s: float, times, n_paths: int,
         ys[:, lo:hi], yt[:, lo:hi] = y_s.T, y_t.T
 
     _run_blocks(fill, n_paths, master_seed, n_workers)
-    return ys, yt
+    return ys, yt, col
 
 
 def _corr_errors(ys: np.ndarray, yt: np.ndarray, slope_weights=None):
@@ -120,16 +129,6 @@ def _corr_errors(ys: np.ndarray, yt: np.ndarray, slope_weights=None):
     return corr, stderr, float(slope_infl.std(ddof=1) / math.sqrt(n))
 
 
-def _check_estimator_args(s: float, t: float, n_paths: int,
-                          allow_equal: bool = False) -> None:
-    ordered = (0.0 < s <= t) if allow_equal else (0.0 < s < t)
-    if not ordered:
-        raise ValueError(f"need 0 < s {'<=' if allow_equal else '<'} t, "
-                         f"got s={s}, t={t}")
-    if n_paths < 100:
-        raise ValueError(f"need at least 100 paths, got {n_paths}")
-
-
 def estimate_cov_curve(spec: TimeChangedSpec, s: float, t_grid, n_paths: int,
                        master_seed: int, n_workers: int = 1) -> list[MomentEstimate]:
     """Sample covariances of (Y_s, Y_t) at every grid time, one estimate per
@@ -141,12 +140,7 @@ def estimate_cov_curve(spec: TimeChangedSpec, s: float, t_grid, n_paths: int,
     grid may be unsorted or repeat a time.  Each standard error comes from
     the sample variance of the per-path centered products.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size == 0:
-        raise ValueError("t_grid must be a nonempty 1-d array")
-    t_unique, col = np.unique(t_grid, return_inverse=True)
-    _check_estimator_args(s, float(t_unique[0]), n_paths)
-    ys, yt = _sample_pairs(spec, s, t_unique, n_paths, master_seed, n_workers)
+    ys, yt, col = _sample_pairs(spec, s, t_grid, n_paths, master_seed, n_workers)
     dev = (ys - ys.mean(axis=1, keepdims=True)) * (yt - yt.mean(axis=1, keepdims=True))
     value = dev.sum(axis=1) / (n_paths - 1)
     stderr = dev.std(axis=1, ddof=1) / math.sqrt(n_paths)
@@ -169,10 +163,9 @@ def estimate_corr(spec: TimeChangedSpec, s: float, t: float, n_paths: int,
     sqrt(n_paths), the nonparametric delta method (Efron and Tibshirani,
     1993, ch. 21).  The degenerate case s == t returns correlation exactly 1.
     """
-    _check_estimator_args(s, t, n_paths, allow_equal=True)
-    if s == t:
+    if 0.0 < s == t and n_paths >= 100:
         return MomentEstimate(1.0, 0.0, n_paths)
-    ys, yt = _sample_pairs(spec, s, [t], n_paths, master_seed, n_workers)
+    ys, yt, _ = _sample_pairs(spec, s, [t], n_paths, master_seed, n_workers)
     corr, stderr, _ = _corr_errors(ys, yt)
     return MomentEstimate(float(corr[0]), float(stderr[0]), n_paths)
 
@@ -180,8 +173,7 @@ def estimate_corr(spec: TimeChangedSpec, s: float, t: float, n_paths: int,
 def estimate_increment_sm(spec: TimeChangedSpec, s: float, t: float, n_paths: int,
                           master_seed: int, n_workers: int = 1) -> MomentEstimate:
     """Sample mean of (Y_t - Y_s)**2 with its standard error."""
-    _check_estimator_args(s, t, n_paths)
-    ys, yt = _sample_pairs(spec, s, [t], n_paths, master_seed, n_workers)
+    ys, yt, _ = _sample_pairs(spec, s, [t], n_paths, master_seed, n_workers)
     sq = (yt[0] - ys[0]) ** 2
     return MomentEstimate(float(sq.mean()),
                           float(sq.std(ddof=1) / math.sqrt(n_paths)), n_paths)
@@ -273,13 +265,10 @@ def lrd_report(spec: TimeChangedSpec, s: float, t_grid, n_paths: int,
     predicted = theory.corr_decay_prediction(spec)
     oracle_curve = corr_curve_oracle(spec, s, t_grid)
     oracle_fit = fit_decay(oracle_curve)
-    # sample the distinct times in order and map each grid time back to its
-    # column; a repeated time adds its OLS weights into that column
-    t_unique, col = np.unique(t_grid, return_inverse=True)
-    _check_estimator_args(s, float(t_unique[0]), n_paths)
-    ys, yt = _sample_pairs(spec, s, t_unique, n_paths, master_seed, n_workers)
+    # a repeated grid time adds its OLS weights into its one row of draws
+    ys, yt, col = _sample_pairs(spec, s, t_grid, n_paths, master_seed, n_workers)
     xc = np.log(t_grid) - np.log(t_grid).mean()
-    weights = np.bincount(col, weights=xc / (xc @ xc), minlength=len(t_unique))
+    weights = np.bincount(col, weights=xc / (xc @ xc), minlength=len(ys))
     corr, stderr, slope_stderr = _corr_errors(ys, yt, weights)
     corr, stderr = corr[col], stderr[col]
     mc_curve = [(float(t), float(c), float(se))

@@ -20,18 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from gmfbm import fbm
-from gmfbm.fbm import as_hurst
-from gmfbm.randkit import RngStream, derive_substream
+from gmfbm.randkit import RngStream
 from gmfbm.subordinators import (
     SubordinatorSpec,
     sample_path,
     subordinator_moment,
 )
-
-# substream lanes so each component of a path draws from its own block
-_LANE_CLOCK = 0
-_LANE_FBM1 = 1
-_LANE_FBM2 = 2
 
 
 @dataclass(frozen=True)
@@ -48,8 +42,8 @@ class GmfbmParams:
     h2: float
 
     def __post_init__(self):
-        h1 = as_hurst(self.h1)
-        h2 = as_hurst(self.h2)
+        h1 = fbm.as_hurst(self.h1)
+        h2 = fbm.as_hurst(self.h2)
         a = float(self.a)
         b = float(self.b)
         if not (math.isfinite(a) and math.isfinite(b)):
@@ -63,6 +57,15 @@ class GmfbmParams:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "h1", h1)
         object.__setattr__(self, "h2", h2)
+
+    def increment_variance(self, lag, out=None):
+        """a**2 lag**2H1 + b**2 lag**2H2; into ``out`` (may be ``lag``) if given."""
+        second = np.power(lag, 2.0 * self.h2)
+        second *= self.b ** 2
+        out = np.power(lag, 2.0 * self.h1, out=out)
+        out *= self.a ** 2
+        out += second
+        return out
 
 
 @dataclass(frozen=True)
@@ -78,16 +81,11 @@ def sample_gmfbm_given_clock(p: GmfbmParams, clock_values, stream: RngStream,
     """Mixed-process values at the (nondecreasing) clock times.
 
     ``clock_values`` is one grid (n,) or a block of per-path rows (B, n).
-    Each motion is sampled exactly at the clock times from its own
-    substream, then mixed.  Repeated clock times are handled by the
-    sampler underneath.
+    Given the clock the mixture is one Gaussian with stationary increments
+    of variance ``p.increment_variance``, drawn exactly by one factorization
+    and one normal vector per path, repeats as in ``fbm_values_at_times``.
     """
-    clock_values = np.asarray(clock_values, dtype=float)
-    b1 = fbm.fbm_values_at_times(clock_values, p.h1,
-                                 derive_substream(stream, _LANE_FBM1), size=size)
-    b2 = fbm.fbm_values_at_times(clock_values, p.h2,
-                                 derive_substream(stream, _LANE_FBM2), size=size)
-    return p.a * b1 + p.b * b2
+    return fbm._values_at_times(clock_values, p.increment_variance, stream, size)
 
 
 def sample_timechanged_pair(spec: TimeChangedSpec, s: float, t,
@@ -95,13 +93,13 @@ def sample_timechanged_pair(spec: TimeChangedSpec, s: float, t,
     """Exact draws of (Y_s, Y_t) for 0 < s < t at O(1) cost per path and time.
 
     ``t`` is one time or an increasing 1-d grid above s.  The clock is
-    sampled once on [s, *t]: S_s, then one independent increment per gap,
-    all from ``stream`` in that order.  Each motion then contributes an
-    exact bivariate pair at (S_s, S_t) for every grid time, so each
-    (Y_s, Y_t) has its exact joint law and the grid times share the clock
-    path.  The pairs are drawn as vectors over the ``size`` paths of a
-    block; the results have shape (size, len(t)), without the last axis for
-    a scalar ``t`` (floats for a scalar ``t`` and ``size=None``).  This is the workhorse of the Monte Carlo covariance
+    sampled once on [s, *t]: S_s, then one independent increment per gap;
+    given it, each (Y_s, Y_t) is one exact bivariate Gaussian draw at
+    (S_s, S_t), two normals per path and grid time, all from ``stream`` in
+    that order.  The grid times share the clock path.  The results have
+    shape (size, len(t)) for the ``size`` paths of a block, without the
+    last axis for a scalar ``t`` (floats for a scalar ``t`` and
+    ``size=None``).  This is the workhorse of the Monte Carlo covariance
     estimator.
     """
     t_arr = np.asarray(t, dtype=float)
@@ -110,10 +108,7 @@ def sample_timechanged_pair(spec: TimeChangedSpec, s: float, t,
         raise ValueError(f"need 0 < s < t, t increasing, got s={s}, t={t}")
     clock = sample_path(spec.subordinator, times, stream, size=size)
     u, v = clock[..., :1], clock[..., 1:]
-    p = spec.gmfbm
-    b1_u, b1_v = fbm.sample_fbm_pair(u, v, p.h1, stream)
-    b2_u, b2_v = fbm.sample_fbm_pair(u, v, p.h2, stream)
-    y_s, y_t = p.a * b1_u + p.b * b2_u, p.a * b1_v + p.b * b2_v
+    y_s, y_t = fbm._sample_pair(u, v, spec.gmfbm.increment_variance, stream)
     if t_arr.ndim == 0:
         # [()] makes the one-path result a float, as for a scalar pair
         return y_s[..., 0][()], y_t[..., 0][()]
@@ -126,10 +121,10 @@ def sample_timechanged_path_with_clock(spec: TimeChangedSpec, grid,
 
     Returns the arrays (clock_values, values), each of shape (len(grid),)
     for one path or (size, len(grid)) for a block of paths as rows; the CLI
-    uses both columns.
+    uses both columns.  The clock and then the values are drawn from
+    ``stream`` in that order.
     """
-    clock = sample_path(spec.subordinator, grid,
-                        derive_substream(stream, _LANE_CLOCK), size=size)
+    clock = sample_path(spec.subordinator, grid, stream, size=size)
     return clock, sample_gmfbm_given_clock(spec.gmfbm, clock, stream)
 
 

@@ -327,22 +327,23 @@ class TestRuntimeImports:
 class TestBenchmarkTracer:
     def test_install_binds_every_traced_name(self):
         # the traced benchmark run wraps gmfbm functions by name; a renamed or
-        # removed one must fail here.  install() patches modules globally, so
-        # it runs in its own interpreter
+        # removed one must fail here, and the pair sampler every estimator
+        # runs on must be bound where process defines it.  install() patches
+        # modules globally, so it runs in its own interpreter
         root = os.path.join(os.path.dirname(cli.__file__), os.pardir, os.pardir)
         script = (
             "import gmfbm.cli\n"
             "from spans import Tracer\n"
             "tracer = Tracer()\n"
             "tracer.install()\n"
-            "print(len(tracer.bindings))\n"
+            "print(' '.join(tracer.bindings))\n"
         )
         paths = [os.path.abspath(os.path.join(root, d)) for d in ("perfbench", "src")]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                               text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert int(proc.stdout) > 0
+        assert "gmfbm.process.sample_timechanged_pair" in proc.stdout.split()
 
 
 class TestSelftest:

@@ -18,6 +18,7 @@ from gmfbm.fbm import (
     sample_fbm_pair,
     sample_fgn_regular,
 )
+from gmfbm.process import GmfbmParams, sample_gmfbm_given_clock
 from gmfbm.randkit import derive_stream
 from gmfbm.selftest import max_entrywise_z, mean_z
 from gmfbm.subordinators import SubordinatorSpec, sample_path
@@ -181,12 +182,15 @@ class TestStackedRows:
         t = np.array([[0.0, 0.0, 1.0, 1.0, 2.5],
                       [0.0, 0.7, 0.7, 0.7, 3.0],
                       [0.4, 1.0, 2.0, 3.0, 4.0]])
-        vals = fbm_values_at_times(t, 0.65, derive_stream(4, 0))
-        assert vals.shape == t.shape
-        assert np.all(vals[:2, 0] == 0.0) and vals[0, 1] == 0.0
-        assert vals[0, 2] == vals[0, 3] != 0.0
-        assert vals[1, 1] == vals[1, 2] == vals[1, 3] != 0.0
-        assert np.all(vals[2] != 0.0) and len(set(vals[2])) == 5
+        # the mixed process with unequal weights runs on the same sampler
+        mixed = GmfbmParams(2.0, 1.0, 0.8, 0.3)
+        for vals in (fbm_values_at_times(t, 0.65, derive_stream(4, 0)),
+                     sample_gmfbm_given_clock(mixed, t, derive_stream(4, 0))):
+            assert vals.shape == t.shape
+            assert np.all(vals[:2, 0] == 0.0) and vals[0, 1] == 0.0
+            assert vals[0, 2] == vals[0, 3] != 0.0
+            assert vals[1, 1] == vals[1, 2] == vals[1, 3] != 0.0
+            assert np.all(vals[2] != 0.0) and len(set(vals[2])) == 5
 
     def test_mc_covariance_per_row_grid(self):
         grids = [np.array([0.5, 1.0, 1.5, 2.0, 3.0, 4.5]),

@@ -238,8 +238,7 @@ class TestCorrErrors:
         # of the OLS slope over the grid with that time's column duplicated
         grid = np.array([800.0, 100.0, 3000.0, 250.0, 800.0, 10000.0])
         rep = lrd_report(GAMMA_SPEC, 1.0, grid, 2000, 115)
-        t_unique, col = np.unique(grid, return_inverse=True)
-        ys, yt = _sample_pairs(GAMMA_SPEC, 1.0, t_unique, 2000, 115, 1)
+        ys, yt, col = _sample_pairs(GAMMA_SPEC, 1.0, grid, 2000, 115, 1)
         xc = np.log(grid) - np.log(grid).mean()
         _, _, expected = _corr_errors(ys[col], yt[col], xc / (xc @ xc))
         assert rep.mc_slope_paired_stderr == pytest.approx(expected, rel=1e-12)
@@ -254,7 +253,7 @@ class TestCorrErrors:
 
     @pytest.mark.parametrize("spec", [TSS_SPEC, GAMMA_SPEC])
     def test_estimate_corr_is_one_time_case(self, spec):
-        ys, yt = _sample_pairs(spec, 1.0, [10.0], 3000, 114, 1)
+        ys, yt, _ = _sample_pairs(spec, 1.0, [10.0], 3000, 114, 1)
         corr, stderr, _ = _corr_errors(ys, yt)
         assert estimate_corr(spec, 1.0, 10.0, 3000, 114) == MomentEstimate(
             float(corr[0]), float(stderr[0]), 3000)

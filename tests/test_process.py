@@ -28,6 +28,9 @@ from gmfbm.subordinators import SubordinatorSpec, subordinator_moment
 MIX = GmfbmParams(1.0, 1.0, 0.55, 0.8)
 TSS_SPEC = TimeChangedSpec(MIX, SubordinatorSpec.tss(0.7, 1.0))
 GAMMA_SPEC = TimeChangedSpec(MIX, SubordinatorSpec.gamma(1.0))
+# unequal weights, given in the swapped (h1 > h2) order: a law with a and b
+# exchanged in the increment variance differs from this one
+UNEQUAL = GmfbmParams(2.0, 1.0, 0.8, 0.3)
 
 weights = st.floats(-3.0, 3.0).filter(lambda x: abs(x) > 1e-3)
 hursts = st.floats(0.05, 0.95)
@@ -80,6 +83,20 @@ class TestSampling:
         sq = vals ** 2
         assert mean_z(sq, target) < 3.0
 
+    def test_one_factorization_per_block(self, monkeypatch):
+        # the mixed process given the clock is one Gaussian: one covariance
+        # stack and one Cholesky call, not one per motion
+        cholesky, calls = np.linalg.cholesky, []
+
+        def counting_cholesky(a):
+            calls.append(np.shape(a))
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+        clock = np.cumsum(np.full((64, 5), 0.5), axis=1)
+        sample_gmfbm_given_clock(UNEQUAL, clock, derive_stream(21, 5))
+        assert calls == [(64, 5, 5)]
+
     def test_invalid_clock_rejected(self):
         # a negative or decreasing clock fails before any value is drawn
         for clock in ([-1.0, 1.0], [2.0, 1.0], [[1.0, 2.0], [1.0, 0.5]]):
@@ -116,13 +133,36 @@ class TestTimeChangedPair:
         sq = y_t ** 2
         assert mean_z(sq, 8.0) < 3.0
 
-    @pytest.mark.parametrize("spec,sid", [(TSS_SPEC, 2), (GAMMA_SPEC, 3)])
+    @pytest.mark.parametrize("spec,sid", [
+        (TSS_SPEC, 2), (GAMMA_SPEC, 3),
+        (TimeChangedSpec(UNEQUAL, TSS_SPEC.subordinator), 7),
+        (TimeChangedSpec(UNEQUAL, GAMMA_SPEC.subordinator), 8)])
     def test_cov_matches_oracle(self, spec, sid):
         n = 100_000
         s, t = 1.0, 10.0
         y_s, y_t = sample_timechanged_pair(spec, s, t, derive_stream(22, sid), size=n)
+        assert mean_z(y_t ** 2, exact_var_oracle(spec, t)) < 3.0
         dev = (y_s - y_s.mean()) * (y_t - y_t.mean())
         assert mean_z(dev, exact_cov_oracle(spec, s, t)) < 3.0
+
+    def test_two_normals_per_path_and_time(self):
+        # one conditional Gaussian pair per grid time, not one per motion;
+        # the Gamma clock draws no normals
+        class CountingGen:
+            def __init__(self, gen):
+                self.gen, self.normals = gen, 0
+
+            def standard_normal(self, size=None):
+                self.normals += int(np.prod(size))
+                return self.gen.standard_normal(size)
+
+            def __getattr__(self, name):
+                return getattr(self.gen, name)
+
+        stream = derive_stream(22, 9)
+        stream.gen = counter = CountingGen(stream.gen)
+        sample_timechanged_pair(GAMMA_SPEC, 1.0, [2.0, 5.0, 40.0], stream, size=64)
+        assert counter.normals == 2 * 64 * 3
 
     def test_nearly_coincident_times(self):
         # s -> t keeps the sampler well defined and the moments continuous
