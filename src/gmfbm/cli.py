@@ -272,7 +272,8 @@ def cmd_lrd(config: RunConfig) -> int:
           f"(stderr {report.oracle_fit.slope_stderr:.4f}), {mc_text}")
     _info(f"long-range dependent: {report.is_lrd}")
     if not gap <= LRD_SLOPE_TOLERANCE:
-        _info(f"FAIL: |oracle slope - predicted| = {gap:.4f} > {LRD_SLOPE_TOLERANCE}")
+        _info(f"FAIL: |oracle slope - predicted| = {gap:.4f} > {LRD_SLOPE_TOLERANCE} "
+              f"(the grid may end before the asymptote; try a larger --t-max)")
         return EXIT_STATISTICAL
     _info(f"PASS: |oracle slope - predicted| = {gap:.4f} <= {LRD_SLOPE_TOLERANCE}")
     return EXIT_OK
@@ -281,12 +282,13 @@ def cmd_lrd(config: RunConfig) -> int:
 def cmd_moments(config: RunConfig) -> int:
     """exact vs asymptotic clock moments"""
     sub = config.spec.subordinator
+    grid = config.t_grid()
+    exact = [subordinator_moment(sub, grid, q).tolist() for q in config["q"]]
     rows = []
-    for t in config.t_grid().tolist():
-        for q in config["q"]:
-            exact = subordinator_moment(sub, t, q)
+    for i, t in enumerate(grid.tolist()):
+        for j, q in enumerate(config["q"]):
             asym = subordinator_moment_asymptotic(sub, t, q)
-            rows.append((t, q, exact, asym, exact / asym))
+            rows.append((t, q, exact[j][i], asym, exact[j][i] / asym))
     _emit(config, ["t", "q", "exact_moment", "asymptotic_moment", "ratio"],
           list(zip(*rows)), {"q_values": list(config["q"])})
     return EXIT_OK

@@ -29,7 +29,7 @@ import numpy as np
 from gmfbm import theory
 from gmfbm.process import (
     TimeChangedSpec,
-    exact_var_oracle,
+    _cov_terms,
     sample_timechanged_pair,
 )
 from gmfbm.randkit import path_blocks
@@ -180,16 +180,14 @@ def estimate_increment_sm(spec: TimeChangedSpec, s: float, t: float, n_paths: in
 
 
 def corr_curve_oracle(spec: TimeChangedSpec, s: float, t_grid) -> list[tuple[float, float]]:
-    """Noise-free correlation curve Corr(Y_s, Y_t) from exact_var_oracle alone."""
-    var_s = exact_var_oracle(spec, s)
-    out = []
-    for t in np.asarray(t_grid, dtype=float):
-        if t <= s:
-            raise ValueError("all grid times must exceed s")
-        var_t = exact_var_oracle(spec, t)
-        cov = 0.5 * (var_t + var_s - exact_var_oracle(spec, t - s))
-        out.append((float(t), cov / math.sqrt(var_t * var_s)))
-    return out
+    """Noise-free correlation curve Corr(Y_s, Y_t) from one exact_var_oracle
+    call over the distinct times of {s}, t_grid and t_grid - s."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    if not (s > 0.0 and np.all(t_grid > s)):
+        raise ValueError(f"need s > 0 and all grid times above s, got s={s}")
+    var_s, var_t, var_lag = _cov_terms(spec, s, t_grid)
+    corr = 0.5 * (var_t + var_s - var_lag) / np.sqrt(var_t * var_s)
+    return [(float(t), float(c)) for t, c in zip(t_grid, corr)]
 
 
 def fit_decay(points) -> DecayFit:

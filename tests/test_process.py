@@ -254,6 +254,14 @@ class TestOracles:
         np.testing.assert_array_equal(exact_cov_oracle(spec, 1.0, grid),
                                       [exact_cov_oracle(spec, 1.0, t) for t in grid])
 
+    @pytest.mark.parametrize("spec", [TSS_SPEC, GAMMA_SPEC])
+    def test_var_array_matches_scalar(self, spec):
+        t = np.array([0.5, 1.0, 3.0, 99.0, 1e4])
+        np.testing.assert_allclose(exact_var_oracle(spec, t),
+                                   [exact_var_oracle(spec, u) for u in t.tolist()],
+                                   rtol=1e-14, atol=0.0)
+        assert isinstance(exact_var_oracle(spec, 3.0), float)
+
     def test_brownian_gamma_closed_form(self):
         # H1=H2=1/2, Gamma(nu=1): m(t,1)=t so Cov(Y_s,Y_t)=2s exactly
         spec = TimeChangedSpec(GmfbmParams(1.0, 1.0, 0.5, 0.5),

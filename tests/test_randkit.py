@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from gmfbm import randkit
 from gmfbm.randkit import (
     _SUBSTEP_LIMIT,
     _accept_in_trial_order,
     _stable_unit,
     _tempered_by_thinning,
     _tilted_stable_double_rejection,
+    _zolotarev_log_b,
     derive_stream,
     derive_substream,
     sample_gamma,
@@ -208,6 +210,47 @@ class TestTemperedStable:
             dbl = scale * _tilted_stable_double_rejection(
                 derive_stream(45, 100 + n_sub).gen, alpha, lam * scale, N_BIG)
             assert stats.ks_2samp(thin, dbl).pvalue > 0.01 / 3
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 0.9])
+    def test_double_rejection_trials_per_draw_bounded(self, alpha, monkeypatch):
+        # Devroye's O(1) claim: the mean number of trials per accepted draw
+        # stays bounded uniformly in the tilt.  The trial function the
+        # sampler hands to the fill loop runs 20000 trials at each span,
+        # from just above the switch point to dt = 1e6 (lam = 1).  The
+        # count peaks near gam = lam**alpha alpha (1-alpha) just below 1, at
+        # about 7.4, and settles near 1.83 for large spans
+        captured = []
+
+        def capture(trials, n, k):
+            captured.append(trials)
+            return np.zeros(n)
+
+        monkeypatch.setattr(randkit, "_accept_in_trial_order", capture)
+        k = 20_000
+        for i, dt in enumerate([(_SUBSTEP_LIMIT + 1 - 1e-3) * math.log(2.0),
+                                10.0, 1e2, 1e4, 1e6]):
+            assert tempered_stable_substep_count(alpha, 1.0, dt) > _SUBSTEP_LIMIT
+            gen = derive_stream(51, int(100 * alpha) * 10 + i).gen
+            _tilted_stable_double_rejection(gen, alpha, dt ** (1.0 / alpha), 1)
+            trials_per_draw = k / captured[-1](k).size
+            assert trials_per_draw < (8.0 if dt <= 10.0 else 2.2)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 0.9])
+    def test_zolotarev_b_and_a_match_sinc_forms(self, alpha):
+        # the kernel's B(u) from three sines, and A = C / B with C =
+        # alpha**alpha (1-alpha)**(1-alpha), against the textbook sinc forms
+        def sinc(x):
+            return np.sin(x) / np.where(x == 0.0, 1.0, x) + (x == 0.0)
+
+        u = np.array([0.0, 1e-9, 0.3, 1.0, 2.0, 3.0, 3.14, np.nextafter(math.pi, 0.0)])
+        beta = 1.0 - alpha
+        b_text = sinc(u) / (sinc(alpha * u) ** alpha * sinc(beta * u) ** beta)
+        a_text = (beta * sinc(beta * u)) ** beta * (alpha * sinc(alpha * u)) ** alpha / sinc(u)
+        log_b = _zolotarev_log_b(u, alpha)
+        assert log_b[0] == 0.0
+        np.testing.assert_allclose(np.exp(log_b), b_text, rtol=1e-13, atol=0.0)
+        c = alpha ** alpha * beta ** beta
+        np.testing.assert_allclose(np.exp(math.log(c) - log_b), a_text, rtol=1e-13, atol=0.0)
 
     def test_fill_refills_in_trial_order(self):
         # trials numbered 0, 1, 2, ... of which every third is accepted: the

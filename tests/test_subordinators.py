@@ -686,6 +686,44 @@ class TestTssMoments:
         for q, expected in zip(REFERENCE_Q, TSS_REFERENCE[alpha, lam, t]):
             assert tss_moment(params, t, q) == pytest.approx(expected, rel=1e-8)
 
+    @pytest.mark.parametrize("alpha,lam", sorted({key[:2] for key in TSS_REFERENCE}))
+    def test_against_mpmath_reference_as_arrays(self, alpha, lam):
+        # the table again, one array call per (alpha, lambda, q)
+        params = TssParams(alpha, lam)
+        t = np.array(REFERENCE_T)
+        for j, q in enumerate(REFERENCE_Q):
+            expected = [TSS_REFERENCE[alpha, lam, u][j] for u in REFERENCE_T]
+            np.testing.assert_allclose(tss_moment(params, t, q), expected, rtol=1e-8)
+
+    @pytest.mark.parametrize("spec", [SubordinatorSpec.tss(0.7, 1.0),
+                                      SubordinatorSpec.tss(0.2, 100.0),
+                                      SubordinatorSpec.gamma(1.0)])
+    @pytest.mark.parametrize("q", [0.3, 1.0, 1.6, 2.0])
+    def test_array_matches_scalar(self, spec, q):
+        t = np.array([1e-2, 0.5, 1.0, 3.0, 99.0, 1e4])
+        scalar = np.array([subordinator_moment(spec, u, q) for u in t.tolist()])
+        np.testing.assert_allclose(subordinator_moment(spec, t, q), scalar,
+                                   rtol=1e-14, atol=0.0)
+        if spec.kind == "tss":
+            np.testing.assert_allclose(tss_moment(spec.params, t, q), scalar,
+                                       rtol=1e-14, atol=0.0)
+        assert isinstance(subordinator_moment(spec, 3.0, q), float)
+
+    def test_panel_limit_in_array_names_t(self):
+        # at alpha = 0.05 only the tiny time spans more than _MAX_PANELS
+        params = TssParams(0.05, 1.0)
+        assert tss_moment(params, np.array([1.0, 10.0]), 0.5).shape == (2,)
+        with pytest.raises(QuadratureError, match=r"panels .* t=1e-150,"):
+            tss_moment(params, np.array([1.0, 1e-150, 10.0]), 0.5)
+
+    def test_array_domain(self):
+        p = TssParams(0.5, 1.0)
+        for bad in ([1.0, 0.0], [1.0, math.inf], [[1.0]]):
+            with pytest.raises(ValueError):
+                tss_moment(p, np.array(bad), 0.6)
+            with pytest.raises(ValueError):
+                gamma_moment(GammaParams(1.0), np.array(bad), 0.6)
+
     @pytest.mark.parametrize("q", [0.5, 1.6])
     def test_reference_generator_reproduces_table(self, q):
         expected = TSS_REFERENCE[0.7, 1.0, 10.0][REFERENCE_Q.index(q)]
