@@ -47,6 +47,7 @@ from gmfbm.theory import (
     is_lrd,
 )
 from gmfbm.mclab import (
+    CancellationError,
     DecayFit,
     LrdReport,
     MomentEstimate,

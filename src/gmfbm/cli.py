@@ -5,13 +5,14 @@ run the built-in self test.
 Exit codes: 0 success, 1 usage/config error, 2 I/O error, 3 statistical
 verification failure, 4 numerical failure (a quadrature that could not
 reach its tolerance, a covariance with an eigenvalue below -1e-6 of its
-largest, or a float overflow).
+largest, an oracle correlation lost to cancellation, or a float overflow).
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
+import contextlib
+import itertools
 import json
 import math
 import sys
@@ -127,6 +128,8 @@ def _build_parser() -> _Parser:
 
 
 def _load_config_file(path: str) -> dict:
+    import configparser  # only a --config run pays for the import
+
     cp = configparser.ConfigParser()
     try:
         with open(path) as fh:
@@ -190,22 +193,53 @@ def _make_config(args: argparse.Namespace, min_count: int, above_s: bool) -> Run
 # output writers
 # ---------------------------------------------------------------------------
 
-def _emit(config: RunConfig, names: list[str], columns: list, summary: dict) -> None:
-    columns = [np.asarray(c) for c in columns]
-    rows = zip(*(c.tolist() for c in columns))
+def _cells(keys) -> list[str]:
+    # %d for integers, else 17 significant digits: an exact round trip for doubles
+    keys = np.asarray(keys)
+    fmt = "%d" if keys.dtype.kind in "iu" else "%.17g"
+    return [fmt % k for k in keys.tolist()]
+
+
+def _csv_chunks(names: list[str], inner: list, blocks):
+    # each distinct key is formatted once; one % on a block's row template
+    # fills every value cell of the block
+    values_tail = ",%.17g" * (len(names) - 1 - len(inner)) + "\n"
+    row_tails = ["".join("," + cell for cell in key) + values_tail
+                 for key in itertools.product(*map(_cells, inner))]
+    head = ",".join(names) + "\n"
+    for outer, values in blocks:
+        template = "".join([key + tail for key in _cells(outer) for tail in row_tails])
+        yield head + template % tuple(np.ravel(values).tolist())
+        head = ""
+
+
+def _emit(config: RunConfig, names: list[str], inner: list, blocks, summary: dict) -> None:
+    """Write one table to --out, as CSV or JSON.
+
+    A row is its key cells, then its value cells.  ``blocks`` yields
+    (outer, values): the rows keyed by outer x inner[0] x inner[1] ...,
+    outer slowest, with their value cells in ``values`` in C order.  CSV
+    is written a block at a time; JSON is one document of every row.
+    """
     if config["format"] == "csv":
-        # 17 significant digits: exact round trip for doubles
-        row_format = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns)
-        text = "\n".join([",".join(names), *(row_format % row for row in rows)]) + "\n"
+        chunks = _csv_chunks(names, inner, blocks)
     else:
-        text = json.dumps({"config": config.to_dict(), "columns": names,
-                           "rows": [list(row) for row in rows], "summary": summary},
-                          indent=2) + "\n"
-    if config["out"] == "-":
-        sys.stdout.write(text)
-    else:
-        with open(config["out"], "w") as fh:
-            fh.write(text)
+        inner_keys = [np.asarray(axis).tolist() for axis in inner]
+        rows = []
+        for outer, values in blocks:
+            keys = itertools.product(np.asarray(outer).tolist(), *inner_keys)
+            cells = np.reshape(values, (-1, len(names) - 1 - len(inner))).tolist()
+            rows += [[*key, *cell] for key, cell in zip(keys, cells)]
+        chunks = iter([json.dumps({"config": config.to_dict(), "columns": names,
+                                   "rows": rows, "summary": summary}, indent=2) + "\n"])
+    # the first block is ready before anything is opened, so a run that
+    # fails there leaves no output behind
+    first = next(chunks)
+    with (contextlib.nullcontext(sys.stdout) if config["out"] == "-"
+          else open(config["out"], "w")) as fh:
+        fh.write(first)
+        for chunk in chunks:
+            fh.write(chunk)
 
 
 def _info(message: str) -> None:
@@ -220,16 +254,16 @@ def _info(message: str) -> None:
 def cmd_simulate(config: RunConfig) -> int:
     """sample time-changed paths"""
     grid = config.t_grid()
-    n, m = config["paths"], grid.size
-    clock = np.empty((n, m))
-    values = np.empty((n, m))
-    for stream, lo, hi in path_blocks(config["seed"], n):
-        clock[lo:hi], values[lo:hi] = sample_timechanged_path_with_clock(
-            config.spec, grid, stream, size=hi - lo)
-    _emit(config, ["path", "t", "subordinator", "value"],
-          [np.repeat(np.arange(n), m), np.tile(grid, n), clock.ravel(),
-           values.ravel()],
-          {"n_paths": n, "grid_count": m})
+
+    def blocks():
+        # the CSV writer writes each block before the next one is sampled
+        for stream, lo, hi in path_blocks(config["seed"], config["paths"]):
+            clock, values = sample_timechanged_path_with_clock(
+                config.spec, grid, stream, size=hi - lo)
+            yield np.arange(lo, hi), np.stack([clock, values], axis=-1)
+
+    _emit(config, ["path", "t", "subordinator", "value"], [grid], blocks(),
+          {"n_paths": config["paths"], "grid_count": grid.size})
     return EXIT_OK
 
 
@@ -239,9 +273,10 @@ def cmd_cov_table(config: RunConfig) -> int:
     oracle = exact_cov_oracle(config.spec, s, grid)
     asym = np.array([theory.cov_asymptotic(config.spec, s, t) for t in grid.tolist()])
     est = mclab.estimate_cov_curve(config.spec, s, grid, config["paths"], config["seed"])
+    values = np.column_stack([oracle, asym, oracle / asym, [e.value for e in est],
+                              [e.stderr for e in est]])
     _emit(config, ["t", "oracle_cov", "asymptotic_cov", "ratio", "mc_cov", "mc_stderr"],
-          [grid, oracle, asym, oracle / asym, [e.value for e in est],
-           [e.stderr for e in est]], {"s": s})
+          [], [(grid, values)], {"s": s})
     return EXIT_OK
 
 
@@ -257,8 +292,8 @@ def cmd_lrd(config: RunConfig) -> int:
     summary["slope_gap"] = gap
     summary["slope_tolerance"] = LRD_SLOPE_TOLERANCE
     summary["verdict"] = report.is_lrd
-    _emit(config, ["t", "oracle_corr", "mc_corr", "mc_stderr"],
-          [t, oracle_corr, mc_corr, mc_stderr], summary)
+    _emit(config, ["t", "oracle_corr", "mc_corr", "mc_stderr"], [],
+          [(t, np.column_stack([oracle_corr, mc_corr, mc_stderr]))], summary)
     _info(f"predicted exponents: mixed {report.predicted.exponent_mixed:+.4f}, "
           f"pure {report.predicted.exponent_pure:+.4f}, "
           f"dominant {report.predicted.dominant:+.4f}")
@@ -284,13 +319,13 @@ def cmd_moments(config: RunConfig) -> int:
     sub = config.spec.subordinator
     grid = config.t_grid()
     exact = [subordinator_moment(sub, grid, q).tolist() for q in config["q"]]
-    rows = []
+    values = []
     for i, t in enumerate(grid.tolist()):
         for j, q in enumerate(config["q"]):
             asym = subordinator_moment_asymptotic(sub, t, q)
-            rows.append((t, q, exact[j][i], asym, exact[j][i] / asym))
+            values.append((exact[j][i], asym, exact[j][i] / asym))
     _emit(config, ["t", "q", "exact_moment", "asymptotic_moment", "ratio"],
-          list(zip(*rows)), {"q_values": list(config["q"])})
+          [config["q"]], [(grid, values)], {"q_values": list(config["q"])})
     return EXIT_OK
 
 
@@ -332,7 +367,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"gmfbm: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (QuadratureError, ConditioningError) as exc:
+    except (QuadratureError, ConditioningError, mclab.CancellationError) as exc:
         print(f"gmfbm: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OverflowError as exc:

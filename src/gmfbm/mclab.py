@@ -21,7 +21,6 @@ one pass over the paths, with no resampling and no random numbers.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +33,11 @@ from gmfbm.process import (
 )
 from gmfbm.randkit import path_blocks
 from gmfbm.theory import DecayPrediction
+
+
+class CancellationError(RuntimeError):
+    """An oracle value that is exactly positive came out <= 0 or NaN:
+    cancellation between its rounded terms left no correct digit."""
 
 
 @dataclass(frozen=True)
@@ -74,6 +78,9 @@ def _run_blocks(fill, n_paths: int, master_seed: int, n_workers: int) -> None:
         for block in blocks:
             fill(block)
     else:
+        # imported here: it pulls in logging, which a one-worker run never needs
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             list(pool.map(fill, blocks))
 
@@ -181,12 +188,22 @@ def estimate_increment_sm(spec: TimeChangedSpec, s: float, t: float, n_paths: in
 
 def corr_curve_oracle(spec: TimeChangedSpec, s: float, t_grid) -> list[tuple[float, float]]:
     """Noise-free correlation curve Corr(Y_s, Y_t) from one exact_var_oracle
-    call over the distinct times of {s}, t_grid and t_grid - s."""
+    call over the distinct times of {s}, t_grid and t_grid - s.
+
+    The exact correlation is positive for 0 < s < t; a value <= 0 or NaN
+    raises ``CancellationError`` naming the first such grid time.
+    """
     t_grid = np.asarray(t_grid, dtype=float)
     if not (s > 0.0 and np.all(t_grid > s)):
         raise ValueError(f"need s > 0 and all grid times above s, got s={s}")
     var_s, var_t, var_lag = _cov_terms(spec, s, t_grid)
     corr = 0.5 * (var_t + var_s - var_lag) / np.sqrt(var_t * var_s)
+    bad = np.flatnonzero(~(corr > 0.0))
+    if bad.size:
+        j = bad[0]
+        raise CancellationError(
+            f"oracle correlation {corr[j]:.3g} at t = {t_grid[j]:.17g} is not positive: "
+            f"V(t) + V(s) - V(t-s) lost its digits to cancellation")
     return [(float(t), float(c)) for t, c in zip(t_grid, corr)]
 
 

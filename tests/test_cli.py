@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from gmfbm import cli, mclab, selftest, theory
@@ -13,7 +14,10 @@ from gmfbm.cli import (EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_STATISTICAL,
                        EXIT_USAGE, main)
 from gmfbm.fbm import ConditioningError
 from gmfbm.mclab import DecayFit
-from gmfbm.subordinators import QuadratureError
+from gmfbm.process import (GmfbmParams, TimeChangedSpec,
+                           sample_timechanged_path_with_clock)
+from gmfbm.randkit import BLOCK_PATHS, path_blocks
+from gmfbm.subordinators import QuadratureError, SubordinatorSpec
 from gmfbm.theory import DecayPrediction
 
 FAST_LRD = ["--subordinator", "gamma", "--paths", "300", "--seed", "5",
@@ -52,6 +56,35 @@ class TestSimulate:
             by_path.setdefault(pid, []).append(float(sub))
         for vals in by_path.values():
             assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("clock, n_paths, to_stdout", [
+        ("tss", BLOCK_PATHS + 3, False), ("tss", BLOCK_PATHS + 3, True),
+        ("gamma", BLOCK_PATHS + 3, False), ("gamma", BLOCK_PATHS + 3, True),
+        ("tss", 1, True)])
+    def test_csv_bytes_match_per_row_reference(self, tmp_path, capsys, clock,
+                                               n_paths, to_stdout):
+        # the block writer against one "%d,%.17g,%.17g,%.17g" per row, over
+        # two blocks (the second partial) and over a single path
+        grid = np.geomspace(1.0, 50.0, 5)
+        sub = SubordinatorSpec.tss(0.7, 1.0) if clock == "tss" else SubordinatorSpec.gamma(1.0)
+        spec = TimeChangedSpec(GmfbmParams(1.0, 1.0, 0.55, 0.8), sub)
+        lines = ["path,t,subordinator,value"]
+        for stream, lo, hi in path_blocks(21, n_paths):
+            clock_values, values = sample_timechanged_path_with_clock(
+                spec, grid, stream, size=hi - lo)
+            for i in range(hi - lo):
+                for j, t in enumerate(grid.tolist()):
+                    lines.append("%d,%.17g,%.17g,%.17g"
+                                 % (lo + i, t, clock_values[i, j], values[i, j]))
+        out = tmp_path / "paths.csv"
+        code = main(["simulate", "--subordinator", clock, "--paths", str(n_paths),
+                     "--t-min", "1", "--t-max", "50", "--t-count", "5", "--seed", "21",
+                     "--out", "-" if to_stdout else str(out)])
+        assert code == EXIT_OK
+        text = capsys.readouterr().out if to_stdout else out.read_text()
+        # compared as lines: pytest's diff of two long strings takes minutes
+        assert text.endswith("\n")
+        assert text[:-1].split("\n") == lines
 
     def test_trailing_newline(self, tmp_path):
         _, text = run(tmp_path, "simulate", "--paths", "1", "--t-count", "3",
@@ -284,6 +317,18 @@ class TestExitCodes:
         assert text is None
         assert err == "gmfbm: numerical failure: forced\n"
 
+    def test_cancelled_oracle_correlation_is_numerical_failure(self, tmp_path, capsys):
+        # at t = 1e8 on a Gamma clock V(t) + V(s) - V(t-s) cancels to an
+        # oracle correlation <= 0: a numerical failure, not a usage error
+        code, text = run(tmp_path, "lrd", "--subordinator", "gamma", "--t-min", "1e6",
+                         "--t-max", "1e8", "--paths", "200")
+        err = capsys.readouterr().err
+        assert code == EXIT_NUMERICAL
+        assert text is None
+        assert err.startswith("gmfbm: numerical failure: oracle correlation ")
+        assert " at t = 100000000 is not positive" in err
+        assert err.count("\n") == 1
+
     def test_overflow_is_numerical_failure(self, tmp_path, capsys):
         # the stderr line names the command and the innermost gmfbm function
         cases = [
@@ -305,23 +350,37 @@ class TestExitCodes:
 
 
 class TestRuntimeImports:
-    def test_tss_commands_do_not_load_scipy(self, tmp_path):
-        # the TSS moment oracle is numpy-only; scipy is a test dependency
+    @staticmethod
+    def loaded_after(tmp_path, runs, modules):
+        # the subset of ``modules`` a fresh interpreter holds after the runs
         script = (
             "import sys\n"
             "import gmfbm.cli\n"
-            "common = ['--subordinator', 'tss', '--t-min', '2', '--t-max', '20',\n"
-            "          '--t-count', '3', '--out', sys.argv[1]]\n"
-            "assert gmfbm.cli.main(['moments', *common]) == 0\n"
-            "assert gmfbm.cli.main(['cov-table', '--paths', '200', *common]) == 0\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            f"for argv in {runs!r}:\n"
+            "    assert gmfbm.cli.main([*argv, '--out', sys.argv[1]]) == 0\n"
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] in {modules!r}"
+            f" or m in {modules!r}))\n"
         )
         src = os.path.join(os.path.dirname(cli.__file__), os.pardir)
         env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
         proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "o.csv")],
                               capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        return proc.stdout.strip()
+
+    def test_tss_commands_do_not_load_scipy(self, tmp_path):
+        # the TSS moment oracle is numpy-only; scipy is a test dependency
+        common = ["--subordinator", "tss", "--t-min", "2", "--t-max", "20", "--t-count", "3"]
+        runs = [["moments", *common], ["cov-table", "--paths", "200", *common]]
+        assert self.loaded_after(tmp_path, runs, ["scipy"]) == "[]"
+
+    def test_default_runs_do_not_load_unused_stdlib(self, tmp_path):
+        # the thread pool (with the logging it imports) serves only
+        # n_workers > 1 and configparser only --config; neither is on a
+        # default run's start-up path
+        runs = [["lrd", "--paths", "100"], ["simulate", "--paths", "100"]]
+        modules = ["logging", "configparser", "concurrent.futures"]
+        assert self.loaded_after(tmp_path, runs, modules) == "[]"
 
 
 class TestBenchmarkTracer:

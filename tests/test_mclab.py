@@ -8,8 +8,9 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from gmfbm import process, theory
+from gmfbm import mclab, process, theory
 from gmfbm.mclab import (
+    CancellationError,
     DecayFit,
     MomentEstimate,
     _corr_errors,
@@ -301,6 +302,17 @@ class TestCorrCurveOracle:
     def test_grid_must_exceed_s(self):
         with pytest.raises(ValueError):
             corr_curve_oracle(GAMMA_SPEC, 5.0, [4.0, 10.0])
+
+    @pytest.mark.parametrize("lag, first", [([0.5, 3.0, 0.5, math.nan], 20.0),
+                                             ([0.5, 0.5, 0.5, math.nan], 40.0)])
+    def test_nonpositive_correlation_raises_naming_first_time(self, monkeypatch,
+                                                               lag, first):
+        # V(s) = V(t) = 1 make the correlation 1 - V(t-s)/2: <= 0 where
+        # V(t-s) >= 2, NaN where V(t-s) is
+        monkeypatch.setattr(mclab, "_cov_terms",
+                            lambda spec, s, t: (1.0, np.ones(t.size), np.array(lag)))
+        with pytest.raises(CancellationError, match=f" at t = {first:.17g} is not positive"):
+            corr_curve_oracle(GAMMA_SPEC, 1.0, [10.0, 20.0, 30.0, 40.0])
 
     def test_one_variance_per_distinct_time(self, monkeypatch):
         # V(s) once, then V(t) and V(t-s) per grid time, two moments each:
