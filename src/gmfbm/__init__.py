@@ -15,6 +15,7 @@ from gmfbm.fbm import (
     ConditioningError,
     fbm_cov,
     fbm_cov_matrix,
+    power_variance,
     sample_fbm_pair,
     sample_fgn_regular,
 )
@@ -30,12 +31,12 @@ from gmfbm.subordinators import (
     tss_moment,
 )
 from gmfbm.process import (
+    CancellationError,
     GmfbmParams,
     TimeChangedSpec,
     exact_cov_oracle,
     exact_increment_second_moment,
     exact_var_oracle,
-    sample_gmfbm_given_clock,
     sample_timechanged_pair,
     sample_timechanged_path,
 )
@@ -47,7 +48,6 @@ from gmfbm.theory import (
     is_lrd,
 )
 from gmfbm.mclab import (
-    CancellationError,
     DecayFit,
     LrdReport,
     MomentEstimate,

@@ -8,7 +8,8 @@ The process B^H is centered Gaussian with B_0 = 0 and
 
 The Cholesky and pair samplers serve any centered process, zero at 0, with
 stationary increments of variance v(lag), covariance (v(s) + v(t) -
-v(|t-s|)) / 2: B^H has v(lag) = lag**2H, and ``gmfbm.process`` mixes two.
+v(|t-s|)) / 2, given as ``var(lag, out=None)``: ``power_variance`` is
+B^H's v(lag) = lag**2H, and ``gmfbm.process`` mixes two.
 
 No matrix is perturbed: a step within the rank tolerance of LAPACK's
 semidefinite Cholesky (dpstrf; Higham 2002, Sec. 10.3) is a repeat, a
@@ -52,18 +53,20 @@ def fbm_cov(s: float, t: float, h) -> float:
 def fbm_cov_matrix(times, h) -> np.ndarray:
     """Covariance matrix of B^H at the finite nonnegative 1-d ``times``; symmetric
     positive semidefinite (singular where a time repeats or is 0)."""
-    hh = as_hurst(h)
+    var = power_variance(h)
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a nonempty 1-d array")
     if not _finite_nonnegative(times):
         raise ValueError("times must be finite and nonnegative")
-    return _cov_matrix_at(times, _power_var(hh))
+    return _cov_matrix_at(times, var)
 
 
-def _power_var(hh: float):
-    # lag**2H, the increment variance of B^H; into ``out`` when given
-    return lambda lag, out=None: np.power(lag, 2.0 * hh, out=out)
+def power_variance(h):
+    """The increment variance lag**2H of B^H as the samplers take it, a
+    function ``var(lag, out=None)`` that writes into ``out`` when given."""
+    two_h = 2.0 * as_hurst(h)
+    return lambda lag, out=None: np.power(lag, two_h, out=out)
 
 
 def _cov_matrix_at(times: np.ndarray, var) -> np.ndarray:
@@ -101,8 +104,9 @@ def _factor(cov: np.ndarray) -> np.ndarray:
         return vecs * np.sqrt(lam)[..., None, :]
 
 
-def fbm_values_at_times(times: np.ndarray, h, stream: RngStream, size=None) -> np.ndarray:
-    """Exact joint Gaussian sample of B^H at finite nondecreasing ``times``.
+def fbm_values_at_times(times, var, stream: RngStream, size=None) -> np.ndarray:
+    """Exact joint Gaussian sample at finite nondecreasing ``times`` of the
+    process with increasing increment variance ``var`` (B^H: power_variance(h)).
 
     ``times`` is one grid of shape (n,) or a stack of per-path grids of
     shape (B, n), one row per path; the result has the shape of ``times``,
@@ -110,19 +114,14 @@ def fbm_values_at_times(times: np.ndarray, h, stream: RngStream, size=None) -> n
     consecutive times (which subordinated clocks produce) and leading zeros
     are allowed: such a time gets an independent unit dummy variable in
     the covariance, and after sampling it is overwritten by the previous
-    value, or by the exact zero of B_0 = 0.  Since the dummy is
-    independent of every other variable, the values at the distinct
-    positive times keep their exact joint law.  A time whose step from the
-    previous one has increment variance step**2H <= n*u*t_last**2H
-    (u = eps/2; t_last**2H is the largest diagonal entry) is a numerical
-    repeat and is collapsed the same way, so each collapsed step changes
-    the value by a variance of at most n*u*t_last**2H.
+    value, or by the exact zero at time 0.  Since the dummy is independent
+    of every other variable, the values at the distinct positive times keep
+    their exact joint law.  A time whose step from the previous one has
+    increment variance var(step) <= n*u*var(t_last) (u = eps/2;
+    var(t_last) is the largest diagonal entry) is a numerical repeat and is
+    collapsed the same way, so each collapsed step changes the value by a
+    variance of at most n*u*var(t_last).
     """
-    return _values_at_times(times, _power_var(as_hurst(h)), stream, size)
-
-
-def _values_at_times(times, var, stream: RngStream, size=None) -> np.ndarray:
-    # fbm_values_at_times for an increasing increment variance var(lag)
     times = np.asarray(times, dtype=float)
     if times.ndim not in (1, 2) or times.shape[-1] == 0:
         raise ValueError("times must be a nonempty 1-d array or a 2-d stack of rows")
@@ -140,25 +139,21 @@ def _values_at_times(times, var, stream: RngStream, size=None) -> np.ndarray:
     batch = () if size is None else (size,)
     z = stream.gen.standard_normal(batch + times.shape)
     sampled = np.einsum("...ij,...j->...i", chol, z)
-    # forward fill: column 0 of the padded array is the exact zero B_0
+    # forward fill: column 0 of the padded array is the exact zero at time 0
     src = np.maximum.accumulate(np.where(dummy, 0, diag + 1), axis=-1)
     padded = np.concatenate([np.zeros(sampled.shape[:-1] + (1,)), sampled], axis=-1)
     return np.take_along_axis(padded, np.broadcast_to(src, sampled.shape), axis=-1)
 
 
-def sample_fbm_pair(u, v, h, stream: RngStream, size=None):
-    """Exact bivariate draw (B_u, B_v) for finite 0 <= u <= v.
+def sample_fbm_pair(u, v, var, stream: RngStream, size=None):
+    """Exact bivariate draw (X_u, X_v), finite 0 <= u <= v, of the process
+    with increment variance ``var`` (B^H: power_variance(h)).
 
     ``u`` and ``v`` may be arrays (elementwise pairs, one per path of a
     block); scalar inputs return floats unless ``size`` is given.  This is
-    the O(1) sampler the Monte Carlo covariance estimator runs on: B_u from
-    its variance, then B_v from its Gaussian conditional law given B_u.
+    the O(1) sampler the Monte Carlo covariance estimator runs on: X_u from
+    its variance, then X_v from its conditional law given X_u: two normals.
     """
-    return _sample_pair(u, v, _power_var(as_hurst(h)), stream, size)
-
-
-def _sample_pair(u, v, var, stream: RngStream, size=None):
-    # sample_fbm_pair for the increment variance var(lag): two normals a pair
     u_arr = np.asarray(u, dtype=float)
     v_arr = np.asarray(v, dtype=float)
     if not (_finite_nonnegative(u_arr) and _finite_nonnegative(v_arr)):
@@ -174,7 +169,7 @@ def _sample_pair(u, v, var, stream: RngStream, size=None):
     var_v = var(v_arr)
     b_u = np.sqrt(var_u) * z[0]
     cov_uv = np.broadcast_to(0.5 * (var_u + var_v - var(v_arr - u_arr)), shape)
-    # conditional B_v | B_u; where u == 0 the slope is 0/0, fix it to 0
+    # conditional X_v | X_u; where u == 0 the slope is 0/0, fix it to 0
     slope = np.divide(cov_uv, var_u, out=np.zeros(shape), where=var_u > 0.0)
     resid = var_v - slope * cov_uv
     b_v = slope * b_u + np.sqrt(np.maximum(resid, 0.0)) * z[1]

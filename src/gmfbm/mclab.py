@@ -27,17 +27,14 @@ import numpy as np
 
 from gmfbm import theory
 from gmfbm.process import (
+    CancellationError,
     TimeChangedSpec,
     _cov_terms,
+    _require_positive,
     sample_timechanged_pair,
 )
 from gmfbm.randkit import path_blocks
 from gmfbm.theory import DecayPrediction
-
-
-class CancellationError(RuntimeError):
-    """An oracle value that is exactly positive came out <= 0 or NaN:
-    cancellation between its rounded terms left no correct digit."""
 
 
 @dataclass(frozen=True)
@@ -198,12 +195,7 @@ def corr_curve_oracle(spec: TimeChangedSpec, s: float, t_grid) -> list[tuple[flo
         raise ValueError(f"need s > 0 and all grid times above s, got s={s}")
     var_s, var_t, var_lag = _cov_terms(spec, s, t_grid)
     corr = 0.5 * (var_t + var_s - var_lag) / np.sqrt(var_t * var_s)
-    bad = np.flatnonzero(~(corr > 0.0))
-    if bad.size:
-        j = bad[0]
-        raise CancellationError(
-            f"oracle correlation {corr[j]:.3g} at t = {t_grid[j]:.17g} is not positive: "
-            f"V(t) + V(s) - V(t-s) lost its digits to cancellation")
+    _require_positive("correlation", corr, t_grid)
     return [(float(t), float(c)) for t, c in zip(t_grid, corr)]
 
 

@@ -28,6 +28,11 @@ from gmfbm.subordinators import (
 )
 
 
+class CancellationError(RuntimeError):
+    """An oracle value that is exactly positive came out <= 0 or NaN:
+    cancellation between its rounded terms left no correct digit."""
+
+
 @dataclass(frozen=True)
 class GmfbmParams:
     """Mixing coefficients and Hurst pair of a*B^H1 + b*B^H2.
@@ -76,18 +81,6 @@ class TimeChangedSpec:
     subordinator: SubordinatorSpec
 
 
-def sample_gmfbm_given_clock(p: GmfbmParams, clock_values, stream: RngStream,
-                             size=None) -> np.ndarray:
-    """Mixed-process values at the (nondecreasing) clock times.
-
-    ``clock_values`` is one grid (n,) or a block of per-path rows (B, n).
-    Given the clock the mixture is one Gaussian with stationary increments
-    of variance ``p.increment_variance``, drawn exactly by one factorization
-    and one normal vector per path, repeats as in ``fbm_values_at_times``.
-    """
-    return fbm._values_at_times(clock_values, p.increment_variance, stream, size)
-
-
 def sample_timechanged_pair(spec: TimeChangedSpec, s: float, t,
                             stream: RngStream, size=None):
     """Exact draws of (Y_s, Y_t) for 0 < s < t at O(1) cost per path and time.
@@ -108,7 +101,8 @@ def sample_timechanged_pair(spec: TimeChangedSpec, s: float, t,
         raise ValueError(f"need 0 < s < t, t increasing, got s={s}, t={t}")
     clock = sample_path(spec.subordinator, times, stream, size=size)
     u, v = clock[..., :1], clock[..., 1:]
-    y_s, y_t = fbm._sample_pair(u, v, spec.gmfbm.increment_variance, stream)
+    # var goes positionally: the benchmark tracer's work counters call it h
+    y_s, y_t = fbm.sample_fbm_pair(u, v, spec.gmfbm.increment_variance, stream)
     if t_arr.ndim == 0:
         # [()] makes the one-path result a float, as for a scalar pair
         return y_s[..., 0][()], y_t[..., 0][()]
@@ -122,10 +116,11 @@ def sample_timechanged_path_with_clock(spec: TimeChangedSpec, grid,
     Returns the arrays (clock_values, values), each of shape (len(grid),)
     for one path or (size, len(grid)) for a block of paths as rows; the CLI
     uses both columns.  The clock and then the values are drawn from
-    ``stream`` in that order.
+    ``stream`` in that order; given the clock the mixture is one Gaussian,
+    drawn exactly by one factorization and one normal vector per path.
     """
     clock = sample_path(spec.subordinator, grid, stream, size=size)
-    return clock, sample_gmfbm_given_clock(spec.gmfbm, clock, stream)
+    return clock, fbm.fbm_values_at_times(clock, spec.gmfbm.increment_variance, stream)
 
 
 def sample_timechanged_path(spec: TimeChangedSpec, grid, stream: RngStream,
@@ -159,19 +154,31 @@ def _cov_terms(spec: TimeChangedSpec, s: float, t: np.ndarray):
     return var[0], var[1:t.size + 1], var[t.size + 1:]
 
 
+def _require_positive(what: str, values: np.ndarray, t: np.ndarray) -> None:
+    # oracle values, exactly positive for s, t > 0: raise at the first <= 0 or NaN
+    bad = np.flatnonzero(~(values > 0.0))
+    if bad.size:
+        j = bad[0]
+        raise CancellationError(
+            f"oracle {what} {values[j]:.3g} at t = {t[j]:.17g} is not positive: "
+            f"V(t) + V(s) - V(t-s) lost its digits to cancellation")
+
+
 def exact_cov_oracle(spec: TimeChangedSpec, s: float, t):
     """Cov(Y_s, Y_t) = (V(t) + V(s) - V(|t-s|)) / 2 with V = exact_var_oracle.
 
     ``t`` is one time (a float result) or a 1-d grid of times (an array).
     V is evaluated once at each distinct time of {s}, t and |t-s|, in one
     call.  Stationary clock increments turn E[|S_t - S_s|**2H] into
-    m(|t-s|, 2H).
+    m(|t-s|, 2H).  The covariance is positive; a value <= 0 or NaN raises
+    ``CancellationError``.
     """
     t_arr = np.asarray(t, dtype=float)
     if not (s > 0.0 and t_arr.ndim <= 1 and np.all(t_arr > 0.0)):
         raise ValueError(f"need s > 0 and t > 0, got s={s}, t={t}")
     var_s, var_t, var_lag = _cov_terms(spec, s, t_arr.ravel())
     cov = 0.5 * (var_t + var_s - var_lag)
+    _require_positive("covariance", cov, t_arr.ravel())
     return float(cov[0]) if t_arr.ndim == 0 else cov
 
 
@@ -179,9 +186,8 @@ def exact_increment_second_moment(spec: TimeChangedSpec, s: float, t: float) -> 
     """E[(Y_t - Y_s)**2] = Var(Y_t) + Var(Y_s) - 2 Cov(Y_s, Y_t).
 
     By clock-increment stationarity this collapses to
-    a**2 m(t-s, 2H1) + b**2 m(t-s, 2H2), so it depends on t-s only.
+    V(t-s) = a**2 m(t-s, 2H1) + b**2 m(t-s, 2H2), which is what is computed.
     """
     if not 0.0 < s < t:
         raise ValueError(f"need 0 < s < t, got s={s}, t={t}")
-    return (exact_var_oracle(spec, t) + exact_var_oracle(spec, s)
-            - 2.0 * exact_cov_oracle(spec, s, t))
+    return exact_var_oracle(spec, t - s)

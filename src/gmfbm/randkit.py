@@ -298,9 +298,13 @@ def sample_tempered_stable_increment(stream: RngStream, alpha: float,
     if n_sub <= _SUBSTEP_LIMIT:
         out = _tempered_by_thinning(stream.gen, alpha, lam, dt, n, n_sub)
     else:
-        scale = dt ** (1.0 / alpha)
-        out = scale * _tilted_stable_double_rejection(stream.gen, alpha,
-                                                      lam * scale, n)
+        with np.errstate(over="ignore"):
+            scale = dt ** (1.0 / alpha)
+            tilt = lam * scale
+        if not math.isfinite(tilt):  # every trial would be NaN, none accepted
+            raise OverflowError(f"tilt lam * dt**(1/alpha) = {lam:g} * {dt:g}**"
+                                f"(1/{alpha:g}) is not a finite float")
+        out = scale * _tilted_stable_double_rejection(stream.gen, alpha, tilt, n)
     if size is None:
         return float(out[0])
     return out.reshape(size)

@@ -18,7 +18,8 @@ import time
 import numpy as np
 
 from gmfbm import mclab, theory
-from gmfbm.fbm import fbm_cov_matrix, fbm_values_at_times, sample_fgn_regular
+from gmfbm.fbm import (fbm_cov_matrix, fbm_values_at_times, power_variance,
+                       sample_fgn_regular)
 from gmfbm.process import (
     GmfbmParams,
     TimeChangedSpec,
@@ -110,8 +111,8 @@ def fbm_correctness():
     worst = 0.0
     for idx, h in enumerate((0.3, 0.5, 0.75)):
         cov = fbm_cov_matrix(grid, h)
-        chol = fbm_values_at_times(grid, h, derive_stream(seed, 2 * idx),
-                                   size=n_paths)
+        chol = fbm_values_at_times(grid, power_variance(h),
+                                   derive_stream(seed, 2 * idx), size=n_paths)
         fgn = np.cumsum(sample_fgn_regular(16, 1.0, h,
                                            derive_stream(seed, 2 * idx + 1),
                                            size=n_paths), axis=1)
@@ -213,11 +214,11 @@ def increment_second_moment():
     worst_rel = 0.0
     worst_z = 0.0
     for name, spec in BOTH_SPECS:
-        p = spec.gmfbm
         for s, t in ST_PAIRS:
+            # the oracle's V(t-s) against its definition V(t) + V(s) - 2 Cov
             value = exact_increment_second_moment(spec, s, t)
-            direct = (p.a ** 2 * subordinator_moment(spec.subordinator, t - s, 2 * p.h1)
-                      + p.b ** 2 * subordinator_moment(spec.subordinator, t - s, 2 * p.h2))
+            direct = (exact_var_oracle(spec, t) + exact_var_oracle(spec, s)
+                      - 2.0 * exact_cov_oracle(spec, s, t))
             rel = abs(value - direct) / direct
             worst_rel = max(worst_rel, rel)
             _require(rel < 1e-6, f"{name} (s,t)=({s:g},{t:g}): identity rel gap {rel:.1e}")

@@ -329,6 +329,32 @@ class TestExitCodes:
         assert " at t = 100000000 is not positive" in err
         assert err.count("\n") == 1
 
+    def test_cancelled_oracle_covariance_is_numerical_failure(self, tmp_path, capsys):
+        # the same cancellation in cov-table's oracle column, which is
+        # exactly positive: it must not be printed
+        code, text = run(tmp_path, "cov-table", "--subordinator", "gamma", "--t-min", "1e6",
+                         "--t-max", "1e8", "--paths", "100")
+        err = capsys.readouterr().err
+        assert code == EXIT_NUMERICAL
+        assert text is None
+        assert err.startswith("gmfbm: numerical failure: oracle covariance ")
+        assert " at t = 100000000 is not positive" in err
+        assert err.count("\n") == 1
+
+    def test_infinite_tss_tilt_fails_instead_of_hanging(self):
+        # lam * dt**(1/alpha) overflows: double rejection would never accept a
+        # trial.  A subprocess, so that a hang fails at the timeout
+        argv = ["simulate", "--paths", "5", "--t-count", "3", "--alpha", "0.01",
+                "--lambda", "1e300"]
+        src = os.path.abspath(os.path.join(os.path.dirname(cli.__file__), os.pardir))
+        proc = subprocess.run([sys.executable, "-m", "gmfbm.cli", *argv],
+                              capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == EXIT_NUMERICAL
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("gmfbm: numerical failure: float overflow in "
+                                      "randkit.sample_tempered_stable_increment ")
+
     def test_overflow_is_numerical_failure(self, tmp_path, capsys):
         # the stderr line names the command and the innermost gmfbm function
         cases = [
@@ -384,25 +410,38 @@ class TestRuntimeImports:
 
 
 class TestBenchmarkTracer:
+    # install() patches modules globally, so each test runs its own interpreter
+    @staticmethod
+    def traced(script, *args):
+        root = os.path.join(os.path.dirname(cli.__file__), os.pardir, os.pardir)
+        setup = "import gmfbm.cli\nfrom spans import Tracer\ntracer = Tracer()\ntracer.install()\n"
+        paths = [os.path.abspath(os.path.join(root, d)) for d in ("perfbench", "src")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+        proc = subprocess.run([sys.executable, "-c", setup + script, *args],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
     def test_install_binds_every_traced_name(self):
         # the traced benchmark run wraps gmfbm functions by name; a renamed or
         # removed one must fail here, and the pair sampler every estimator
-        # runs on must be bound where process defines it.  install() patches
-        # modules globally, so it runs in its own interpreter
-        root = os.path.join(os.path.dirname(cli.__file__), os.pardir, os.pardir)
+        # runs on must be bound where process defines it
+        out = self.traced("print(' '.join(tracer.bindings))\n")
+        assert "gmfbm.process.sample_timechanged_pair" in out.split()
+
+    def test_process_samples_through_the_traced_fbm_samplers(self, tmp_path):
+        # the per-layer fbm metrics read the public samplers' spans, so the
+        # time-changed process must call them and not a private twin
         script = (
-            "import gmfbm.cli\n"
-            "from spans import Tracer\n"
-            "tracer = Tracer()\n"
-            "tracer.install()\n"
-            "print(' '.join(tracer.bindings))\n"
+            "import json, sys\n"
+            "for argv in (['cov-table', '--paths', '200'], ['simulate', '--paths', '100']):\n"
+            "    assert gmfbm.cli.main([*argv, '--out', sys.argv[1]]) == 0\n"
+            "spans = tracer.summary()['spans']\n"
+            "print(json.dumps({k: spans[k]['calls'] for k in spans if k.startswith('fbm.')}))\n"
         )
-        paths = [os.path.abspath(os.path.join(root, d)) for d in ("perfbench", "src")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                              text=True, env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert "gmfbm.process.sample_timechanged_pair" in proc.stdout.split()
+        calls = json.loads(self.traced(script, str(tmp_path / "out.csv")))
+        assert calls.get("fbm.pair", 0) > 0
+        assert calls.get("fbm.at_times", 0) > 0
 
 
 class TestSelftest:

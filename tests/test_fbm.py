@@ -15,10 +15,11 @@ from gmfbm.fbm import (
     fbm_cov,
     fbm_cov_matrix,
     fbm_values_at_times,
+    power_variance,
     sample_fbm_pair,
     sample_fgn_regular,
 )
-from gmfbm.process import GmfbmParams, sample_gmfbm_given_clock
+from gmfbm.process import GmfbmParams
 from gmfbm.randkit import derive_stream
 from gmfbm.selftest import max_entrywise_z, mean_z
 from gmfbm.subordinators import SubordinatorSpec, sample_path
@@ -45,8 +46,9 @@ class TestCov:
 
     def test_hurst_domain(self):
         for bad in (0.0, 1.0, -0.3, 2.0):
-            with pytest.raises(ValueError):
-                as_hurst(bad)
+            for validated in (as_hurst, power_variance):
+                with pytest.raises(ValueError):
+                    validated(bad)
 
     @given(s=times, t=times, h=hursts)
     @settings(max_examples=200, deadline=None)
@@ -97,25 +99,26 @@ class TestCovMatrix:
 
 class TestSampleAt:
     def test_zero_time_is_exact_zero(self):
-        vals = fbm_values_at_times(np.array([0.0, 1.0, 2.0]), 0.7,
+        vals = fbm_values_at_times(np.array([0.0, 1.0, 2.0]), power_variance(0.7),
                                    derive_stream(1, 0), size=50)
         assert np.all(vals[:, 0] == 0.0)
         assert np.all(vals[:, 1] != 0.0)
 
     def test_mc_covariance(self):
         grid = np.arange(1.0, 9.0)
-        paths = fbm_values_at_times(grid, 0.7, derive_stream(1, 1), size=50_000)
+        paths = fbm_values_at_times(grid, power_variance(0.7), derive_stream(1, 1),
+                                    size=50_000)
         assert max_entrywise_z(paths, fbm_cov_matrix(grid, 0.7)) < 3.0
 
     def test_brownian_independent_increments(self):
-        paths = fbm_values_at_times(np.array([1.0, 2.0]), 0.5,
+        paths = fbm_values_at_times(np.array([1.0, 2.0]), power_variance(0.5),
                                     derive_stream(1, 2), size=50_000)
         inc = paths[:, 1] - paths[:, 0]
         rho = np.corrcoef(inc, paths[:, 0])[0, 1]
         assert abs(rho) < 3.0 / math.sqrt(paths.shape[0])
 
     def test_duplicate_times_collapse(self):
-        vals = fbm_values_at_times(np.array([1.0, 2.0, 2.0, 3.0]), 0.6,
+        vals = fbm_values_at_times(np.array([1.0, 2.0, 2.0, 3.0]), power_variance(0.6),
                                    derive_stream(1, 3), size=20)
         np.testing.assert_array_equal(vals[:, 1], vals[:, 2])
         assert np.all(vals[:, 1] != vals[:, 3])
@@ -124,7 +127,7 @@ class TestSampleAt:
         # a step of 1e-14 has increment variance far below LAPACK's rank
         # tolerance n*u*t_last**2H: it is a numerical repeat, like an exact one
         t = np.array([1.0, 1.0 + 1e-14, 2.0, 2.0 + 1e-14, 3.0])
-        vals = fbm_values_at_times(t, 0.7, derive_stream(1, 4), size=10)
+        vals = fbm_values_at_times(t, power_variance(0.7), derive_stream(1, 4), size=10)
         assert np.all(np.isfinite(vals))
         np.testing.assert_array_equal(vals[:, 0], vals[:, 1])
         np.testing.assert_array_equal(vals[:, 2], vals[:, 3])
@@ -137,7 +140,8 @@ class TestSampleAt:
 
         monkeypatch.setattr(np.linalg, "cholesky", always_fail)
         grid = np.arange(1.0, 9.0)
-        paths = fbm_values_at_times(grid, 0.7, derive_stream(1, 5), size=50_000)
+        paths = fbm_values_at_times(grid, power_variance(0.7), derive_stream(1, 5),
+                                    size=50_000)
         assert max_entrywise_z(paths, fbm_cov_matrix(grid, 0.7)) < 3.0
 
     def test_indefinite_stack_raises(self, monkeypatch):
@@ -146,11 +150,11 @@ class TestSampleAt:
             [[1.0, 2.0, 0.0, 0.0], [2.0, 1.0, 0.0, 0.0],
              [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]))
         with pytest.raises(ConditioningError):
-            fbm_values_at_times(np.arange(1.0, 5.0), 0.7, derive_stream(1, 5))
+            fbm_values_at_times(np.arange(1.0, 5.0), power_variance(0.7), derive_stream(1, 5))
 
     def test_nondecreasing_required(self):
         with pytest.raises(ValueError):
-            fbm_values_at_times(np.array([2.0, 1.0]), 0.5, derive_stream(1, 6))
+            fbm_values_at_times(np.array([2.0, 1.0]), power_variance(0.5), derive_stream(1, 6))
 
     def test_nan_times_raise(self):
         # NaN and infinite times both fail
@@ -160,13 +164,14 @@ class TestSampleAt:
                 lambda: fbm_cov(1.0, bad, 0.7),
                 lambda: fbm_cov_matrix(np.array([1.0, bad, 3.0]), 0.7),
                 lambda: fbm_cov_matrix(np.array([1.0, bad]), 0.7),
-                lambda: fbm_values_at_times(np.array([1.0, bad, 3.0]), 0.7,
+                lambda: fbm_values_at_times(np.array([1.0, bad, 3.0]), power_variance(0.7),
                                             derive_stream(1, 8)),
-                lambda: fbm_values_at_times(np.array([1.0, bad]), 0.7,
+                lambda: fbm_values_at_times(np.array([1.0, bad]), power_variance(0.7),
                                             derive_stream(1, 8)),
-                lambda: sample_fbm_pair(np.array([bad, 1.0]), np.array([2.0, 2.0]), 0.7,
+                lambda: sample_fbm_pair(np.array([bad, 1.0]), np.array([2.0, 2.0]),
+                                        power_variance(0.7),
                                         derive_stream(1, 8)),
-                lambda: sample_fbm_pair(1.0, bad, 0.7, derive_stream(1, 8)),
+                lambda: sample_fbm_pair(1.0, bad, power_variance(0.7), derive_stream(1, 8)),
                 lambda: sample_path(SubordinatorSpec.tss(0.7, 1.0),
                                     np.array([1.0, bad, 3.0]), derive_stream(1, 8)),
             ]
@@ -184,8 +189,8 @@ class TestStackedRows:
                       [0.4, 1.0, 2.0, 3.0, 4.0]])
         # the mixed process with unequal weights runs on the same sampler
         mixed = GmfbmParams(2.0, 1.0, 0.8, 0.3)
-        for vals in (fbm_values_at_times(t, 0.65, derive_stream(4, 0)),
-                     sample_gmfbm_given_clock(mixed, t, derive_stream(4, 0))):
+        for vals in (fbm_values_at_times(t, power_variance(0.65), derive_stream(4, 0)),
+                     fbm_values_at_times(t, mixed.increment_variance, derive_stream(4, 0))):
             assert vals.shape == t.shape
             assert np.all(vals[:2, 0] == 0.0) and vals[0, 1] == 0.0
             assert vals[0, 2] == vals[0, 3] != 0.0
@@ -197,14 +202,14 @@ class TestStackedRows:
                  np.array([1.0, 2.2, 2.3, 5.0, 7.0, 8.0])]
         n = 30_000
         t = np.tile(np.stack(grids), (n, 1))  # rows alternate between grids
-        vals = fbm_values_at_times(t, 0.7, derive_stream(4, 1))
+        vals = fbm_values_at_times(t, power_variance(0.7), derive_stream(4, 1))
         for k, grid in enumerate(grids):
             assert max_entrywise_z(vals[k::2], fbm_cov_matrix(grid, 0.7)) < 3.0
 
     def test_near_duplicate_rows_collapse(self):
         t = np.array([[1.0, 1.0 + 1e-14, 2.0, 2.0 + 1e-14, 3.0],
                       [0.5, 1.0, 2.0, 3.0, 4.0]])
-        vals = fbm_values_at_times(t, 0.7, derive_stream(4, 2), size=10)
+        vals = fbm_values_at_times(t, power_variance(0.7), derive_stream(4, 2), size=10)
         assert vals.shape == (10, 2, 5)
         assert np.all(np.isfinite(vals))
         np.testing.assert_array_equal(vals[:, 0, 0], vals[:, 0, 1])
@@ -230,7 +235,7 @@ class TestStackedRows:
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         monkeypatch.setattr(fbm, "_factor", recording_factor)
-        vals = fbm_values_at_times(clock, 0.99, derive_stream(99, 18))
+        vals = fbm_values_at_times(clock, power_variance(0.99), derive_stream(99, 18))
         assert np.all(np.isfinite(vals))
         assert len(factored) == 1 and len(roots) == 1
         cov, chol = factored[0], roots[0]
@@ -240,37 +245,37 @@ class TestStackedRows:
 
 class TestPair:
     def test_degenerate_equal_times(self):
-        b_u, b_v = sample_fbm_pair(1.5, 1.5, 0.6, derive_stream(2, 0))
+        b_u, b_v = sample_fbm_pair(1.5, 1.5, power_variance(0.6), derive_stream(2, 0))
         assert b_u == b_v
 
     def test_zero_first_time(self):
-        b_u, b_v = sample_fbm_pair(0.0, 2.0, 0.75, derive_stream(2, 1))
+        b_u, b_v = sample_fbm_pair(0.0, 2.0, power_variance(0.75), derive_stream(2, 1))
         assert b_u == 0.0
         assert b_v != 0.0
 
     def test_mc_covariance(self):
         n = 100_000
-        b_u, b_v = sample_fbm_pair(1.0, 2.0, 0.75, derive_stream(2, 2), size=n)
+        b_u, b_v = sample_fbm_pair(1.0, 2.0, power_variance(0.75), derive_stream(2, 2), size=n)
         prod = b_u * b_v
         assert mean_z(prod, math.sqrt(2.0)) < 3.0
 
     def test_marginal_variances(self):
         n = 100_000
-        b_u, b_v = sample_fbm_pair(1.0, 3.0, 0.6, derive_stream(2, 3), size=n)
+        b_u, b_v = sample_fbm_pair(1.0, 3.0, power_variance(0.6), derive_stream(2, 3), size=n)
         for draws, target in ((b_u, 1.0), (b_v, 3.0 ** 1.2)):
             sq = draws ** 2
             assert mean_z(sq, target) < 3.0
 
     def test_argument_order(self):
         with pytest.raises(ValueError):
-            sample_fbm_pair(2.0, 1.0, 0.5, derive_stream(2, 4))
+            sample_fbm_pair(2.0, 1.0, power_variance(0.5), derive_stream(2, 4))
         with pytest.raises(ValueError):
-            sample_fbm_pair(-1.0, 1.0, 0.5, derive_stream(2, 4))
+            sample_fbm_pair(-1.0, 1.0, power_variance(0.5), derive_stream(2, 4))
 
     def test_vector_arguments(self):
         u = np.array([0.5, 1.0, 0.0])
         v = np.array([1.0, 1.0, 2.0])
-        b_u, b_v = sample_fbm_pair(u, v, 0.7, derive_stream(2, 5))
+        b_u, b_v = sample_fbm_pair(u, v, power_variance(0.7), derive_stream(2, 5))
         assert b_u.shape == (3,)
         assert b_u[1] == b_v[1]
         assert b_u[2] == 0.0

@@ -9,14 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from gmfbm.fbm import fbm_cov_matrix, fbm_values_at_times
+from gmfbm.fbm import fbm_cov_matrix, fbm_values_at_times, power_variance
 from gmfbm.process import (
     GmfbmParams,
     TimeChangedSpec,
     exact_cov_oracle,
     exact_increment_second_moment,
     exact_var_oracle,
-    sample_gmfbm_given_clock,
     sample_timechanged_pair,
     sample_timechanged_path,
     sample_timechanged_path_with_clock,
@@ -60,7 +59,7 @@ class TestSampling:
     def test_mc_covariance_matches_analytic(self):
         grid = np.arange(1.0, 9.0)
         n = 50_000
-        paths = sample_gmfbm_given_clock(MIX, grid, derive_stream(21, 0), size=n)
+        paths = fbm_values_at_times(grid, MIX.increment_variance, derive_stream(21, 0), size=n)
         cov = (MIX.a ** 2 * fbm_cov_matrix(grid, MIX.h1)
                + MIX.b ** 2 * fbm_cov_matrix(grid, MIX.h2))
         assert max_entrywise_z(paths, cov) < 3.0
@@ -68,17 +67,18 @@ class TestSampling:
     def test_single_component_matches_fbm_marginal(self):
         grid = np.array([2.0])
         p = GmfbmParams(1.0, 0.0, 0.6, 0.8)
-        mixed = sample_gmfbm_given_clock(p, grid, derive_stream(21, 1),
-                                         size=20_000)[:, 0]
-        plain = fbm_values_at_times(grid, 0.6, derive_stream(21, 2), size=20_000)[:, 0]
+        mixed = fbm_values_at_times(grid, p.increment_variance, derive_stream(21, 1),
+                                    size=20_000)[:, 0]
+        plain = fbm_values_at_times(grid, power_variance(0.6), derive_stream(21, 2),
+                                    size=20_000)[:, 0]
         assert stats.ks_2samp(mixed, plain).pvalue > 0.01
 
     def test_marginal_variance(self):
         t = 3.0
         n = 50_000
         p = GmfbmParams(1.0, 2.0, 0.55, 0.8)
-        vals = sample_gmfbm_given_clock(p, np.array([t]), derive_stream(21, 3),
-                                        size=n)[:, 0]
+        vals = fbm_values_at_times(np.array([t]), p.increment_variance, derive_stream(21, 3),
+                                   size=n)[:, 0]
         target = t ** 1.1 + 4.0 * t ** 1.6
         sq = vals ** 2
         assert mean_z(sq, target) < 3.0
@@ -94,14 +94,15 @@ class TestSampling:
 
         monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
         clock = np.cumsum(np.full((64, 5), 0.5), axis=1)
-        sample_gmfbm_given_clock(UNEQUAL, clock, derive_stream(21, 5))
+        fbm_values_at_times(clock, UNEQUAL.increment_variance, derive_stream(21, 5))
         assert calls == [(64, 5, 5)]
 
     def test_invalid_clock_rejected(self):
         # a negative or decreasing clock fails before any value is drawn
         for clock in ([-1.0, 1.0], [2.0, 1.0], [[1.0, 2.0], [1.0, 0.5]]):
             with pytest.raises(ValueError):
-                sample_gmfbm_given_clock(MIX, np.array(clock), derive_stream(21, 4))
+                fbm_values_at_times(np.array(clock), MIX.increment_variance,
+                                    derive_stream(21, 4))
 
 
 class TestTimeChangedPair:
@@ -181,15 +182,23 @@ class TestTimeChangedPath:
 
     @pytest.mark.parametrize("spec,sid", [(TSS_SPEC, 1), (GAMMA_SPEC, 2)])
     def test_marginal_variance_matches_oracle(self, spec, sid):
+        # paths in blocks, each from its own stream key
         t = 4.0
         n = 10_000
         grid = np.array([t])
-        vals = np.array([
-            sample_timechanged_path(spec, grid, derive_stream(23, 100 + sid * n + i))[0]
-            for i in range(n)
-        ])
+        vals = np.empty(n)
+        for stream, lo, hi in path_blocks(2300 + sid, n):
+            vals[lo:hi] = sample_timechanged_path(spec, grid, stream, size=hi - lo)[:, 0]
         sq = vals ** 2
         assert mean_z(sq, exact_var_oracle(spec, t)) < 3.0
+
+    @pytest.mark.parametrize("spec", [TSS_SPEC, GAMMA_SPEC])
+    def test_single_path_is_row_zero_of_a_block(self, spec):
+        # size=None runs the block code on one path: the same numbers exactly
+        grid = np.array([0.0, 1.0, 2.0, 4.0])
+        one = sample_timechanged_path(spec, grid, derive_stream(23, 3))
+        block = sample_timechanged_path(spec, grid, derive_stream(23, 3), size=1)
+        np.testing.assert_array_equal(one, block[0])
 
     @pytest.mark.parametrize("spec,sid", [(TSS_SPEC, 5), (GAMMA_SPEC, 6)])
     def test_block_marginal_variance_matches_oracle(self, spec, sid):
