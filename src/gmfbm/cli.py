@@ -201,16 +201,21 @@ def _cells(keys) -> list[str]:
 
 
 def _csv_chunks(names: list[str], inner: list, blocks):
-    # each distinct key is formatted once; one % on a block's row template
-    # fills every value cell of the block
-    values_tail = ",%.17g" * (len(names) - 1 - len(inner)) + "\n"
-    row_tails = ["".join("," + cell for cell in key) + values_tail
-                 for key in itertools.product(*map(_cells, inner))]
+    # each distinct key is formatted once; csvcells writes the value cells
+    # and lays out the rows, a slice of outer keys at a time
+    from gmfbm import csvcells
+
+    n_values = len(names) - 1 - len(inner)
+    tails = csvcells.padded(["".join("," + cell for cell in key) + ","
+                             for key in itertools.product(*map(_cells, inner))])
+    step = max(1, csvcells.SLICE_CELLS // (len(tails) * n_values))
     head = ",".join(names) + "\n"
     for outer, values in blocks:
-        template = "".join([key + tail for key in _cells(outer) for tail in row_tails])
-        yield head + template % tuple(np.ravel(values).tolist())
-        head = ""
+        keys = csvcells.padded(_cells(outer))
+        values = np.reshape(np.asarray(values, dtype=float), (len(keys), len(tails), n_values))
+        for lo in range(0, len(keys), step):
+            yield head + csvcells.csv_rows(keys[lo:lo + step], tails, values[lo:lo + step])
+            head = ""
 
 
 def _emit(config: RunConfig, names: list[str], inner: list, blocks, summary: dict) -> None:
@@ -233,13 +238,14 @@ def _emit(config: RunConfig, names: list[str], inner: list, blocks, summary: dic
         chunks = iter([json.dumps({"config": config.to_dict(), "columns": names,
                                    "rows": rows, "summary": summary}, indent=2) + "\n"])
     # the first block is ready before anything is opened, so a run that
-    # fails there leaves no output behind
+    # fails there leaves no output behind; each chunk is dropped once it is
+    # written (writelines too), before the next one is made
     first = next(chunks)
     with (contextlib.nullcontext(sys.stdout) if config["out"] == "-"
           else open(config["out"], "w")) as fh:
         fh.write(first)
-        for chunk in chunks:
-            fh.write(chunk)
+        del first
+        fh.writelines(chunks)
 
 
 def _info(message: str) -> None:

@@ -128,8 +128,8 @@ class TestOutputContract:
 
     @pytest.mark.parametrize("command", list(ARGS))
     def test_csv_json_same_numbers(self, tmp_path, command):
-        # one set of columns feeds both writers: the CSV cells and the JSON
-        # rows hold the same numbers, and only simulate's path is an integer
+        # one set of columns feeds both writers: each CSV cell is the %.17g
+        # (or, for simulate's path, the %d) of its JSON number
         _, csv_text = run(tmp_path, *self.ARGS[command], name="c")
         code, json_text = run(tmp_path, *self.ARGS[command], fmt="json", name="j")
         assert code == EXIT_OK
@@ -144,7 +144,7 @@ class TestOutputContract:
                 if name == "path":
                     assert type(x) is int and cell == "%d" % x
                 else:
-                    assert type(x) is float and float(cell) == x
+                    assert type(x) is float and cell == "%.17g" % x
 
 
 class TestLrd:
@@ -407,6 +407,14 @@ class TestRuntimeImports:
         runs = [["lrd", "--paths", "100"], ["simulate", "--paths", "100"]]
         modules = ["logging", "configparser", "concurrent.futures"]
         assert self.loaded_after(tmp_path, runs, modules) == "[]"
+
+    def test_only_csv_output_loads_the_cell_formatter(self, tmp_path):
+        json_runs = [["lrd", "--paths", "100", "--format", "json"],
+                     ["simulate", "--paths", "100", "--format", "json"]]
+        modules = ["gmfbm.csvcells"]
+        assert self.loaded_after(tmp_path, json_runs, modules) == "[]"
+        csv_runs = [["simulate", "--paths", "100"]]
+        assert self.loaded_after(tmp_path, csv_runs, modules) == "['gmfbm.csvcells']"
 
 
 class TestBenchmarkTracer:
