@@ -13,7 +13,6 @@ from gmfbm.randkit import (
 )
 from gmfbm.fbm import (
     ConditioningError,
-    fbm_cov,
     fbm_cov_matrix,
     power_variance,
     sample_fbm_pair,

@@ -49,7 +49,10 @@ LRD_SLOPE_TOLERANCE = 0.05
 
 
 def _moment_orders(text: str) -> tuple[float, ...]:
-    return tuple(float(q) for q in text.split(",") if q.strip())
+    orders = tuple(float(q) for q in text.split(",") if q.strip())
+    if not orders:
+        raise ValueError(f"no moment order in {text!r}")
+    return orders
 
 
 # One row per run parameter: key -> (type, default, help, choices).  Each
@@ -218,25 +221,38 @@ def _csv_chunks(names: list[str], inner: list, blocks):
             head = ""
 
 
+def _json_chunks(config: RunConfig, names: list[str], inner: list, blocks, summary: dict):
+    # the indent=2 document, a block of rows at a time: the envelope is
+    # dumped with no rows and split where they go.  Each block's rows pass
+    # through json's C encoder (no indent) and are then laid out one number
+    # per line; row cells are numbers, so ", " and "], [" only separate
+    head, tail = json.dumps({"config": config.to_dict(), "columns": names, "rows": [],
+                             "summary": summary}, indent=2).split('"rows": []', 1)
+    inner_keys = [np.asarray(axis).tolist() for axis in inner]
+    lead = head + '"rows": [\n'
+    for outer, values in blocks:
+        keys = itertools.product(np.asarray(outer).tolist(), *inner_keys)
+        cells = np.reshape(values, (-1, len(names) - 1 - len(inner))).tolist()
+        text = json.dumps([[*key, *cell] for key, cell in zip(keys, cells)])[2:-2]
+        if text:
+            yield (lead + "    [\n      " + text.replace("], [", "\n    ],\n    [\n      ")
+                   .replace(", ", ",\n      ") + "\n    ]")
+            lead = ",\n"
+    # with no row at all, the envelope stays as it was dumped
+    yield ("\n  ]" if lead == ",\n" else head + '"rows": []') + tail + "\n"
+
+
 def _emit(config: RunConfig, names: list[str], inner: list, blocks, summary: dict) -> None:
-    """Write one table to --out, as CSV or JSON.
+    """Write one table to --out, as CSV or JSON, a block at a time.
 
     A row is its key cells, then its value cells.  ``blocks`` yields
     (outer, values): the rows keyed by outer x inner[0] x inner[1] ...,
-    outer slowest, with their value cells in ``values`` in C order.  CSV
-    is written a block at a time; JSON is one document of every row.
+    outer slowest, with their value cells in ``values`` in C order.
     """
     if config["format"] == "csv":
         chunks = _csv_chunks(names, inner, blocks)
     else:
-        inner_keys = [np.asarray(axis).tolist() for axis in inner]
-        rows = []
-        for outer, values in blocks:
-            keys = itertools.product(np.asarray(outer).tolist(), *inner_keys)
-            cells = np.reshape(values, (-1, len(names) - 1 - len(inner))).tolist()
-            rows += [[*key, *cell] for key, cell in zip(keys, cells)]
-        chunks = iter([json.dumps({"config": config.to_dict(), "columns": names,
-                                   "rows": rows, "summary": summary}, indent=2) + "\n"])
+        chunks = _json_chunks(config, names, inner, blocks, summary)
     # the first block is ready before anything is opened, so a run that
     # fails there leaves no output behind; each chunk is dropped once it is
     # written (writelines too), before the next one is made
@@ -262,7 +278,7 @@ def cmd_simulate(config: RunConfig) -> int:
     grid = config.t_grid()
 
     def blocks():
-        # the CSV writer writes each block before the next one is sampled
+        # each block is written before the next one is sampled
         for stream, lo, hi in path_blocks(config["seed"], config["paths"]):
             clock, values = sample_timechanged_path_with_clock(
                 config.spec, grid, stream, size=hi - lo)

@@ -41,15 +41,6 @@ def _finite_nonnegative(times) -> bool:
     return bool(np.all((times >= 0.0) & (times < np.inf)))
 
 
-def fbm_cov(s: float, t: float, h) -> float:
-    """Covariance E[B_s B_t] = (s**2H + t**2H - |t-s|**2H)/2."""
-    hh = as_hurst(h)
-    if not (_finite_nonnegative(s) and _finite_nonnegative(t)):
-        raise ValueError("times must be finite and nonnegative")
-    two_h = 2.0 * hh
-    return 0.5 * (s ** two_h + t ** two_h - abs(t - s) ** two_h)
-
-
 def fbm_cov_matrix(times, h) -> np.ndarray:
     """Covariance matrix of B^H at the finite nonnegative 1-d ``times``; symmetric
     positive semidefinite (singular where a time repeats or is 0)."""

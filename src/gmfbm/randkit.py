@@ -129,21 +129,11 @@ def sample_gamma(stream: RngStream, shape: float, size=None):
 
 
 def _stable_unit(gen: np.random.Generator, alpha: float, n: int) -> np.ndarray:
-    # Kanter's representation (Ann. Probab. 1975) of the positive
-    # alpha-stable law with Laplace transform exp(-u**alpha), the proposal
-    # of the thinning sampler below:
-    #   S = sin(alpha V) sin((1-alpha) V)**((1-alpha)/alpha)
-    #       / (sin(V)**(1/alpha) * E**((1-alpha)/alpha))
-    # with V ~ Uniform(0, pi), E ~ Exp(1).
-    v = gen.random(n)
-    # exact zeros (probability 2**-53 per draw) would hit sin(0)/0
-    v[v == 0.0] = 2.0 ** -53
-    v *= math.pi
-    e = gen.standard_exponential(n)
-    frac = (1.0 - alpha) / alpha
-    return (np.sin(alpha * v)
-            * np.sin((1.0 - alpha) * v) ** frac
-            / (np.sin(v) ** (1.0 / alpha) * e ** frac))
+    # Kanter's (Ann. Probab. 1975) positive alpha-stable law with Laplace
+    # transform exp(-u**alpha), the thinning sampler's proposal: S = (A(V) /
+    # E**(1-alpha))**(1/alpha), V ~ Uniform(0, pi), E ~ Exp(1), A = C / B.
+    log_a = _zolotarev_log_c(alpha) - _zolotarev_log_b(gen.random(n) * math.pi, alpha)
+    return np.exp((log_a - (1.0 - alpha) * np.log(gen.standard_exponential(n))) / alpha)
 
 
 def _accept_in_trial_order(trials, n: int, k: int) -> np.ndarray:
@@ -179,13 +169,17 @@ def _tempered_by_thinning(gen: np.random.Generator, alpha: float, lam: float,
     return _accept_in_trial_order(trials, m, k).reshape(n, n_sub).sum(axis=1)
 
 
+def _zolotarev_log_c(alpha: float) -> float:
+    return math.log(alpha ** alpha * (1.0 - alpha) ** (1.0 - alpha))
+
+
 def _zolotarev_log_b(u: np.ndarray, alpha: float) -> np.ndarray:
     # log of Zolotarev's B(u) = sinc(u) / (sinc(alpha u)**alpha
     # sinc((1-alpha) u)**(1-alpha)) on [0, pi), from three sines: the sinc
     # denominators collapse to the constant C = alpha**alpha
     # (1-alpha)**(1-alpha), and A(u) = C / B(u).  B(0) = 1 exactly.
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_b = (math.log(alpha ** alpha * (1.0 - alpha) ** (1.0 - alpha))
+        log_b = (_zolotarev_log_c(alpha)
                  + np.log(np.sin(u)) - alpha * np.log(np.sin(alpha * u))
                  - (1.0 - alpha) * np.log(np.sin((1.0 - alpha) * u)))
     log_b[u == 0.0] = 0.0
@@ -202,7 +196,7 @@ def _tilted_stable_double_rejection(gen: np.random.Generator, alpha: float,
     # outer acceptance ratio is kept in log space; with lam**alpha in the
     # thousands it overflows otherwise.  Every power is an exp of one log.
     b = (1.0 - alpha) / alpha
-    log_c = math.log(alpha ** alpha * (1.0 - alpha) ** (1.0 - alpha))
+    log_c = _zolotarev_log_c(alpha)
     log_b_lam = math.log(b) + math.log(lam)
     lam_alpha = lam ** alpha
     gam = lam_alpha * alpha * (1.0 - alpha)

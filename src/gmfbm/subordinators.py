@@ -264,9 +264,11 @@ def _tss_fractional_moment(params: TssParams, ts: np.ndarray, q: float,
     for t, t_scale, t_m1 in zip(ts.tolist(), scale.tolist(), m1.tolist()):
         # the integrand ends where phi has decayed to exp(-120); decay scale
         # of psi is ~1/m1 and its curvature scale is lam.  log u_cut is
-        # formed without u_cut itself, which overflows for alpha near 0
+        # formed without u_cut itself, which overflows for alpha near 0;
+        # below reach 1e-8, exp(-reach) rounds toward 1 and expm1 is exact
         reach = math.log1p(120.0 / t_scale) / alpha
-        s_cut = log_lam + reach + math.log1p(-math.exp(-reach))
+        s_cut = log_lam + (reach + math.log1p(-math.exp(-reach)) if reach > 1e-8
+                           else math.log(math.expm1(reach)))
         s0.append(math.log(min(1.0 / t_m1, lam)))
         panels.append(math.ceil(_PANELS_PER_DECADE * (s_cut - s0[-1]) / math.log(10.0)))
         if panels[-1] > _MAX_PANELS:

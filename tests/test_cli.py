@@ -146,6 +146,27 @@ class TestOutputContract:
                 else:
                     assert type(x) is float and cell == "%.17g" % x
 
+    @pytest.mark.parametrize("clock", ["tss", "gamma"])
+    @pytest.mark.parametrize("command", [*ARGS, "simulate-2-blocks"])
+    def test_json_is_the_indented_document(self, tmp_path, command, clock):
+        # the block writer's bytes are those of one json.dumps(indent=2)
+        args = (("simulate", "--paths", str(BLOCK_PATHS + 3), "--t-count", "3")
+                if command == "simulate-2-blocks" else self.ARGS[command])
+        code, text = run(tmp_path, *args, "--subordinator", clock, fmt="json")
+        assert code in (EXIT_OK, EXIT_STATISTICAL)
+        assert json.loads(text)["rows"]
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+    def test_out_path_cannot_move_the_rows_split(self, tmp_path):
+        out = tmp_path / 'a "rows": [] b.json'
+        code = main([*TestCovTable.ARGS, "--format", "json", "--out", str(out)])
+        assert code == EXIT_OK
+        text = out.read_text()
+        payload = json.loads(text)
+        assert payload["config"]["out"] == str(out)
+        assert len(payload["rows"]) == 5
+        assert text == json.dumps(payload, indent=2) + "\n"
+
 
 class TestLrd:
     def test_acceptance_parameters_pass(self, tmp_path, capsys):
@@ -295,6 +316,28 @@ class TestExitCodes:
         assert "seed must be a nonnegative 64-bit integer" in capsys.readouterr().err
         code, _ = run(tmp_path, *args, "--seed", str(2**64 - 1))
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_empty_moment_order_list(self, tmp_path, capsys, fmt):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("q = ,,\n")
+        for args in (("--q", ",,"), ("--config", str(cfg))):
+            code, text = run(tmp_path, "moments", *args, fmt=fmt)
+            err = capsys.readouterr().err
+            assert code == EXIT_USAGE
+            assert text is None
+            assert "Traceback" not in err
+            assert "moment" in err
+
+    def test_far_tss_moment_is_numerical_failure(self, tmp_path, capsys):
+        # t = 1e250: the cut-off of the quadrature is finite, the integrand
+        # overflows, and the quadrature reports it (exit 4, never 1)
+        args = ("moments", "--subordinator", "tss", "--t-min", "1e249",
+                "--t-max", "1e250", "--t-count", "2")
+        code, text = run(tmp_path, *args)
+        assert code == EXIT_NUMERICAL
+        assert text is None
+        assert capsys.readouterr().err.startswith("gmfbm: numerical failure: ")
 
     def test_io_error(self):
         code = main(["moments", "--t-min", "1", "--t-max", "10", "--t-count", "2",

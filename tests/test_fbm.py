@@ -12,7 +12,6 @@ from gmfbm import fbm
 from gmfbm.fbm import (
     ConditioningError,
     as_hurst,
-    fbm_cov,
     fbm_cov_matrix,
     fbm_values_at_times,
     power_variance,
@@ -28,21 +27,26 @@ hursts = st.floats(0.05, 0.95)
 times = st.floats(0.0, 50.0)
 
 
+def cov(s, t, h):
+    # E[B_s B_t] from the covariance matrix on the two-point grid (s, t)
+    return fbm_cov_matrix(np.array([s, t]), h)[0, 1]
+
+
 class TestCov:
     def test_diagonal(self):
         for t, h in [(2.0, 0.3), (5.0, 0.75)]:
-            assert fbm_cov(t, t, h) == pytest.approx(t ** (2 * h), rel=1e-14)
+            assert cov(t, t, h) == pytest.approx(t ** (2 * h), rel=1e-14)
 
     def test_brownian_min(self):
-        assert fbm_cov(1.0, 2.0, 0.5) == pytest.approx(1.0)
-        assert fbm_cov(3.0, 2.0, 0.5) == pytest.approx(2.0)
+        assert cov(1.0, 2.0, 0.5) == pytest.approx(1.0)
+        assert cov(3.0, 2.0, 0.5) == pytest.approx(2.0)
 
     def test_h075_value(self):
-        assert fbm_cov(1.0, 2.0, 0.75) == pytest.approx(math.sqrt(2.0), rel=1e-12)
+        assert cov(1.0, 2.0, 0.75) == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            fbm_cov(-1.0, 2.0, 0.5)
+            cov(-1.0, 2.0, 0.5)
 
     def test_hurst_domain(self):
         for bad in (0.0, 1.0, -0.3, 2.0):
@@ -53,7 +57,12 @@ class TestCov:
     @given(s=times, t=times, h=hursts)
     @settings(max_examples=200, deadline=None)
     def test_symmetry(self, s, t, h):
-        assert fbm_cov(s, t, h) == fbm_cov(t, s, h)
+        # the grid (t, s) gives the matrix of (s, t) with its points swapped,
+        # exactly; each matrix is symmetric up to the rounding of its sums
+        mat = fbm_cov_matrix(np.array([s, t]), h)
+        np.testing.assert_array_equal(fbm_cov_matrix(np.array([t, s]), h)[::-1, ::-1], mat)
+        np.testing.assert_allclose(mat, mat.T, rtol=0.0,
+                                   atol=4.0 * np.finfo(float).eps * mat.diagonal().max())
 
     # c is a power of two so that c*s and c*t are exact; otherwise their
     # rounding, amplified by |c*t - c*s|**(2h), swamps the tolerance
@@ -61,9 +70,9 @@ class TestCov:
            c=st.integers(-3, 3).map(lambda k: 2.0 ** k), h=hursts)
     @settings(max_examples=200, deadline=None)
     def test_self_similarity(self, s, t, c, h):
-        left = fbm_cov(c * s, c * t, h)
-        right = c ** (2 * h) * fbm_cov(s, t, h)
-        assert left == pytest.approx(right, rel=1e-10, abs=1e-12)
+        left = fbm_cov_matrix(c * np.array([s, t]), h)
+        right = c ** (2 * h) * fbm_cov_matrix(np.array([s, t]), h)
+        np.testing.assert_allclose(left, right, rtol=1e-10, atol=1e-12)
 
 
 class TestCovMatrix:
@@ -160,10 +169,9 @@ class TestSampleAt:
         # NaN and infinite times both fail
         for bad in (float("nan"), float("inf")):
             calls = [
-                lambda: fbm_cov(bad, 1.0, 0.7),
-                lambda: fbm_cov(1.0, bad, 0.7),
+                lambda: cov(bad, 1.0, 0.7),
+                lambda: cov(1.0, bad, 0.7),
                 lambda: fbm_cov_matrix(np.array([1.0, bad, 3.0]), 0.7),
-                lambda: fbm_cov_matrix(np.array([1.0, bad]), 0.7),
                 lambda: fbm_values_at_times(np.array([1.0, bad, 3.0]), power_variance(0.7),
                                             derive_stream(1, 8)),
                 lambda: fbm_values_at_times(np.array([1.0, bad]), power_variance(0.7),

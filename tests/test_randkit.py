@@ -156,6 +156,39 @@ class TestStable:
         draws = _stable_unit(derive_stream(31, 3).gen, 0.4, N_MED)
         assert np.all(draws > 0.0)
 
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.7, 0.95])
+    def test_matches_kanter_sine_powers(self, alpha):
+        # Kanter's formula as he wrote it, from the same angle and
+        # exponential draws: S = sin(alpha V) sin((1-alpha) V)**((1-alpha)/alpha)
+        # / (sin(V)**(1/alpha) E**((1-alpha)/alpha)), V ~ Uniform(0, pi)
+        gen = derive_stream(37, 1).gen
+        v = math.pi * gen.random(N_MED)
+        e = gen.standard_exponential(N_MED)
+        frac = (1.0 - alpha) / alpha
+        kanter = (np.sin(alpha * v) * np.sin((1.0 - alpha) * v) ** frac
+                  / (np.sin(v) ** (1.0 / alpha) * e ** frac))
+        draws = _stable_unit(derive_stream(37, 1).gen, alpha, N_MED)
+        np.testing.assert_allclose(draws, kanter, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95])
+    def test_zero_angle_is_the_finite_limit(self, alpha):
+        # at V = 0, A(0) = C = alpha**alpha (1-alpha)**(1-alpha) exactly
+        e = np.array([0.25, 1.0, 3.0])
+
+        class ZeroAngle:
+            def random(self, n):
+                return np.zeros(n)
+
+            def standard_exponential(self, n):
+                return e[:n].copy()
+
+        c = alpha ** alpha * (1.0 - alpha) ** (1.0 - alpha)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = _stable_unit(ZeroAngle(), alpha, e.size)
+        np.testing.assert_allclose(draws, c ** (1.0 / alpha) * e ** (-(1.0 - alpha) / alpha),
+                                   rtol=1e-13, atol=0.0)
+
 
 class TestTemperedStable:
     def test_mean_and_variance(self):

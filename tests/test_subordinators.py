@@ -627,6 +627,16 @@ class TestTssMoments:
         ratio = tss_moment(spec.params, 1e4, 1.4) / subordinator_moment_asymptotic(spec, 1e4, 1.4)
         assert abs(ratio - 1.0) < 0.02
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.7])
+    @pytest.mark.parametrize("t", [1e19, 1e100])
+    def test_asymptotic_ratio_far_out(self, alpha, t):
+        # t lam**alpha far above 1e10/alpha: exp(-reach) of the cut-off rounds
+        # to 1, and the cut-off is formed from expm1 instead
+        spec = SubordinatorSpec.tss(alpha, 1.0)
+        for q in (0.6, 1.6):
+            ratio = tss_moment(spec.params, t, q) / subordinator_moment_asymptotic(spec, t, q)
+            assert ratio == pytest.approx(1.0, abs=1e-12)
+
     def test_asymptotic_value(self):
         assert subordinator_moment_asymptotic(SubordinatorSpec.tss(0.7, 1.0), 10.0, 1.0) == \
             pytest.approx(7.0, rel=1e-14)
