@@ -33,6 +33,7 @@ from gmfbm.process import (
     CancellationError,
     GmfbmParams,
     TimeChangedSpec,
+    corr_curve_oracle,
     exact_cov_oracle,
     exact_increment_second_moment,
     exact_var_oracle,
@@ -50,7 +51,6 @@ from gmfbm.mclab import (
     DecayFit,
     LrdReport,
     MomentEstimate,
-    corr_curve_oracle,
     estimate_corr,
     estimate_cov,
     estimate_cov_curve,

@@ -25,6 +25,7 @@ import numpy as np
 from gmfbm import mclab, theory
 from gmfbm.fbm import ConditioningError
 from gmfbm.process import (
+    CancellationError,
     GmfbmParams,
     TimeChangedSpec,
     exact_cov_oracle,
@@ -49,9 +50,14 @@ LRD_SLOPE_TOLERANCE = 0.05
 
 
 def _moment_orders(text: str) -> tuple[float, ...]:
-    orders = tuple(float(q) for q in text.split(",") if q.strip())
+    # argparse prints an ArgumentTypeError's text as given; any other error
+    # it reports under the name of this function
+    try:
+        orders = tuple(float(q) for q in text.split(",") if q.strip())
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     if not orders:
-        raise ValueError(f"no moment order in {text!r}")
+        raise argparse.ArgumentTypeError(f"no moment order in {text!r}")
     return orders
 
 
@@ -166,7 +172,7 @@ def _make_config(args: argparse.Namespace, min_count: int, above_s: bool) -> Run
         if value is None and key in file_values:
             try:
                 value = kind(file_values[key])
-            except ValueError as exc:
+            except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise ConfigError(f"bad value for {key}: {exc}") from exc
             if choices and value not in choices:
                 raise ConfigError(f"unknown {key} {value!r}")
@@ -389,7 +395,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"gmfbm: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (QuadratureError, ConditioningError, mclab.CancellationError) as exc:
+    except (QuadratureError, ConditioningError, CancellationError) as exc:
         print(f"gmfbm: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OverflowError as exc:

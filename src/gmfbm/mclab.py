@@ -26,13 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from gmfbm import theory
-from gmfbm.process import (
-    CancellationError,
-    TimeChangedSpec,
-    _cov_terms,
-    _require_positive,
-    sample_timechanged_pair,
-)
+from gmfbm.process import TimeChangedSpec, corr_curve_oracle, sample_timechanged_pair
 from gmfbm.randkit import path_blocks
 from gmfbm.theory import DecayPrediction
 
@@ -181,22 +175,6 @@ def estimate_increment_sm(spec: TimeChangedSpec, s: float, t: float, n_paths: in
     sq = (yt[0] - ys[0]) ** 2
     return MomentEstimate(float(sq.mean()),
                           float(sq.std(ddof=1) / math.sqrt(n_paths)), n_paths)
-
-
-def corr_curve_oracle(spec: TimeChangedSpec, s: float, t_grid) -> list[tuple[float, float]]:
-    """Noise-free correlation curve Corr(Y_s, Y_t) from one exact_var_oracle
-    call over the distinct times of {s}, t_grid and t_grid - s.
-
-    The exact correlation is positive for 0 < s < t; a value <= 0 or NaN
-    raises ``CancellationError`` naming the first such grid time.
-    """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if not (s > 0.0 and np.all(t_grid > s)):
-        raise ValueError(f"need s > 0 and all grid times above s, got s={s}")
-    var_s, var_t, var_lag = _cov_terms(spec, s, t_grid)
-    corr = 0.5 * (var_t + var_s - var_lag) / np.sqrt(var_t * var_s)
-    _require_positive("correlation", corr, t_grid)
-    return [(float(t), float(c)) for t, c in zip(t_grid, corr)]
 
 
 def fit_decay(points) -> DecayFit:

@@ -141,27 +141,31 @@ def exact_var_oracle(spec: TimeChangedSpec, t):
             + p.b ** 2 * subordinator_moment(spec.subordinator, t, 2.0 * p.h2))
 
 
-def _cov_terms(spec: TimeChangedSpec, s: float, t: np.ndarray):
-    # V(s), V(t) and V(|t-s|) for a 1-d t, from one exact_var_oracle call
+def _cov_oracle(spec: TimeChangedSpec, s: float, t: np.ndarray,
+                correlation: bool = False) -> np.ndarray:
+    # Cov(Y_s, Y_t) = (V(t) + V(s) - V(|t-s|)) / 2 for a 1-d t, over
+    # sqrt(V(t) V(s)) for the correlation, from one exact_var_oracle call
     # over the distinct positive times; V(0) = Var(Y_0) = 0.  The distinct
     # times come from a set: np.unique here raised the benchmark's peak RSS
-    # by about 0.4 MB
+    # by about 0.4 MB.  Both values are exactly positive for s, t > 0, so
+    # the first <= 0 or NaN raises
     every = np.concatenate([[s], t, np.abs(t - s)])
     times = np.array(sorted(set(every.tolist())))
     var = np.zeros(times.size)
     var[times > 0.0] = exact_var_oracle(spec, times[times > 0.0])
     var = var[np.searchsorted(times, every)]
-    return var[0], var[1:t.size + 1], var[t.size + 1:]
-
-
-def _require_positive(what: str, values: np.ndarray, t: np.ndarray) -> None:
-    # oracle values, exactly positive for s, t > 0: raise at the first <= 0 or NaN
-    bad = np.flatnonzero(~(values > 0.0))
-    if bad.size:
-        j = bad[0]
+    var_s, var_t, var_lag = var[0], var[1:t.size + 1], var[t.size + 1:]
+    values = 0.5 * (var_t + var_s - var_lag)
+    if correlation:
+        values = values / np.sqrt(var_t * var_s)
+    bad = ~(values > 0.0)
+    if bad.any():
+        j = np.argmax(bad)
         raise CancellationError(
-            f"oracle {what} {values[j]:.3g} at t = {t[j]:.17g} is not positive: "
+            f"oracle {'correlation' if correlation else 'covariance'} {values[j]:.3g} "
+            f"at t = {t[j]:.17g} is not positive: "
             f"V(t) + V(s) - V(t-s) lost its digits to cancellation")
+    return values
 
 
 def exact_cov_oracle(spec: TimeChangedSpec, s: float, t):
@@ -176,10 +180,22 @@ def exact_cov_oracle(spec: TimeChangedSpec, s: float, t):
     t_arr = np.asarray(t, dtype=float)
     if not (s > 0.0 and t_arr.ndim <= 1 and np.all(t_arr > 0.0)):
         raise ValueError(f"need s > 0 and t > 0, got s={s}, t={t}")
-    var_s, var_t, var_lag = _cov_terms(spec, s, t_arr.ravel())
-    cov = 0.5 * (var_t + var_s - var_lag)
-    _require_positive("covariance", cov, t_arr.ravel())
+    cov = _cov_oracle(spec, s, t_arr.ravel())
     return float(cov[0]) if t_arr.ndim == 0 else cov
+
+
+def corr_curve_oracle(spec: TimeChangedSpec, s: float, t_grid) -> list[tuple[float, float]]:
+    """Noise-free correlation curve, (t, Corr(Y_s, Y_t)) per grid time t > s.
+
+    Corr = Cov / sqrt(V(t) V(s)), with Cov formed as in ``exact_cov_oracle``
+    from the same one exact_var_oracle call; a correlation <= 0 or NaN
+    raises ``CancellationError`` naming the first such grid time.
+    """
+    t_grid = np.asarray(t_grid, dtype=float)
+    if not (s > 0.0 and np.all(t_grid > s)):
+        raise ValueError(f"need s > 0 and all grid times above s, got s={s}")
+    corr = _cov_oracle(spec, s, t_grid, correlation=True)
+    return [(float(t), float(c)) for t, c in zip(t_grid, corr)]
 
 
 def exact_increment_second_moment(spec: TimeChangedSpec, s: float, t: float) -> float:

@@ -23,6 +23,7 @@ from gmfbm.fbm import (fbm_cov_matrix, fbm_values_at_times, power_variance,
 from gmfbm.process import (
     GmfbmParams,
     TimeChangedSpec,
+    corr_curve_oracle,
     exact_cov_oracle,
     exact_increment_second_moment,
     exact_var_oracle,
@@ -282,8 +283,7 @@ def degeneracy_suite():
                            SubordinatorSpec.gamma(1.0))
     worst = 0.0
     for s, t in [(1.0, 2.0), (1.0, 100.0), (3.0, 17.0)]:
-        corr = exact_cov_oracle(spec, s, t) / math.sqrt(
-            exact_var_oracle(spec, s) * exact_var_oracle(spec, t))
+        (_, corr), = corr_curve_oracle(spec, s, [t])
         worst = max(worst, abs(corr - math.sqrt(s / t)))
         _require(worst < 1e-10, f"Brownian-Gamma (s,t)=({s:g},{t:g}): corr gap {worst:.1e}")
     return f"reductions exact to 1e-12; Brownian-Gamma corr gap {worst:.1e} < 1e-10"

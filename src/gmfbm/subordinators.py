@@ -317,8 +317,10 @@ def _tss_fractional_moment(params: TssParams, ts: np.ndarray, q: float,
         return m1 * m1 * per_t(2.0 * (alpha - 1.0)) + var * per_t(alpha - 2.0)
 
     prefactor = math.exp(-math.lgamma(p))
-    result = prefactor * weighted_sums(_HEAD_NODES, _PANEL_NODES)
-    err = np.abs(result - prefactor * weighted_sums(_HEAD_NODES // 2, _PANEL_NODES // 2))
+    # an overflow here (t near 1e250) is reported by the check below, once
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = prefactor * weighted_sums(_HEAD_NODES, _PANEL_NODES)
+        err = np.abs(result - prefactor * weighted_sums(_HEAD_NODES // 2, _PANEL_NODES // 2))
     bad = ~(np.isfinite(result) & (result > 0.0) & (err <= _REL_TOL * result))
     if bad.any():
         i = np.argmax(bad)

@@ -319,15 +319,22 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_empty_moment_order_list(self, tmp_path, capsys, fmt):
+        # and an unparsable one: by flag or by config file, the message
+        # names no private function (argparse names the type function of a
+        # value it cannot convert unless that raises ArgumentTypeError)
         cfg = tmp_path / "run.ini"
-        cfg.write_text("q = ,,\n")
-        for args in (("--q", ",,"), ("--config", str(cfg))):
-            code, text = run(tmp_path, "moments", *args, fmt=fmt)
-            err = capsys.readouterr().err
-            assert code == EXIT_USAGE
-            assert text is None
-            assert "Traceback" not in err
-            assert "moment" in err
+        for value, reason in [(",,", "no moment order in ',,'"),
+                              ("1,abc", "could not convert string to float: 'abc'")]:
+            cfg.write_text(f"q = {value}\n")
+            for args, line in [(("--q", value), f"gmfbm moments: error: argument --q: {reason}"),
+                               (("--config", str(cfg)),
+                                f"gmfbm: config error: bad value for q: {reason}")]:
+                code, text = run(tmp_path, "moments", *args, fmt=fmt)
+                err = capsys.readouterr().err
+                assert code == EXIT_USAGE
+                assert text is None
+                assert "Traceback" not in err
+                assert err.splitlines()[-1] == line
 
     def test_far_tss_moment_is_numerical_failure(self, tmp_path, capsys):
         # t = 1e250: the cut-off of the quadrature is finite, the integrand
@@ -335,9 +342,13 @@ class TestExitCodes:
         args = ("moments", "--subordinator", "tss", "--t-min", "1e249",
                 "--t-max", "1e250", "--t-count", "2")
         code, text = run(tmp_path, *args)
+        err = capsys.readouterr().err
         assert code == EXIT_NUMERICAL
         assert text is None
-        assert capsys.readouterr().err.startswith("gmfbm: numerical failure: ")
+        # the overflow is reported by the quadrature's check alone, with no
+        # numpy warning before it
+        assert err.startswith("gmfbm: numerical failure: moment quadrature error ")
+        assert err.count("\n") == 1
 
     def test_io_error(self):
         code = main(["moments", "--t-min", "1", "--t-max", "10", "--t-count", "2",
@@ -397,6 +408,7 @@ class TestExitCodes:
         assert proc.stdout == ""
         assert proc.stderr.startswith("gmfbm: numerical failure: float overflow in "
                                       "randkit.sample_tempered_stable_increment ")
+        assert proc.stderr.count("\n") == 1
 
     def test_overflow_is_numerical_failure(self, tmp_path, capsys):
         # the stderr line names the command and the innermost gmfbm function

@@ -8,9 +8,8 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from gmfbm import mclab, process, theory
+from gmfbm import process, theory
 from gmfbm.mclab import (
-    CancellationError,
     DecayFit,
     MomentEstimate,
     _corr_errors,
@@ -24,6 +23,7 @@ from gmfbm.mclab import (
     lrd_report,
 )
 from gmfbm.process import (
+    CancellationError,
     GmfbmParams,
     TimeChangedSpec,
     exact_cov_oracle,
@@ -309,9 +309,11 @@ class TestCorrCurveOracle:
                                                                lag, first):
         # V(s) = V(t) = 1 make the correlation 1 - V(t-s)/2: <= 0 where
         # V(t-s) >= 2, NaN where V(t-s) is
-        monkeypatch.setattr(mclab, "_cov_terms",
-                            lambda spec, s, t: (1.0, np.ones(t.size), np.array(lag)))
-        with pytest.raises(CancellationError, match=f" at t = {first:.17g} is not positive"):
+        lag_var = dict(zip([9.0, 19.0, 29.0, 39.0], lag))
+        monkeypatch.setattr(process, "exact_var_oracle", lambda spec, times: np.array(
+            [lag_var.get(u, 1.0) for u in times.tolist()]))
+        with pytest.raises(CancellationError,
+                           match=f"^oracle correlation .* at t = {first:.17g} is not positive"):
             corr_curve_oracle(GAMMA_SPEC, 1.0, [10.0, 20.0, 30.0, 40.0])
 
     def test_one_variance_per_distinct_time(self, monkeypatch):

@@ -9,10 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import gmfbm
+from gmfbm import mclab, process
 from gmfbm.fbm import fbm_cov_matrix, fbm_values_at_times, power_variance
 from gmfbm.process import (
+    CancellationError,
     GmfbmParams,
     TimeChangedSpec,
+    corr_curve_oracle,
     exact_cov_oracle,
     exact_increment_second_moment,
     exact_var_oracle,
@@ -312,6 +316,31 @@ class TestOracles:
     def test_var_monotone_in_t(self, spec):
         values = [exact_var_oracle(spec, t) for t in (0.5, 1.0, 3.0, 10.0, 40.0)]
         assert all(b > a for a, b in zip(values, values[1:]))
+
+    def test_corr_curve_oracle_is_one_function(self):
+        # the Monte Carlo lab and the package re-export the process oracle
+        assert mclab.corr_curve_oracle is process.corr_curve_oracle
+        assert gmfbm.corr_curve_oracle is process.corr_curve_oracle
+
+    @pytest.mark.parametrize("spec", [TSS_SPEC, GAMMA_SPEC])
+    def test_corr_is_cov_over_variances_bitwise(self, spec):
+        # on lrd's default grid: Corr = Cov / sqrt(V(t) V(s)), bit for bit
+        s, grid = 1.0, np.geomspace(100.0, 10000.0, 12)
+        cov = exact_cov_oracle(spec, s, grid)
+        var_t, var_s = exact_var_oracle(spec, grid), exact_var_oracle(spec, s)
+        curve = corr_curve_oracle(spec, s, grid)
+        assert [t for t, _ in curve] == grid.tolist()
+        assert [c for _, c in curve] == (cov / np.sqrt(var_t * var_s)).tolist()
+
+    def test_nonpositive_covariance_raises_naming_first_time(self, monkeypatch):
+        # V(s) = V(t) = 1 make the covariance 1 - V(t-s)/2: <= 0 at the
+        # first lag with V >= 2, here t = 30; NaN at t = 40
+        lag_var = {9.0: 0.5, 19.0: 0.5, 29.0: 3.0, 39.0: np.nan}
+        monkeypatch.setattr(process, "exact_var_oracle", lambda spec, times: np.array(
+            [lag_var.get(u, 1.0) for u in times.tolist()]))
+        with pytest.raises(CancellationError,
+                           match=r"^oracle covariance -0\.5 at t = 30 is not positive"):
+            exact_cov_oracle(GAMMA_SPEC, 1.0, [10.0, 20.0, 30.0, 40.0])
 
     def test_domain(self):
         with pytest.raises(ValueError):
