@@ -368,10 +368,12 @@ _COMMANDS = {
 
 
 def _raised_in(exc: BaseException) -> str:
-    # "module.function" of the innermost traceback frame inside this package
+    # "module.function" of the innermost traceback frame inside this package,
+    # skipping the frames Python gives comprehensions (named "<listcomp>")
     package = Path(__file__).resolve().parent
     frame = [f for f in traceback.extract_tb(exc.__traceback__)
-             if Path(f.filename).resolve().parent == package][-1]
+             if Path(f.filename).resolve().parent == package
+             and not f.name.startswith("<")][-1]
     return f"{Path(frame.filename).stem}.{frame.name}"
 
 

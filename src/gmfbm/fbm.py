@@ -136,14 +136,14 @@ def fbm_values_at_times(times, var, stream: RngStream, size=None) -> np.ndarray:
     return np.take_along_axis(padded, np.broadcast_to(src, sampled.shape), axis=-1)
 
 
-def sample_fbm_pair(u, v, var, stream: RngStream, size=None):
-    """Exact bivariate draw (X_u, X_v), finite 0 <= u <= v, of the process
+def sample_fbm_pair(u, v, var, stream: RngStream):
+    """Exact bivariate draws (X_u, X_v), finite 0 <= u <= v, of the process
     with increment variance ``var`` (B^H: power_variance(h)).
 
-    ``u`` and ``v`` may be arrays (elementwise pairs, one per path of a
-    block); scalar inputs return floats unless ``size`` is given.  This is
-    the O(1) sampler the Monte Carlo covariance estimator runs on: X_u from
-    its variance, then X_v from its conditional law given X_u: two normals.
+    ``u`` and ``v`` are arrays of elementwise pairs, one per path of a
+    block; the results have their broadcast shape.  This is the O(1)
+    sampler the Monte Carlo covariance estimator runs on: X_u from its
+    variance, then X_v from its conditional law given X_u: two normals.
     """
     u_arr = np.asarray(u, dtype=float)
     v_arr = np.asarray(v, dtype=float)
@@ -151,10 +151,7 @@ def sample_fbm_pair(u, v, var, stream: RngStream, size=None):
         raise ValueError("times must be finite and nonnegative")
     if not np.all(u_arr <= v_arr):
         raise ValueError("need u <= v")
-    scalar_in = u_arr.ndim == 0 and v_arr.ndim == 0 and size is None
     shape = np.broadcast_shapes(u_arr.shape, v_arr.shape)
-    if size is not None:
-        shape = (size,) + shape
     z = stream.gen.standard_normal((2,) + shape)
     var_u = np.broadcast_to(var(u_arr), shape)
     var_v = var(v_arr)
@@ -164,8 +161,6 @@ def sample_fbm_pair(u, v, var, stream: RngStream, size=None):
     slope = np.divide(cov_uv, var_u, out=np.zeros(shape), where=var_u > 0.0)
     resid = var_v - slope * cov_uv
     b_v = slope * b_u + np.sqrt(np.maximum(resid, 0.0)) * z[1]
-    if scalar_in:
-        return float(b_u), float(b_v)
     return b_u, b_v
 
 
@@ -187,7 +182,8 @@ def sample_fgn_regular(n: int, dt: float, h, stream: RngStream, size=None) -> np
     nonnegative definite for every H (Dietrich & Newsam 1997; Craigmile
     2003), so negative eigenvalues are rounding and are clipped to 0; one
     below -1e-6 of the largest raises ConditioningError.  Cumulative sums
-    reproduce B^H on the grid dt, 2dt, ..., n*dt.
+    reproduce B^H on the grid dt, 2dt, ..., n*dt.  The result has shape
+    (n,), with a leading ``size`` axis when ``size`` is given.
     """
     hh = as_hurst(h)
     if n < 1 or dt <= 0.0:

@@ -82,50 +82,45 @@ class TimeChangedSpec:
 
 
 def sample_timechanged_pair(spec: TimeChangedSpec, s: float, t,
-                            stream: RngStream, size=None):
+                            stream: RngStream, size: int):
     """Exact draws of (Y_s, Y_t) for 0 < s < t at O(1) cost per path and time.
 
-    ``t`` is one time or an increasing 1-d grid above s.  The clock is
-    sampled once on [s, *t]: S_s, then one independent increment per gap;
-    given it, each (Y_s, Y_t) is one exact bivariate Gaussian draw at
-    (S_s, S_t), two normals per path and grid time, all from ``stream`` in
-    that order.  The grid times share the clock path.  The results have
-    shape (size, len(t)) for the ``size`` paths of a block, without the
-    last axis for a scalar ``t`` (floats for a scalar ``t`` and
-    ``size=None``).  This is the workhorse of the Monte Carlo covariance
-    estimator.
+    ``t`` is an increasing 1-d grid above s.  The clock is sampled once on
+    [s, *t]: S_s, then one independent increment per gap; given it, each
+    (Y_s, Y_t) is one exact bivariate Gaussian draw at (S_s, S_t), two
+    normals per path and grid time, all from ``stream`` in that order.  The
+    grid times share the clock path.  The results have shape (size, len(t))
+    for the ``size`` paths of a block.  This is the workhorse of the Monte
+    Carlo covariance estimator.
     """
     t_arr = np.asarray(t, dtype=float)
     times = np.append(s, t_arr)
-    if t_arr.ndim > 1 or t_arr.size == 0 or not (s > 0.0 and np.all(np.diff(times) > 0.0)):
-        raise ValueError(f"need 0 < s < t, t increasing, got s={s}, t={t}")
+    if t_arr.ndim != 1 or t_arr.size == 0 or not (s > 0.0 and np.all(np.diff(times) > 0.0)):
+        raise ValueError(f"need 0 < s < t, t an increasing 1-d grid, got s={s}, t={t}")
     clock = sample_path(spec.subordinator, times, stream, size=size)
-    u, v = clock[..., :1], clock[..., 1:]
     # var goes positionally: the benchmark tracer's work counters call it h
-    y_s, y_t = fbm.sample_fbm_pair(u, v, spec.gmfbm.increment_variance, stream)
-    if t_arr.ndim == 0:
-        # [()] makes the one-path result a float, as for a scalar pair
-        return y_s[..., 0][()], y_t[..., 0][()]
-    return y_s, y_t
+    return fbm.sample_fbm_pair(clock[:, :1], clock[:, 1:],
+                               spec.gmfbm.increment_variance, stream)
 
 
 def sample_timechanged_path_with_clock(spec: TimeChangedSpec, grid,
-                                       stream: RngStream, size=None):
+                                       stream: RngStream, size: int):
     """Sample the clock on the grid and the mixed process at the clock times.
 
-    Returns the arrays (clock_values, values), each of shape (len(grid),)
-    for one path or (size, len(grid)) for a block of paths as rows; the CLI
-    uses both columns.  The clock and then the values are drawn from
-    ``stream`` in that order; given the clock the mixture is one Gaussian,
-    drawn exactly by one factorization and one normal vector per path.
+    Returns the arrays (clock_values, values), each of shape
+    (size, len(grid)) with one path per row; the CLI uses both.  The clock
+    and then the values are drawn from ``stream`` in that order; given the
+    clock the mixture is one Gaussian, drawn exactly by one factorization
+    and one normal vector per path.
     """
     clock = sample_path(spec.subordinator, grid, stream, size=size)
     return clock, fbm.fbm_values_at_times(clock, spec.gmfbm.increment_variance, stream)
 
 
 def sample_timechanged_path(spec: TimeChangedSpec, grid, stream: RngStream,
-                            size=None) -> np.ndarray:
-    """Sample the clock on the grid, then the mixed process at the clock times."""
+                            size: int) -> np.ndarray:
+    """Sample ``size`` clock paths on the grid, then the mixed process at
+    the clock times: shape (size, len(grid))."""
     return sample_timechanged_path_with_clock(spec, grid, stream, size=size)[1]
 
 
@@ -192,8 +187,9 @@ def corr_curve_oracle(spec: TimeChangedSpec, s: float, t_grid) -> list[tuple[flo
     raises ``CancellationError`` naming the first such grid time.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    if not (s > 0.0 and np.all(t_grid > s)):
-        raise ValueError(f"need s > 0 and all grid times above s, got s={s}")
+    if not (s > 0.0 and t_grid.ndim == 1 and t_grid.size > 0 and np.all(t_grid > s)):
+        raise ValueError(f"need s > 0 and a nonempty 1-d grid of times above s, "
+                         f"got s={s} and a grid of shape {t_grid.shape}")
     corr = _cov_oracle(spec, s, t_grid, correlation=True)
     return [(float(t), float(c)) for t, c in zip(t_grid, corr)]
 

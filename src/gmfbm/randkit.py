@@ -8,8 +8,8 @@ worker layouts.  Substreams occupy disjoint 2**128-wide blocks of the
 256-bit Philox counter, so deriving them never consumes randomness from
 the parent.
 
-Every sampler draws a vector through its ``size=`` argument; ``size=None``
-is a draw of one through the same code, returned as a scalar.  The tempered
+Every sampler draws a block: ``size`` is a required int, and the result is
+an array of that length (``size=1`` is a draw of one).  The tempered
 stable samplers keep the accepted trials of i.i.d. batches in trial order.
 """
 
@@ -117,8 +117,8 @@ def path_blocks(master_seed: int, n_paths: int) -> list[tuple[RngStream, int, in
             for k, lo in enumerate(range(0, n_paths, BLOCK_PATHS))]
 
 
-def sample_gamma(stream: RngStream, shape: float, size=None):
-    """Gamma(shape, rate 1) variate(s).
+def sample_gamma(stream: RngStream, shape: float, size: int) -> np.ndarray:
+    """``size`` Gamma(shape, rate 1) variates.
 
     Valid for any shape > 0, including the shape < 1 regime that fine path
     grids produce (the generator's small-shape path handles it).
@@ -272,8 +272,8 @@ def tempered_stable_substep_count(alpha: float, lam: float, dt: float) -> int:
 
 
 def sample_tempered_stable_increment(stream: RngStream, alpha: float,
-                                     lam: float, dt: float, size=None):
-    """Increment of the tempered stable subordinator over time ``dt``.
+                                     lam: float, dt: float, size: int) -> np.ndarray:
+    """``size`` increments of the tempered stable subordinator over time ``dt``.
 
     The law has Laplace transform exp(-dt*((lam+u)**alpha - lam**alpha)).
     For moderate dt*lam**alpha the increment is built from tilting-rejection
@@ -288,17 +288,12 @@ def sample_tempered_stable_increment(stream: RngStream, alpha: float,
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     n_sub = tempered_stable_substep_count(alpha, lam, dt)
-    n = 1 if size is None else int(np.prod(size))
     if n_sub <= _SUBSTEP_LIMIT:
-        out = _tempered_by_thinning(stream.gen, alpha, lam, dt, n, n_sub)
-    else:
-        with np.errstate(over="ignore"):
-            scale = dt ** (1.0 / alpha)
-            tilt = lam * scale
-        if not math.isfinite(tilt):  # every trial would be NaN, none accepted
-            raise OverflowError(f"tilt lam * dt**(1/alpha) = {lam:g} * {dt:g}**"
-                                f"(1/{alpha:g}) is not a finite float")
-        out = scale * _tilted_stable_double_rejection(stream.gen, alpha, tilt, n)
-    if size is None:
-        return float(out[0])
-    return out.reshape(size)
+        return _tempered_by_thinning(stream.gen, alpha, lam, dt, size, n_sub)
+    with np.errstate(over="ignore"):
+        scale = dt ** (1.0 / alpha)
+        tilt = lam * scale
+    if not math.isfinite(tilt):  # every trial would be NaN, none accepted
+        raise OverflowError(f"tilt lam * dt**(1/alpha) = {lam:g} * {dt:g}**"
+                            f"(1/{alpha:g}) is not a finite float")
+    return scale * _tilted_stable_double_rejection(stream.gen, alpha, tilt, size)

@@ -100,12 +100,13 @@ class SubordinatorSpec:
         return cls("gamma", GammaParams(nu))
 
 
-def sample_increment(spec: SubordinatorSpec, dt: float, stream: RngStream, size=None):
-    """Increment of the subordinator over a span dt (dt = 0 gives 0)."""
+def sample_increment(spec: SubordinatorSpec, dt: float, stream: RngStream,
+                     size: int) -> np.ndarray:
+    """``size`` increments of the subordinator over a span dt (dt = 0 gives 0)."""
     if not dt >= 0.0:
         raise ValueError("dt must be nonnegative")
     if dt == 0.0:
-        return 0.0 if size is None else np.zeros(size)
+        return np.zeros(size)
     if spec.kind == "gamma":
         return sample_gamma(stream, dt / spec.params.nu, size=size)
     return sample_tempered_stable_increment(
@@ -113,23 +114,21 @@ def sample_increment(spec: SubordinatorSpec, dt: float, stream: RngStream, size=
 
 
 def sample_path(spec: SubordinatorSpec, times, stream: RngStream,
-                size=None) -> np.ndarray:
-    """Sample the clock at nondecreasing ``times`` >= 0 by summing
+                size: int) -> np.ndarray:
+    """Sample ``size`` clock paths at nondecreasing ``times`` >= 0 by summing
     independent increments over the gaps (a repeated time gives a zero gap).
 
-    Returns the nonnegative, nondecreasing clock values: shape (len(times),)
-    for ``size=None``, or (size, len(times)) with one row per path.  Each gap
-    takes one vector draw across the block.
+    Returns the nonnegative, nondecreasing clock values, shape
+    (size, len(times)) with one row per path.  Each gap takes one vector
+    draw across the block.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or not np.all(np.isfinite(times)):
         raise ValueError("times must be a finite 1-d array")
-    count = 1 if size is None else size
     gaps = np.diff(times, prepend=0.0)
-    incs = np.column_stack([sample_increment(spec, g, stream, size=count)
+    incs = np.column_stack([sample_increment(spec, g, stream, size=size)
                             for g in gaps])
-    values = np.cumsum(incs, axis=-1)
-    return values[0] if size is None else values
+    return np.cumsum(incs, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +149,8 @@ def gamma_moment(params: GammaParams, t, q: float):
     ``t`` is one time (a float result) or a 1-d array of times (an array).
     """
     t_arr = _time_array(t)
-    if not q > 0.0:
-        raise ValueError(f"q must be positive, got {q}")
+    if not 0.0 < q < math.inf:
+        raise ValueError(f"q must be positive and finite, got {q}")
     out = np.array([math.exp(math.lgamma(x + q) - math.lgamma(x))
                     for x in (t_arr.ravel() / params.nu).tolist()])
     return float(out[0]) if t_arr.ndim == 0 else out

@@ -300,6 +300,7 @@ class TestExitCodes:
         ("simulate", "--lambda", "inf"),
         ("simulate", "--subordinator", "gamma", "--nu", "inf"),
         ("moments", "--t-max", "inf"),
+        ("moments", "--subordinator", "gamma", "--q", "inf", "--t-count", "2"),
     ])
     def test_nonfinite_parameter(self, tmp_path, capsys, args):
         code, text = run(tmp_path, *args)
@@ -428,6 +429,17 @@ class TestExitCodes:
             assert err.startswith(f"gmfbm: numerical failure: float overflow in {where} "
                                   f"during {args[0]!r}: ")
             assert err.count("\n") == 1
+
+    def test_overflow_in_a_comprehension_names_its_function(self, tmp_path, capsys):
+        # Python gives a list comprehension its own frame; the line names the
+        # function that holds it
+        code, text = run(tmp_path, "moments", "--subordinator", "gamma", "--q", "1e300",
+                         "--t-count", "2")
+        assert code == EXIT_NUMERICAL
+        assert text is None
+        assert capsys.readouterr().err == (
+            "gmfbm: numerical failure: float overflow in subordinators.gamma_moment "
+            "during 'moments': math range error\n")
 
 
 class TestRuntimeImports:

@@ -99,10 +99,10 @@ class TestCovMatrix:
         spec = SubordinatorSpec.gamma(1.0)
         for bad in ([2.0, 1.0], [1.0, np.nan]):
             with pytest.raises(ValueError):
-                sample_path(spec, np.array(bad), derive_stream(1, 7))
+                sample_path(spec, np.array(bad), derive_stream(1, 7), size=1)
         repeated = np.array([1.0, 1.0, 2.0])
         assert np.all(fbm_cov_matrix(repeated, 0.5) == [[1, 1, 1], [1, 1, 1], [1, 1, 2]])
-        clock = sample_path(spec, repeated, derive_stream(1, 7))
+        clock = sample_path(spec, repeated, derive_stream(1, 7), size=1)[0]
         assert clock[0] == clock[1] < clock[2]
 
 
@@ -181,7 +181,7 @@ class TestSampleAt:
                                         derive_stream(1, 8)),
                 lambda: sample_fbm_pair(1.0, bad, power_variance(0.7), derive_stream(1, 8)),
                 lambda: sample_path(SubordinatorSpec.tss(0.7, 1.0),
-                                    np.array([1.0, bad, 3.0]), derive_stream(1, 8)),
+                                    np.array([1.0, bad, 3.0]), derive_stream(1, 8), size=1),
             ]
             for call in calls:
                 with pytest.raises(ValueError):
@@ -263,13 +263,15 @@ class TestPair:
 
     def test_mc_covariance(self):
         n = 100_000
-        b_u, b_v = sample_fbm_pair(1.0, 2.0, power_variance(0.75), derive_stream(2, 2), size=n)
+        b_u, b_v = sample_fbm_pair(np.full(n, 1.0), np.full(n, 2.0), power_variance(0.75),
+                                   derive_stream(2, 2))
         prod = b_u * b_v
         assert mean_z(prod, math.sqrt(2.0)) < 3.0
 
     def test_marginal_variances(self):
         n = 100_000
-        b_u, b_v = sample_fbm_pair(1.0, 3.0, power_variance(0.6), derive_stream(2, 3), size=n)
+        b_u, b_v = sample_fbm_pair(np.full(n, 1.0), np.full(n, 3.0), power_variance(0.6),
+                                   derive_stream(2, 3))
         for draws, target in ((b_u, 1.0), (b_v, 3.0 ** 1.2)):
             sq = draws ** 2
             assert mean_z(sq, target) < 3.0

@@ -118,7 +118,8 @@ class TestEstimateCovCurve:
             estimate_cov(spec, 1.0, 10.0, 3000, 111)
         # reference: one block of paths reduced as a flat sample, bit for bit
         n = 1000
-        ys, yt = sample_timechanged_pair(spec, 1.0, 10.0, derive_stream(111, 0), size=n)
+        ys, yt = sample_timechanged_pair(spec, 1.0, [10.0], derive_stream(111, 0), size=n)
+        ys, yt = ys[:, 0], yt[:, 0]
         dev = (ys - ys.mean()) * (yt - yt.mean())
         assert estimate_cov(spec, 1.0, 10.0, n, 111) == MomentEstimate(
             float(dev.sum() / (n - 1)), float(dev.std(ddof=1) / math.sqrt(n)), n)
@@ -260,8 +261,8 @@ class TestCorrErrors:
             float(corr[0]), float(stderr[0]), 3000)
         # reference: one block of pairs reduced as a flat sample, bit for bit
         n = 1000
-        ys, yt = sample_timechanged_pair(spec, 1.0, 10.0, derive_stream(114, 0), size=n)
-        corr, stderr, _ = _corr_errors(ys[None], yt[None])
+        ys, yt = sample_timechanged_pair(spec, 1.0, [10.0], derive_stream(114, 0), size=n)
+        corr, stderr, _ = _corr_errors(ys.T, yt.T)
         assert estimate_corr(spec, 1.0, 10.0, n, 114) == MomentEstimate(
             float(corr[0]), float(stderr[0]), n)
 
@@ -302,6 +303,16 @@ class TestCorrCurveOracle:
     def test_grid_must_exceed_s(self):
         with pytest.raises(ValueError):
             corr_curve_oracle(GAMMA_SPEC, 5.0, [4.0, 10.0])
+
+    def test_empty_grid_raises(self):
+        # an empty grid has no time above s: its own message, not []
+        with pytest.raises(ValueError, match=r"^need s > 0 and a nonempty 1-d grid"):
+            corr_curve_oracle(GAMMA_SPEC, 1.0, [])
+
+    def test_two_dimensional_grid_raises(self):
+        # its own message, as exact_cov_oracle, not numpy's concatenate error
+        with pytest.raises(ValueError, match=r"^need s > 0 and a nonempty 1-d grid"):
+            corr_curve_oracle(GAMMA_SPEC, 1.0, [[2.0, 3.0], [4.0, 5.0]])
 
     @pytest.mark.parametrize("lag, first", [([0.5, 3.0, 0.5, math.nan], 20.0),
                                              ([0.5, 0.5, 0.5, math.nan], 40.0)])

@@ -111,31 +111,27 @@ class TestSampling:
 
 class TestTimeChangedPair:
     def test_argument_order(self):
-        for s, t in [(2.0, 1.0), (0.0, 1.0), (1.0, [2.0, 2.0]), (1.0, [3.0, 2.0]),
-                     (2.0, [1.0, 3.0]), (1.0, []), (1.0, [[2.0, 3.0]])]:
+        # t is a 1-d grid: a scalar t is rejected like a 2-d one
+        for s, t in [(2.0, [1.0]), (0.0, [1.0]), (1.0, [2.0, 2.0]), (1.0, [3.0, 2.0]),
+                     (2.0, [1.0, 3.0]), (1.0, []), (1.0, [[2.0, 3.0]]), (1.0, 2.0)]:
             with pytest.raises(ValueError):
-                sample_timechanged_pair(TSS_SPEC, s, t, derive_stream(22, 0))
+                sample_timechanged_pair(TSS_SPEC, s, t, derive_stream(22, 0), size=1)
 
     @pytest.mark.parametrize("spec", [TSS_SPEC, GAMMA_SPEC])
     def test_grid_shapes(self, spec):
-        # one row per path and one column per grid time; a scalar t is the
-        # one-point grid without its last axis
+        # one row per path and one column per grid time
         y_s, y_t = sample_timechanged_pair(spec, 1.0, np.array([2.0, 5.0, 40.0]),
                                            derive_stream(22, 5), size=64)
         assert y_s.shape == y_t.shape == (64, 3)
         assert np.all(np.isfinite(y_s)) and np.all(np.isfinite(y_t))
-        grid = sample_timechanged_pair(spec, 1.0, [2.0], derive_stream(22, 6), size=64)
-        scalar = sample_timechanged_pair(spec, 1.0, 2.0, derive_stream(22, 6), size=64)
-        for g, x in zip(grid, scalar):
-            np.testing.assert_array_equal(g[:, 0], x)
 
     def test_brownian_gamma_second_moment(self):
         # H1=H2=1/2 with a Gamma clock of unit mean rate: E[Y_t^2] = 2t
         spec = TimeChangedSpec(GmfbmParams(1.0, 1.0, 0.5, 0.5),
                                SubordinatorSpec.gamma(1.0))
         n = 100_000
-        _, y_t = sample_timechanged_pair(spec, 1.0, 4.0, derive_stream(22, 1), size=n)
-        sq = y_t ** 2
+        _, y_t = sample_timechanged_pair(spec, 1.0, [4.0], derive_stream(22, 1), size=n)
+        sq = y_t[:, 0] ** 2
         assert mean_z(sq, 8.0) < 3.0
 
     @pytest.mark.parametrize("spec,sid", [
@@ -145,7 +141,8 @@ class TestTimeChangedPair:
     def test_cov_matches_oracle(self, spec, sid):
         n = 100_000
         s, t = 1.0, 10.0
-        y_s, y_t = sample_timechanged_pair(spec, s, t, derive_stream(22, sid), size=n)
+        y_s, y_t = sample_timechanged_pair(spec, s, [t], derive_stream(22, sid), size=n)
+        y_s, y_t = y_s[:, 0], y_t[:, 0]
         assert mean_z(y_t ** 2, exact_var_oracle(spec, t)) < 3.0
         dev = (y_s - y_s.mean()) * (y_t - y_t.mean())
         assert mean_z(dev, exact_cov_oracle(spec, s, t)) < 3.0
@@ -172,8 +169,9 @@ class TestTimeChangedPair:
     def test_nearly_coincident_times(self):
         # s -> t keeps the sampler well defined and the moments continuous
         n = 50_000
-        y_s, y_t = sample_timechanged_pair(GAMMA_SPEC, 2.0, 2.0 + 1e-9,
+        y_s, y_t = sample_timechanged_pair(GAMMA_SPEC, 2.0, [2.0 + 1e-9],
                                            derive_stream(22, 4), size=n)
+        y_s, y_t = y_s[:, 0], y_t[:, 0]
         dev = (y_s - y_s.mean()) * (y_t - y_t.mean())
         assert mean_z(dev, exact_var_oracle(GAMMA_SPEC, 2.0)) < 3.0
 
@@ -181,8 +179,8 @@ class TestTimeChangedPair:
 class TestTimeChangedPath:
     def test_starts_at_zero(self):
         grid = np.array([0.0, 1.0, 2.0])
-        path = sample_timechanged_path(TSS_SPEC, grid, derive_stream(23, 0))
-        assert path[0] == 0.0
+        path = sample_timechanged_path(TSS_SPEC, grid, derive_stream(23, 0), size=1)
+        assert path[0, 0] == 0.0
 
     @pytest.mark.parametrize("spec,sid", [(TSS_SPEC, 1), (GAMMA_SPEC, 2)])
     def test_marginal_variance_matches_oracle(self, spec, sid):
@@ -195,14 +193,6 @@ class TestTimeChangedPath:
             vals[lo:hi] = sample_timechanged_path(spec, grid, stream, size=hi - lo)[:, 0]
         sq = vals ** 2
         assert mean_z(sq, exact_var_oracle(spec, t)) < 3.0
-
-    @pytest.mark.parametrize("spec", [TSS_SPEC, GAMMA_SPEC])
-    def test_single_path_is_row_zero_of_a_block(self, spec):
-        # size=None runs the block code on one path: the same numbers exactly
-        grid = np.array([0.0, 1.0, 2.0, 4.0])
-        one = sample_timechanged_path(spec, grid, derive_stream(23, 3))
-        block = sample_timechanged_path(spec, grid, derive_stream(23, 3), size=1)
-        np.testing.assert_array_equal(one, block[0])
 
     @pytest.mark.parametrize("spec,sid", [(TSS_SPEC, 5), (GAMMA_SPEC, 6)])
     def test_block_marginal_variance_matches_oracle(self, spec, sid):
@@ -217,13 +207,11 @@ class TestTimeChangedPath:
         assert mean_z(sq, exact_var_oracle(spec, 4.0)) < 3.0
 
     def test_path_type_invariant(self):
-        # the samplers return arrays: (len(grid),) for one path, one row per
-        # path for a block, with the clock values in the same shape
+        # the samplers return arrays, one row per path, with the clock
+        # values in the same shape
         grid = np.array([1.0, 2.0, 4.0])
-        one = sample_timechanged_path(TSS_SPEC, grid, derive_stream(23, 7))
         clock, values = sample_timechanged_path_with_clock(TSS_SPEC, grid,
                                                            derive_stream(23, 8), size=5)
-        assert one.shape == (3,)
         assert clock.shape == values.shape == (5, 3)
 
     # the README's Gamma simulate grids; rounding pushes their clock
@@ -379,8 +367,8 @@ class TestIncrementSecondMoment:
     def test_matches_mc(self, spec, sid):
         n = 100_000
         s, t = 1.0, 10.0
-        y_s, y_t = sample_timechanged_pair(spec, s, t, derive_stream(24, sid), size=n)
-        sq = (y_t - y_s) ** 2
+        y_s, y_t = sample_timechanged_pair(spec, s, [t], derive_stream(24, sid), size=n)
+        sq = (y_t[:, 0] - y_s[:, 0]) ** 2
         assert mean_z(sq, exact_increment_second_moment(spec, s, t)) < 3.0
 
     def test_grows_with_gap(self):

@@ -136,9 +136,9 @@ class TestGamma:
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            sample_gamma(derive_stream(0, 0), 0.0)
+            sample_gamma(derive_stream(0, 0), 0.0, size=1)
         with pytest.raises(ValueError):
-            sample_gamma(derive_stream(0, 0), -1.0)
+            sample_gamma(derive_stream(0, 0), -1.0, size=1)
 
 
 class TestStable:
@@ -299,13 +299,13 @@ class TestTemperedStable:
                                       3.0 * np.arange(10))
 
     def test_single_draws_match_vector_draw(self):
-        # size=None runs the thinning fill loop on one increment of 3
-        # substeps per call, so some calls take its refill round; two-sample
-        # KS against a vector draw of the same law
+        # size=1 runs the thinning fill loop on one increment of 3 substeps
+        # per call, so some calls take its refill round; two-sample KS
+        # against a vector draw of the same law
         alpha, lam, dt = 0.7, 1.0, 2.0
         assert tempered_stable_substep_count(alpha, lam, dt) <= _SUBSTEP_LIMIT
         stream = derive_stream(49, 0)
-        single = [sample_tempered_stable_increment(stream, alpha, lam, dt)
+        single = [sample_tempered_stable_increment(stream, alpha, lam, dt, size=1)[0]
                   for _ in range(20_000)]
         vector = sample_tempered_stable_increment(derive_stream(49, 1), alpha, lam, dt,
                                                   size=N_BIG)
@@ -352,11 +352,11 @@ class TestTemperedStable:
     def test_domain(self):
         s = derive_stream(0, 0)
         with pytest.raises(ValueError):
-            sample_tempered_stable_increment(s, 1.2, 1.0, 1.0)
+            sample_tempered_stable_increment(s, 1.2, 1.0, 1.0, size=1)
         with pytest.raises(ValueError):
-            sample_tempered_stable_increment(s, 0.5, -1.0, 1.0)
+            sample_tempered_stable_increment(s, 0.5, -1.0, 1.0, size=1)
         with pytest.raises(ValueError):
-            sample_tempered_stable_increment(s, 0.5, 1.0, 0.0)
+            sample_tempered_stable_increment(s, 0.5, 1.0, 0.0, size=1)
 
     def test_substep_count_bound(self):
         # dt' * lam**alpha <= ln 2 guarantees substep acceptance >= 1/2

@@ -512,12 +512,11 @@ class TestTypes:
 
     def test_path_invariants(self):
         # sample_path returns the clock values as an array: nonnegative and
-        # nondecreasing, shape (len(grid),) for one path, one row per path
+        # nondecreasing, one row per path
         grid = np.array([0.0, 1.0, 2.0])
         spec = SubordinatorSpec.tss(0.6, 1.0)
-        one = sample_path(spec, grid, derive_stream(11, 3))
         block = sample_path(spec, grid, derive_stream(11, 4), size=4)
-        assert one.shape == (3,) and block.shape == (4, 3)
+        assert block.shape == (4, 3)
         assert np.all(block >= 0.0) and np.all(np.diff(block, axis=1) >= 0.0)
 
 
@@ -538,14 +537,14 @@ class TestSamplePath:
     @settings(max_examples=40, deadline=None)
     def test_paths_nondecreasing(self, spec, seed):
         grid = np.array([0.5, 1.0, 1.25, 4.0, 9.0])
-        path = sample_path(spec, grid, derive_stream(seed, 0))
+        path = sample_path(spec, grid, derive_stream(seed, 0), size=1)[0]
         assert path[0] >= 0.0
         assert np.all(np.diff(path) >= 0.0)
 
     def test_grid_starting_at_zero(self):
         grid = np.array([0.0, 1.0])
-        path = sample_path(SubordinatorSpec.gamma(0.5), grid, derive_stream(11, 2))
-        assert path[0] == 0.0
+        path = sample_path(SubordinatorSpec.gamma(0.5), grid, derive_stream(11, 2), size=1)
+        assert path[0, 0] == 0.0
 
     @pytest.mark.parametrize("spec", [SubordinatorSpec.gamma(1.0),
                                       SubordinatorSpec.tss(0.6, 1.0)])
@@ -553,10 +552,8 @@ class TestSamplePath:
         # distribution of value(t) - value(s) equals that of value(t-s)
         n = 10_000
         s, t = 1.0, 2.5
-        stream = derive_stream(12, 0)
         grid = np.array([s, t])
-        incs = np.array([np.diff(sample_path(spec, grid, stream))[0]
-                         for _ in range(n)])
+        incs = np.diff(sample_path(spec, grid, derive_stream(12, 0), size=n), axis=1)[:, 0]
         direct = sample_increment(spec, t - s, derive_stream(12, 1), size=n)
         assert stats.ks_2samp(incs, direct).pvalue > 0.01
 
@@ -588,6 +585,12 @@ class TestGammaMoments:
             gamma_moment(GammaParams(1.0), 0.0, 1.0)
         with pytest.raises(ValueError):
             gamma_moment(GammaParams(1.0), 1.0, 0.0)
+
+    @pytest.mark.parametrize("q", [math.inf, math.nan])
+    def test_nonfinite_order_raises(self, q):
+        # an infinite order would give an inf moment and a NaN ratio
+        with pytest.raises(ValueError, match="q must be positive and finite"):
+            gamma_moment(GammaParams(1.0), [1.0, 2.0], q)
 
 
 class TestTssMoments:
