@@ -346,12 +346,11 @@ def cmd_moments(config: RunConfig) -> int:
     """exact vs asymptotic clock moments"""
     sub = config.spec.subordinator
     grid = config.t_grid()
-    exact = [subordinator_moment(sub, grid, q).tolist() for q in config["q"]]
-    values = []
-    for i, t in enumerate(grid.tolist()):
-        for j, q in enumerate(config["q"]):
-            asym = subordinator_moment_asymptotic(sub, t, q)
-            values.append((exact[j][i], asym, exact[j][i] / asym))
+    exact = np.column_stack([subordinator_moment(sub, grid, q) for q in config["q"]])
+    # per element, in Python: numpy's power can differ from libm in the last bit
+    asym = np.array([[subordinator_moment_asymptotic(sub, t, q) for q in config["q"]]
+                     for t in grid.tolist()])
+    values = np.stack([exact, asym, exact / asym], axis=-1)
     _emit(config, ["t", "q", "exact_moment", "asymptotic_moment", "ratio"],
           [config["q"]], [(grid, values)], {"q_values": list(config["q"])})
     return EXIT_OK

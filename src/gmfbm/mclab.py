@@ -10,8 +10,9 @@ bit-identical for a fixed master seed no matter how the blocks are spread
 across workers.
 
 Every estimator runs on one sampler: each path samples its clock once over
-[s, t_1, ...], with one exact (Y_s, Y_t) pair per grid time given the
-clock.  The grid times share the clock path, not the fBm draws.
+[s, t_1, ...], an increasing grid above s, with one exact (Y_s, Y_t) pair
+per grid time given the clock.  The grid times share the clock path, not
+the fBm draws.
 Correlations take their standard errors from each path's influence on the
 Pearson r, the nonparametric delta method or infinitesimal jackknife
 (Efron and Tibshirani, *An Introduction to the Bootstrap*, 1993, ch. 21):
@@ -78,27 +79,21 @@ def _run_blocks(fill, n_paths: int, master_seed: int, n_workers: int) -> None:
 
 def _sample_pairs(spec: TimeChangedSpec, s: float, t_grid, n_paths: int,
                   master_seed: int, n_workers: int):
-    # (m, n_paths) draws of Y_s and Y_t, one row per distinct grid time in
-    # increasing order, and the row of each grid time; each path samples its
-    # clock once over s and the m distinct times
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size == 0:
-        raise ValueError("t_grid must be a nonempty 1-d array")
-    times, col = np.unique(t_grid, return_inverse=True)
-    if not 0.0 < s < times[0]:
-        raise ValueError(f"need 0 < s < t, got s={s}, t={times[0]}")
+    # (m, n_paths) draws of Y_s and Y_t, one row per time of the m-point
+    # grid; each path samples its clock once over s and the grid, which the
+    # pair sampler checks is increasing and above s
     if n_paths < 100:
         raise ValueError(f"need at least 100 paths, got {n_paths}")
-    ys = np.empty((len(times), n_paths))
-    yt = np.empty((len(times), n_paths))
+    ys = np.empty((np.size(t_grid), n_paths))
+    yt = np.empty_like(ys)
 
     def fill(block) -> None:
         stream, lo, hi = block
-        y_s, y_t = sample_timechanged_pair(spec, s, times, stream, size=hi - lo)
+        y_s, y_t = sample_timechanged_pair(spec, s, t_grid, stream, size=hi - lo)
         ys[:, lo:hi], yt[:, lo:hi] = y_s.T, y_t.T
 
     _run_blocks(fill, n_paths, master_seed, n_workers)
-    return ys, yt, col
+    return ys, yt
 
 
 def _corr_errors(ys: np.ndarray, yt: np.ndarray, slope_weights=None):
@@ -129,20 +124,19 @@ def _corr_errors(ys: np.ndarray, yt: np.ndarray, slope_weights=None):
 
 def estimate_cov_curve(spec: TimeChangedSpec, s: float, t_grid, n_paths: int,
                        master_seed: int, n_workers: int = 1) -> list[MomentEstimate]:
-    """Sample covariances of (Y_s, Y_t) at every grid time, one estimate per
-    grid time in input order.
+    """Sample covariances of (Y_s, Y_t) on an increasing grid above s, one
+    estimate per grid time.
 
-    Each path samples its clock once, over s and the distinct grid times in
-    increasing order, so the estimates share their clock paths (common
-    random numbers) while each (Y_s, Y_t) keeps its exact joint law.  The
-    grid may be unsorted or repeat a time.  Each standard error comes from
-    the sample variance of the per-path centered products.
+    Each path samples its clock once, over s and the grid, so the estimates
+    share their clock paths (common random numbers) while each (Y_s, Y_t)
+    keeps its exact joint law.  Each standard error comes from the sample
+    variance of the per-path centered products.
     """
-    ys, yt, col = _sample_pairs(spec, s, t_grid, n_paths, master_seed, n_workers)
+    ys, yt = _sample_pairs(spec, s, t_grid, n_paths, master_seed, n_workers)
     dev = (ys - ys.mean(axis=1, keepdims=True)) * (yt - yt.mean(axis=1, keepdims=True))
     value = dev.sum(axis=1) / (n_paths - 1)
     stderr = dev.std(axis=1, ddof=1) / math.sqrt(n_paths)
-    return [MomentEstimate(float(value[j]), float(stderr[j]), n_paths) for j in col]
+    return [MomentEstimate(v, se, n_paths) for v, se in zip(value.tolist(), stderr.tolist())]
 
 
 def estimate_cov(spec: TimeChangedSpec, s: float, t: float, n_paths: int,
@@ -159,11 +153,9 @@ def estimate_corr(spec: TimeChangedSpec, s: float, t: float, n_paths: int,
 
     The stderr is the standard deviation of each path's influence on r over
     sqrt(n_paths), the nonparametric delta method (Efron and Tibshirani,
-    1993, ch. 21).  The degenerate case s == t returns correlation exactly 1.
+    1993, ch. 21).  Like its siblings it needs 0 < s < t.
     """
-    if 0.0 < s == t and n_paths >= 100:
-        return MomentEstimate(1.0, 0.0, n_paths)
-    ys, yt, _ = _sample_pairs(spec, s, [t], n_paths, master_seed, n_workers)
+    ys, yt = _sample_pairs(spec, s, [t], n_paths, master_seed, n_workers)
     corr, stderr, _ = _corr_errors(ys, yt)
     return MomentEstimate(float(corr[0]), float(stderr[0]), n_paths)
 
@@ -171,7 +163,7 @@ def estimate_corr(spec: TimeChangedSpec, s: float, t: float, n_paths: int,
 def estimate_increment_sm(spec: TimeChangedSpec, s: float, t: float, n_paths: int,
                           master_seed: int, n_workers: int = 1) -> MomentEstimate:
     """Sample mean of (Y_t - Y_s)**2 with its standard error."""
-    ys, yt, _ = _sample_pairs(spec, s, [t], n_paths, master_seed, n_workers)
+    ys, yt = _sample_pairs(spec, s, [t], n_paths, master_seed, n_workers)
     sq = (yt[0] - ys[0]) ** 2
     return MomentEstimate(float(sq.mean()),
                           float(sq.std(ddof=1) / math.sqrt(n_paths)), n_paths)
@@ -242,20 +234,16 @@ def lrd_report(spec: TimeChangedSpec, s: float, t_grid, n_paths: int,
     stderr from the per-path influences on it, and the slope of log r on
     log t takes ``mc_slope_paired_stderr`` from the same influences summed
     across grid times with the OLS weights (Efron and Tibshirani, *An
-    Introduction to the Bootstrap*, 1993, ch. 21).  The grid may be
-    unsorted or repeat a time; the MC curve keeps its order, one row per
-    grid time.
+    Introduction to the Bootstrap*, 1993, ch. 21).  The grid is increasing
+    and above s, one MC row per grid time.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    predicted = theory.corr_decay_prediction(spec)
+    predicted = theory.corr_decay_prediction(spec.gmfbm)
     oracle_curve = corr_curve_oracle(spec, s, t_grid)
     oracle_fit = fit_decay(oracle_curve)
-    # a repeated grid time adds its OLS weights into its one row of draws
-    ys, yt, col = _sample_pairs(spec, s, t_grid, n_paths, master_seed, n_workers)
+    ys, yt = _sample_pairs(spec, s, t_grid, n_paths, master_seed, n_workers)
     xc = np.log(t_grid) - np.log(t_grid).mean()
-    weights = np.bincount(col, weights=xc / (xc @ xc), minlength=len(ys))
-    corr, stderr, slope_stderr = _corr_errors(ys, yt, weights)
-    corr, stderr = corr[col], stderr[col]
+    corr, stderr, slope_stderr = _corr_errors(ys, yt, xc / (xc @ xc))
     mc_curve = [(float(t), float(c), float(se))
                 for t, c, se in zip(t_grid, corr, stderr)]
     mc_fit = (fit_decay([(t, c) for t, c, _ in mc_curve]) if np.all(corr > 0.0)
@@ -268,7 +256,7 @@ def lrd_report(spec: TimeChangedSpec, s: float, t_grid, n_paths: int,
         oracle_fit=oracle_fit,
         mc_fit=mc_fit,
         mc_slope_paired_stderr=slope_stderr,
-        is_lrd=theory.is_lrd(spec),
+        is_lrd=theory.is_lrd(spec.gmfbm),
         n_paths=n_paths,
         master_seed=master_seed,
     )

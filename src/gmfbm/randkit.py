@@ -125,6 +125,8 @@ def sample_gamma(stream: RngStream, shape: float, size: int) -> np.ndarray:
     """
     if not shape > 0.0:
         raise ValueError(f"gamma shape must be positive, got {shape}")
+    if size < 0:
+        raise ValueError(f"size must be nonnegative, got {size}")
     return stream.gen.standard_gamma(shape, size=size)
 
 
@@ -287,6 +289,8 @@ def sample_tempered_stable_increment(stream: RngStream, alpha: float,
         raise ValueError(f"lambda must be positive, got {lam}")
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
+    if size < 0:
+        raise ValueError(f"size must be nonnegative, got {size}")
     n_sub = tempered_stable_substep_count(alpha, lam, dt)
     if n_sub <= _SUBSTEP_LIMIT:
         return _tempered_by_thinning(stream.gen, alpha, lam, dt, size, n_sub)

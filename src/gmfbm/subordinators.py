@@ -123,8 +123,8 @@ def sample_path(spec: SubordinatorSpec, times, stream: RngStream,
     draw across the block.
     """
     times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or not np.all(np.isfinite(times)):
-        raise ValueError("times must be a finite 1-d array")
+    if times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times)):
+        raise ValueError("times must be a nonempty finite 1-d array")
     gaps = np.diff(times, prepend=0.0)
     incs = np.column_stack([sample_increment(spec, g, stream, size=size)
                             for g in gaps])

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from gmfbm.process import TimeChangedSpec
+from gmfbm.process import GmfbmParams, TimeChangedSpec
 
 
 @dataclass(frozen=True)
@@ -78,15 +78,13 @@ def increment_sm_asymptotic(spec: TimeChangedSpec, s: float, t: float) -> float:
     return block(p.a, p.h1) + block(p.b, p.h2)
 
 
-def corr_decay_prediction(p) -> DecayPrediction:
+def corr_decay_prediction(p: GmfbmParams) -> DecayPrediction:
     """Predicted correlation-decay exponents for a parameter set.
 
-    Accepts GmfbmParams (or a TimeChangedSpec, whose clock only affects
-    constants, not exponents).  With h1 <= h2 canonical, the pure term
-    h2 - 1 always dominates the mixed term 2*h1 - h2 - 1.
+    The exponents depend on the Hurst indices alone (a clock only changes
+    constants, so pass a spec's ``gmfbm``).  With h1 <= h2 canonical, the
+    pure term h2 - 1 always dominates the mixed term 2*h1 - h2 - 1.
     """
-    if isinstance(p, TimeChangedSpec):
-        p = p.gmfbm
     mixed = 2.0 * p.h1 - p.h2 - 1.0
     pure = p.h2 - 1.0
     return DecayPrediction(
@@ -97,13 +95,11 @@ def corr_decay_prediction(p) -> DecayPrediction:
     )
 
 
-def is_lrd(p) -> bool:
+def is_lrd(p: GmfbmParams) -> bool:
     """Long-range dependence criterion 2*H1 - H2 < 1 (canonical h1 <= h2).
 
     Note the condition is implied by the ordering itself
     (2*h1 - h2 <= h2 < 1), so it holds for every valid parameter set; it is
     evaluated literally all the same.
     """
-    if isinstance(p, TimeChangedSpec):
-        p = p.gmfbm
     return 2.0 * p.h1 - p.h2 < 1.0

@@ -17,7 +17,8 @@ from gmfbm.mclab import DecayFit
 from gmfbm.process import (GmfbmParams, TimeChangedSpec,
                            sample_timechanged_path_with_clock)
 from gmfbm.randkit import BLOCK_PATHS, path_blocks
-from gmfbm.subordinators import QuadratureError, SubordinatorSpec
+from gmfbm.subordinators import (QuadratureError, SubordinatorSpec, subordinator_moment,
+                                  subordinator_moment_asymptotic)
 from gmfbm.theory import DecayPrediction
 
 FAST_LRD = ["--subordinator", "gamma", "--paths", "300", "--seed", "5",
@@ -232,6 +233,25 @@ class TestMoments:
         assert lines[0] == "t,q,exact_moment,asymptotic_moment,ratio"
         assert len(lines) == 1 + 4 * 2
 
+    @pytest.mark.parametrize("clock", ["tss", "gamma"])
+    def test_csv_bytes_match_per_row_reference(self, tmp_path, clock):
+        # the table against one "%.17g" row per (t, q), each asymptotic value
+        # one Python call and each ratio one float division
+        sub = SubordinatorSpec.tss(0.7, 1.0) if clock == "tss" else SubordinatorSpec.gamma(1.0)
+        grid = np.geomspace(10.0, 1e4, 7)
+        qs = (0.6, 1.0, 1.6)
+        exact = [subordinator_moment(sub, grid, q).tolist() for q in qs]
+        lines = ["t,q,exact_moment,asymptotic_moment,ratio"]
+        for i, t in enumerate(grid.tolist()):
+            for j, q in enumerate(qs):
+                asym = subordinator_moment_asymptotic(sub, t, q)
+                lines.append("%.17g,%.17g,%.17g,%.17g,%.17g"
+                             % (t, q, exact[j][i], asym, exact[j][i] / asym))
+        code, text = run(tmp_path, "moments", "--subordinator", clock, "--t-min", "10",
+                         "--t-max", "1e4", "--t-count", "7", "--q", "0.6,1.0,1.6")
+        assert code == EXIT_OK
+        assert text.split("\n") == [*lines, ""]
+
     def test_ratio_tends_to_one(self, tmp_path):
         _, text = run(tmp_path, "moments", "--subordinator", "tss",
                       "--t-min", "10", "--t-max", "10000", "--t-count", "4",
@@ -394,6 +414,22 @@ class TestExitCodes:
         assert text is None
         assert err.startswith("gmfbm: numerical failure: oracle covariance ")
         assert " at t = 100000000 is not positive" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("args", [
+        ("cov-table", "--t-max", "100.00000000000003", "--t-count", "5"),
+        ("lrd", "--t-max", "100.000000000001"),
+    ])
+    def test_rounded_grid_is_invalid(self, tmp_path, capsys, args):
+        # t-max so close to t-min that geomspace rounds grid times together:
+        # the grid is not increasing, so no table of repeated rows and no
+        # fit over them
+        command, *rest = args
+        code, text = run(tmp_path, command, "--t-min", "100", *rest, "--paths", "200")
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert text is None
+        assert err.startswith("gmfbm: invalid parameters: ")
         assert err.count("\n") == 1
 
     def test_infinite_tss_tilt_fails_instead_of_hanging(self):

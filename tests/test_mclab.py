@@ -132,12 +132,10 @@ class TestEstimateCovCurve:
                                       n_workers=n_workers) == base
 
     def test_unsorted_grid_with_repeat(self):
-        grid = np.array([8.0, 2.0, 30.0, 2.5, 8.0, 100.0])
-        ordered = estimate_cov_curve(GAMMA_SPEC, 1.0, np.unique(grid), 1000, 113)
-        mixed = estimate_cov_curve(GAMMA_SPEC, 1.0, grid, 1000, 113)
-        by_t = dict(zip(np.unique(grid).tolist(), ordered))
-        assert len(mixed) == len(grid)
-        assert mixed == [by_t[t] for t in grid.tolist()]
+        # the grid is increasing, as the pair sampler checks
+        for grid in ([8.0, 2.0, 30.0], [2.0, 8.0, 8.0, 30.0]):
+            with pytest.raises(ValueError, match="increasing 1-d grid"):
+                estimate_cov_curve(GAMMA_SPEC, 1.0, grid, 1000, 113)
 
     def test_argument_domains(self):
         for grid in ([0.5, 2.0], [2.0, 1.0], [3.0, 1.0, 5.0], [], [[2.0, 3.0]]):
@@ -161,9 +159,9 @@ class TestEstimateCorr:
             assert -1.0 <= est.value <= 1.0
 
     def test_self_correlation(self):
-        est = estimate_corr(GAMMA_SPEC, 2.0, 2.0, 1000, 0)
-        assert est.value == 1.0
-        assert est.stderr == 0.0
+        # s == t is outside 0 < s < t, as for every estimator
+        with pytest.raises(ValueError, match="need 0 < s < t"):
+            estimate_corr(GAMMA_SPEC, 2.0, 2.0, 1000, 0)
 
     def test_bootstrap_stderr_sane(self):
         # bootstrap stderr should sit near the classical (1-rho^2)/sqrt(n)
@@ -236,13 +234,13 @@ class TestCorrErrors:
         assert lo < slope_ratio < hi
 
     def test_repeated_time_adds_its_weights(self):
-        # lrd_report's paired error on a grid with a repeat equals the error
-        # of the OLS slope over the grid with that time's column duplicated
-        grid = np.array([800.0, 100.0, 3000.0, 250.0, 800.0, 10000.0])
+        # lrd_report's paired error is the error of the OLS slope over the
+        # grid's draws
+        grid = np.array([100.0, 250.0, 800.0, 3000.0, 10000.0])
         rep = lrd_report(GAMMA_SPEC, 1.0, grid, 2000, 115)
-        ys, yt, col = _sample_pairs(GAMMA_SPEC, 1.0, grid, 2000, 115, 1)
+        ys, yt = _sample_pairs(GAMMA_SPEC, 1.0, grid, 2000, 115, 1)
         xc = np.log(grid) - np.log(grid).mean()
-        _, _, expected = _corr_errors(ys[col], yt[col], xc / (xc @ xc))
+        _, _, expected = _corr_errors(ys, yt, xc / (xc @ xc))
         assert rep.mc_slope_paired_stderr == pytest.approx(expected, rel=1e-12)
 
     def test_slope_stderr_needs_weights_and_positive_correlations(self):
@@ -255,7 +253,7 @@ class TestCorrErrors:
 
     @pytest.mark.parametrize("spec", [TSS_SPEC, GAMMA_SPEC])
     def test_estimate_corr_is_one_time_case(self, spec):
-        ys, yt, _ = _sample_pairs(spec, 1.0, [10.0], 3000, 114, 1)
+        ys, yt = _sample_pairs(spec, 1.0, [10.0], 3000, 114, 1)
         corr, stderr, _ = _corr_errors(ys, yt)
         assert estimate_corr(spec, 1.0, 10.0, 3000, 114) == MomentEstimate(
             float(corr[0]), float(stderr[0]), 3000)
@@ -388,8 +386,8 @@ def report():
 class TestLrdReport:
     def test_predicted_matches_theory(self, report):
         assert report.predicted.dominant == \
-            theory.corr_decay_prediction(GAMMA_SPEC).dominant
-        assert report.is_lrd == theory.is_lrd(GAMMA_SPEC)
+            theory.corr_decay_prediction(GAMMA_SPEC.gmfbm).dominant
+        assert report.is_lrd == theory.is_lrd(GAMMA_SPEC.gmfbm)
 
     def test_oracle_fit_near_prediction(self, report):
         assert abs(report.oracle_fit.slope - report.predicted.dominant) < 0.05
@@ -423,12 +421,11 @@ class TestLrdReport:
         assert any(undefined) and not all(undefined)
 
     def test_unsorted_grid_with_repeat(self):
-        grid = np.array([800.0, 100.0, 3000.0, 250.0, 800.0, 10000.0])
-        ordered = lrd_report(GAMMA_SPEC, 1.0, np.unique(grid), 1000, 109)
-        mixed = lrd_report(GAMMA_SPEC, 1.0, grid, 1000, 109)
-        rows = {row[0]: row for row in ordered.mc_curve}
-        assert [row[0] for row in mixed.mc_curve] == grid.tolist()
-        assert mixed.mc_curve == [rows[t] for t in grid]
+        # the grid is increasing, as the pair sampler checks
+        for grid in ([800.0, 100.0, 3000.0, 250.0, 10000.0],
+                     [100.0, 250.0, 800.0, 800.0, 3000.0, 10000.0]):
+            with pytest.raises(ValueError, match="increasing 1-d grid"):
+                lrd_report(GAMMA_SPEC, 1.0, grid, 1000, 109)
 
     @pytest.mark.parametrize("spec", [TSS_SPEC, GAMMA_SPEC])
     def test_every_point_within_family_z_bound(self, spec):

@@ -546,6 +546,27 @@ class TestSamplePath:
         path = sample_path(SubordinatorSpec.gamma(0.5), grid, derive_stream(11, 2), size=1)
         assert path[0, 0] == 0.0
 
+    # on TSS the gaps 1 and 298 take the thinning and the double-rejection
+    # samplers
+    CLOCKS = [SubordinatorSpec.gamma(1.0), SubordinatorSpec.tss(0.7, 1.0)]
+    GRID = [1.0, 2.0, 300.0]
+
+    @pytest.mark.parametrize("spec", CLOCKS)
+    def test_empty_grid_raises(self, spec):
+        # its own message, not numpy's concatenate error
+        with pytest.raises(ValueError, match=r"^times must be a nonempty finite 1-d array"):
+            sample_path(spec, [], derive_stream(11, 3), size=2)
+
+    @pytest.mark.parametrize("spec", CLOCKS)
+    def test_negative_size_raises(self, spec):
+        # one message on both clocks, not a math domain or numpy shape error
+        with pytest.raises(ValueError, match=r"^size must be nonnegative, got -1$"):
+            sample_path(spec, self.GRID, derive_stream(11, 3), size=-1)
+
+    @pytest.mark.parametrize("spec", CLOCKS)
+    def test_zero_size_is_an_empty_block(self, spec):
+        assert sample_path(spec, self.GRID, derive_stream(11, 3), size=0).shape == (0, 3)
+
     @pytest.mark.parametrize("spec", [SubordinatorSpec.gamma(1.0),
                                       SubordinatorSpec.tss(0.6, 1.0)])
     def test_increment_stationarity_ks(self, spec):

@@ -135,9 +135,6 @@ class TestDecayPrediction:
         assert pred.dominant < 0.0
         assert pred.dominant == max(pred.exponent_mixed, pred.exponent_pure)
 
-    def test_accepts_spec(self):
-        assert corr_decay_prediction(tss_spec()).dominant == pytest.approx(-0.2)
-
 
 class TestIsLrd:
     @pytest.mark.parametrize("h1,h2", [(0.55, 0.8), (0.3, 0.6), (0.9, 0.9)])
