@@ -290,8 +290,7 @@ def cmd_simulate(config: RunConfig) -> int:
                 config.spec, grid, stream, size=hi - lo)
             yield np.arange(lo, hi), np.stack([clock, values], axis=-1)
 
-    _emit(config, ["path", "t", "subordinator", "value"], [grid], blocks(),
-          {"n_paths": config["paths"], "grid_count": grid.size})
+    _emit(config, ["path", "t", "subordinator", "value"], [grid], blocks(), {})
     return EXIT_OK
 
 
@@ -304,7 +303,7 @@ def cmd_cov_table(config: RunConfig) -> int:
     values = np.column_stack([oracle, asym, oracle / asym, [e.value for e in est],
                               [e.stderr for e in est]])
     _emit(config, ["t", "oracle_cov", "asymptotic_cov", "ratio", "mc_cov", "mc_stderr"],
-          [], [(grid, values)], {"s": s})
+          [], [(grid, values)], {})
     return EXIT_OK
 
 
@@ -313,13 +312,12 @@ def cmd_lrd(config: RunConfig) -> int:
     report = mclab.lrd_report(config.spec, config["s"], config.t_grid(),
                               config["paths"], config["seed"])
     gap = abs(report.oracle_fit.slope - report.predicted.dominant)
+    passed = gap <= LRD_SLOPE_TOLERANCE
     t, oracle_corr = zip(*report.oracle_curve)
     _, mc_corr, mc_stderr = zip(*report.mc_curve)
     summary = asdict(report)
     del summary["oracle_curve"], summary["mc_curve"]
-    summary["slope_gap"] = gap
-    summary["slope_tolerance"] = LRD_SLOPE_TOLERANCE
-    summary["verdict"] = report.is_lrd
+    summary.update(slope_gap=gap, slope_tolerance=LRD_SLOPE_TOLERANCE, verdict=passed)
     _emit(config, ["t", "oracle_corr", "mc_corr", "mc_stderr"], [],
           [(t, np.column_stack([oracle_corr, mc_corr, mc_stderr]))], summary)
     _info(f"predicted exponents: mixed {report.predicted.exponent_mixed:+.4f}, "
@@ -334,7 +332,7 @@ def cmd_lrd(config: RunConfig) -> int:
     _info(f"fitted slopes: oracle {report.oracle_fit.slope:+.4f} "
           f"(stderr {report.oracle_fit.slope_stderr:.4f}), {mc_text}")
     _info(f"long-range dependent: {report.is_lrd}")
-    if not gap <= LRD_SLOPE_TOLERANCE:
+    if not passed:
         _info(f"FAIL: |oracle slope - predicted| = {gap:.4f} > {LRD_SLOPE_TOLERANCE} "
               f"(the grid may end before the asymptote; try a larger --t-max)")
         return EXIT_STATISTICAL

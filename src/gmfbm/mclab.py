@@ -38,13 +38,10 @@ class MomentEstimate:
 
     value: float
     stderr: float
-    n_paths: int
 
     def __post_init__(self):
         if self.stderr < 0.0:
             raise ValueError("stderr must be nonnegative")
-        if self.n_paths < 1:
-            raise ValueError("n_paths must be positive")
 
 
 @dataclass(frozen=True)
@@ -105,13 +102,20 @@ def _corr_errors(ys: np.ndarray, yt: np.ndarray, slope_weights=None):
     deviation of the per-path influences over sqrt(n); the weighted log
     slope has the influence sum_j w_j IF_ij / r_j, which carries the
     correlation across rows.  The slope error is None without weights or
-    when a correlation is not positive, since its log is undefined.
+    when a correlation is not positive, since its log is undefined.  A row
+    with zero sample variance has no correlation, and raises ``ValueError``.
     """
     n = ys.shape[1]
     zx = ys - ys.mean(axis=1, keepdims=True)
     zy = yt - yt.mean(axis=1, keepdims=True)
-    zx /= np.sqrt((zx * zx).mean(axis=1, keepdims=True))
-    zy /= np.sqrt((zy * zy).mean(axis=1, keepdims=True))
+    sx = np.sqrt((zx * zx).mean(axis=1, keepdims=True))
+    sy = np.sqrt((zy * zy).mean(axis=1, keepdims=True))
+    for name, sd in (("Y_s", sx), ("Y_t", sy)):
+        if not np.all(sd > 0.0):
+            raise ValueError(f"{name} is constant over {n} paths, so the Monte Carlo "
+                             f"correlation of Y_s and Y_t is undefined")
+    zx /= sx
+    zy /= sy
     prod = zx * zy
     corr = prod.mean(axis=1)
     infl = prod - 0.5 * corr[:, None] * (zx * zx + zy * zy)
@@ -136,7 +140,7 @@ def estimate_cov_curve(spec: TimeChangedSpec, s: float, t_grid, n_paths: int,
     dev = (ys - ys.mean(axis=1, keepdims=True)) * (yt - yt.mean(axis=1, keepdims=True))
     value = dev.sum(axis=1) / (n_paths - 1)
     stderr = dev.std(axis=1, ddof=1) / math.sqrt(n_paths)
-    return [MomentEstimate(v, se, n_paths) for v, se in zip(value.tolist(), stderr.tolist())]
+    return [MomentEstimate(v, se) for v, se in zip(value.tolist(), stderr.tolist())]
 
 
 def estimate_cov(spec: TimeChangedSpec, s: float, t: float, n_paths: int,
@@ -157,7 +161,7 @@ def estimate_corr(spec: TimeChangedSpec, s: float, t: float, n_paths: int,
     """
     ys, yt = _sample_pairs(spec, s, [t], n_paths, master_seed, n_workers)
     corr, stderr, _ = _corr_errors(ys, yt)
-    return MomentEstimate(float(corr[0]), float(stderr[0]), n_paths)
+    return MomentEstimate(float(corr[0]), float(stderr[0]))
 
 
 def estimate_increment_sm(spec: TimeChangedSpec, s: float, t: float, n_paths: int,
@@ -165,8 +169,7 @@ def estimate_increment_sm(spec: TimeChangedSpec, s: float, t: float, n_paths: in
     """Sample mean of (Y_t - Y_s)**2 with its standard error."""
     ys, yt = _sample_pairs(spec, s, [t], n_paths, master_seed, n_workers)
     sq = (yt[0] - ys[0]) ** 2
-    return MomentEstimate(float(sq.mean()),
-                          float(sq.std(ddof=1) / math.sqrt(n_paths)), n_paths)
+    return MomentEstimate(float(sq.mean()), float(sq.std(ddof=1) / math.sqrt(n_paths)))
 
 
 def fit_decay(points) -> DecayFit:
@@ -202,7 +205,7 @@ def fit_decay(points) -> DecayFit:
 
 @dataclass(frozen=True)
 class LrdReport:
-    """Predicted vs measured correlation decay, plus the LRD verdict.
+    """Predicted vs measured correlation decay, plus the LRD classification.
 
     ``mc_fit`` is None when a Monte Carlo correlation is not positive, so
     its log and the MC slope are undefined.  ``mc_slope_paired_stderr`` is
@@ -212,7 +215,6 @@ class LrdReport:
     Monte Carlo noise.
     """
 
-    s: float
     predicted: DecayPrediction
     oracle_curve: list[tuple[float, float]]
     mc_curve: list[tuple[float, float, float]]
@@ -220,8 +222,6 @@ class LrdReport:
     mc_fit: DecayFit | None
     mc_slope_paired_stderr: float | None
     is_lrd: bool
-    n_paths: int
-    master_seed: int
 
 
 def lrd_report(spec: TimeChangedSpec, s: float, t_grid, n_paths: int,
@@ -249,7 +249,6 @@ def lrd_report(spec: TimeChangedSpec, s: float, t_grid, n_paths: int,
     mc_fit = (fit_decay([(t, c) for t, c, _ in mc_curve]) if np.all(corr > 0.0)
               else None)
     return LrdReport(
-        s=float(s),
         predicted=predicted,
         oracle_curve=oracle_curve,
         mc_curve=mc_curve,
@@ -257,6 +256,4 @@ def lrd_report(spec: TimeChangedSpec, s: float, t_grid, n_paths: int,
         mc_fit=mc_fit,
         mc_slope_paired_stderr=slope_stderr,
         is_lrd=theory.is_lrd(spec.gmfbm),
-        n_paths=n_paths,
-        master_seed=master_seed,
     )

@@ -69,20 +69,19 @@ class GammaParams:
 
 @dataclass(frozen=True)
 class SubordinatorSpec:
-    """Tagged choice of subordinator family plus its parameters."""
+    """A subordinator family, named by the type of its parameters."""
 
-    kind: str
     params: TssParams | GammaParams
 
     def __post_init__(self):
-        if self.kind == "tss":
-            if not isinstance(self.params, TssParams):
-                raise ValueError("kind 'tss' requires TssParams")
-        elif self.kind == "gamma":
-            if not isinstance(self.params, GammaParams):
-                raise ValueError("kind 'gamma' requires GammaParams")
-        else:
-            raise ValueError(f"unknown subordinator kind {self.kind!r}")
+        if not isinstance(self.params, (TssParams, GammaParams)):
+            raise ValueError("params must be TssParams or GammaParams, "
+                             f"got {type(self.params).__name__}")
+
+    @property
+    def kind(self) -> str:
+        """``"tss"`` for ``TssParams``, ``"gamma"`` for ``GammaParams``."""
+        return "gamma" if isinstance(self.params, GammaParams) else "tss"
 
     @property
     def rate(self) -> float:
@@ -93,11 +92,11 @@ class SubordinatorSpec:
 
     @classmethod
     def tss(cls, alpha: float, lam: float) -> "SubordinatorSpec":
-        return cls("tss", TssParams(alpha, lam))
+        return cls(TssParams(alpha, lam))
 
     @classmethod
     def gamma(cls, nu: float) -> "SubordinatorSpec":
-        return cls("gamma", GammaParams(nu))
+        return cls(GammaParams(nu))
 
 
 def sample_increment(spec: SubordinatorSpec, dt: float, stream: RngStream,
@@ -105,6 +104,8 @@ def sample_increment(spec: SubordinatorSpec, dt: float, stream: RngStream,
     """``size`` increments of the subordinator over a span dt (dt = 0 gives 0)."""
     if not dt >= 0.0:
         raise ValueError("dt must be nonnegative")
+    if size < 0:
+        raise ValueError(f"size must be nonnegative, got {size}")
     if dt == 0.0:
         return np.zeros(size)
     if spec.kind == "gamma":

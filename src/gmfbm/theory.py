@@ -27,7 +27,6 @@ class DecayPrediction:
     exponent_mixed: float
     exponent_pure: float
     dominant: float
-    lrd_condition_holds: bool
 
 
 def _check_fixed_times(s: float, t: float) -> None:
@@ -91,7 +90,6 @@ def corr_decay_prediction(p: GmfbmParams) -> DecayPrediction:
         exponent_mixed=mixed,
         exponent_pure=pure,
         dominant=max(mixed, pure),
-        lrd_condition_holds=is_lrd(p),
     )
 
 

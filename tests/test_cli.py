@@ -180,7 +180,7 @@ class TestLrd:
 
     def test_forced_wrong_prediction_fails(self, tmp_path, monkeypatch):
         monkeypatch.setattr(theory, "corr_decay_prediction",
-                            lambda p: DecayPrediction(-0.9, -0.9, -0.9, True))
+                            lambda p: DecayPrediction(-0.9, -0.9, -0.9))
         code, _ = run(tmp_path, "lrd", *FAST_LRD)
         assert code == EXIT_STATISTICAL
 
@@ -205,12 +205,19 @@ class TestLrd:
         assert ", mc undefined (" in err
         assert "PASS" in err
 
-    def test_verdict_field_matches_classifier(self, tmp_path):
-        code, text = run(tmp_path, "lrd", *FAST_LRD, fmt="json")
-        payload = json.loads(text)
-        assert payload["summary"]["verdict"] is True
-        assert payload["summary"]["is_lrd"] is True
-        assert payload["summary"]["predicted"]["dominant"] == pytest.approx(-0.2)
+    def test_verdict_field_reports_the_gate(self, tmp_path):
+        # verdict is the slope gate that sets the exit code; is_lrd is the
+        # classifier, which holds for every valid parameter set.  The weights
+        # a = 2, b = 0.7 put the oracle slope outside the tolerance
+        for extra, passed, exit_code in (([], True, EXIT_OK),
+                                         (["--a", "2", "--b", "0.7"], False, EXIT_STATISTICAL)):
+            code, text = run(tmp_path, "lrd", *FAST_LRD, *extra, fmt="json")
+            summary = json.loads(text)["summary"]
+            assert code == exit_code
+            assert summary["verdict"] is passed
+            assert (summary["slope_gap"] <= summary["slope_tolerance"]) is passed
+            assert summary["is_lrd"] is True
+            assert summary["predicted"]["dominant"] == pytest.approx(-0.2)
 
     def test_config_records_block_paths(self, tmp_path):
         code, text = run(tmp_path, "lrd", *FAST_LRD, fmt="json")
@@ -431,6 +438,17 @@ class TestExitCodes:
         assert text is None
         assert err.startswith("gmfbm: invalid parameters: ")
         assert err.count("\n") == 1
+
+    def test_constant_mc_sample_is_invalid(self, tmp_path, capsys):
+        # every clock draw underflows to 0 at nu = 1e9: the MC correlations
+        # are undefined, so no warning, no NaN in the JSON and no output
+        code, text = run(tmp_path, "lrd", "--subordinator", "gamma", "--nu", "1e9",
+                         "--paths", "200", fmt="json")
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert text is None
+        assert err == ("gmfbm: invalid parameters: Y_s is constant over 200 paths, so the "
+                       "Monte Carlo correlation of Y_s and Y_t is undefined\n")
 
     def test_infinite_tss_tilt_fails_instead_of_hanging(self):
         # lam * dt**(1/alpha) overflows: double rejection would never accept a

@@ -45,9 +45,7 @@ FAMILY_ALPHA = 1e-4
 class TestTypes:
     def test_moment_estimate_invariants(self):
         with pytest.raises(ValueError):
-            MomentEstimate(1.0, -0.1, 10)
-        with pytest.raises(ValueError):
-            MomentEstimate(1.0, 0.1, 0)
+            MomentEstimate(1.0, -0.1)
 
     def test_decay_fit_invariants(self):
         with pytest.raises(ValueError):
@@ -122,7 +120,7 @@ class TestEstimateCovCurve:
         ys, yt = ys[:, 0], yt[:, 0]
         dev = (ys - ys.mean()) * (yt - yt.mean())
         assert estimate_cov(spec, 1.0, 10.0, n, 111) == MomentEstimate(
-            float(dev.sum() / (n - 1)), float(dev.std(ddof=1) / math.sqrt(n)), n)
+            float(dev.sum() / (n - 1)), float(dev.std(ddof=1) / math.sqrt(n)))
 
     def test_worker_invariance(self):
         grid = np.geomspace(2.0, 50.0, 5)
@@ -251,18 +249,37 @@ class TestCorrErrors:
         y[2] *= -1.0
         assert _corr_errors(x, y, weights)[2] is None
 
+    def test_constant_row_raises(self):
+        # a row with zero sample variance has no correlation: it raises
+        # before the division that would make it NaN
+        x, y = self.columns(n=500)
+        x[1] = 2.5
+        with pytest.raises(ValueError, match=r"^Y_s is constant over 500 paths, "):
+            _corr_errors(x, y)
+        x, y = self.columns(n=500)
+        y[3] = 0.0
+        with pytest.raises(ValueError, match=r"^Y_t is constant over 500 paths, "):
+            _corr_errors(x, y, np.array([-0.5, -0.1, 0.1, 0.5]))
+
+    def test_constant_clock_raises(self):
+        # at nu = 1e9 every Gamma clock draw up to t = 10 underflows to 0,
+        # so Y_s is 0 on every path
+        spec = TimeChangedSpec(MIX, SubordinatorSpec.gamma(1e9))
+        with pytest.raises(ValueError, match=r"^Y_s is constant over 200 paths, "):
+            estimate_corr(spec, 1.0, 10.0, 200, 3)
+
     @pytest.mark.parametrize("spec", [TSS_SPEC, GAMMA_SPEC])
     def test_estimate_corr_is_one_time_case(self, spec):
         ys, yt = _sample_pairs(spec, 1.0, [10.0], 3000, 114, 1)
         corr, stderr, _ = _corr_errors(ys, yt)
         assert estimate_corr(spec, 1.0, 10.0, 3000, 114) == MomentEstimate(
-            float(corr[0]), float(stderr[0]), 3000)
+            float(corr[0]), float(stderr[0]))
         # reference: one block of pairs reduced as a flat sample, bit for bit
         n = 1000
         ys, yt = sample_timechanged_pair(spec, 1.0, [10.0], derive_stream(114, 0), size=n)
         corr, stderr, _ = _corr_errors(ys.T, yt.T)
         assert estimate_corr(spec, 1.0, 10.0, n, 114) == MomentEstimate(
-            float(corr[0]), float(stderr[0]), n)
+            float(corr[0]), float(stderr[0]))
 
 
 class TestEstimateIncrementSm:

@@ -503,12 +503,13 @@ class TestTypes:
             GammaParams(0.0)
 
     def test_spec_kind_matches_params(self):
-        with pytest.raises(ValueError):
-            SubordinatorSpec("tss", GammaParams(1.0))
-        with pytest.raises(ValueError):
-            SubordinatorSpec("gamma", TssParams(0.5, 1.0))
-        with pytest.raises(ValueError):
-            SubordinatorSpec("poisson", GammaParams(1.0))
+        # the kind is read from the type of the parameters, which is checked
+        assert SubordinatorSpec(TssParams(0.5, 1.0)).kind == "tss"
+        assert SubordinatorSpec(GammaParams(1.0)).kind == "gamma"
+        assert SubordinatorSpec.tss(0.5, 1.0) == SubordinatorSpec(TssParams(0.5, 1.0))
+        assert SubordinatorSpec.gamma(1.0) == SubordinatorSpec(GammaParams(1.0))
+        with pytest.raises(ValueError, match="TssParams or GammaParams"):
+            SubordinatorSpec(object())
 
     def test_path_invariants(self):
         # sample_path returns the clock values as an array: nonnegative and
@@ -559,9 +560,11 @@ class TestSamplePath:
 
     @pytest.mark.parametrize("spec", CLOCKS)
     def test_negative_size_raises(self, spec):
-        # one message on both clocks, not a math domain or numpy shape error
-        with pytest.raises(ValueError, match=r"^size must be nonnegative, got -1$"):
-            sample_path(spec, self.GRID, derive_stream(11, 3), size=-1)
+        # one message on both clocks, not a math domain or numpy shape error;
+        # a grid from 0 starts with a zero gap, which draws nothing
+        for grid in (self.GRID, [0.0, 1.0]):
+            with pytest.raises(ValueError, match=r"^size must be nonnegative, got -1$"):
+                sample_path(spec, grid, derive_stream(11, 3), size=-1)
 
     @pytest.mark.parametrize("spec", CLOCKS)
     def test_zero_size_is_an_empty_block(self, spec):

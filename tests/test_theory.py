@@ -116,11 +116,12 @@ class TestIncrementAsymptotics:
 
 class TestDecayPrediction:
     def test_reference_pair(self):
-        pred = corr_decay_prediction(GmfbmParams(1.0, 1.0, 0.55, 0.8))
+        p = GmfbmParams(1.0, 1.0, 0.55, 0.8)
+        pred = corr_decay_prediction(p)
         assert pred.exponent_mixed == pytest.approx(-0.7)
         assert pred.exponent_pure == pytest.approx(-0.2)
         assert pred.dominant == pytest.approx(-0.2)
-        assert pred.lrd_condition_holds
+        assert is_lrd(p)
 
     def test_equal_indices(self):
         pred = corr_decay_prediction(GmfbmParams(1.0, 1.0, 0.6, 0.6))
