@@ -172,18 +172,18 @@ def estimate_increment_sm(spec: TimeChangedSpec, s: float, t: float, n_paths: in
     return MomentEstimate(float(sq.mean()), float(sq.std(ddof=1) / math.sqrt(n_paths)))
 
 
-def fit_decay(points) -> DecayFit:
-    """OLS fit of log(value) against log(t); the slope estimates -d for a
+def fit_decay(t, values) -> DecayFit:
+    """OLS fit of log(values) against log(t); the slope estimates -d for a
     power law c * t**-d.
 
-    Requires at least 5 points with strictly positive t and value, and at
-    least two distinct t.
+    Requires t and values of one length, at least 5 points with strictly
+    positive t and value, and at least two distinct t.
     """
-    pts = [(float(t), float(v)) for t, v in points]
-    if len(pts) < 5:
-        raise ValueError(f"need at least 5 points, got {len(pts)}")
-    t = np.array([p[0] for p in pts])
-    v = np.array([p[1] for p in pts])
+    t, v = np.asarray(t, dtype=float), np.asarray(values, dtype=float)
+    if t.ndim != 1 or t.shape != v.shape:
+        raise ValueError(f"need 1-d t and values of one length, got {t.shape} and {v.shape}")
+    if len(t) < 5:
+        raise ValueError(f"need at least 5 points, got {len(t)}")
     if np.any(t <= 0.0) or np.any(v <= 0.0):
         raise ValueError("power-law fit requires strictly positive t and value")
     x = np.log(t)
@@ -207,17 +207,19 @@ def fit_decay(points) -> DecayFit:
 class LrdReport:
     """Predicted vs measured correlation decay, plus the LRD classification.
 
-    ``mc_fit`` is None when a Monte Carlo correlation is not positive, so
-    its log and the MC slope are undefined.  ``mc_slope_paired_stderr`` is
-    the influence-function error of the MC slope, paired across grid times
-    because they share each path's clock (None exactly when ``mc_fit`` is);
-    ``mc_fit.slope_stderr`` is the OLS residual error, which ignores the
-    Monte Carlo noise.
+    ``oracle_corr``, ``mc_corr`` and ``mc_stderr`` hold one value per grid
+    time, in grid order.  ``mc_fit`` is None when a Monte Carlo correlation
+    is not positive, so its log and the MC slope are undefined.
+    ``mc_slope_paired_stderr`` is the influence-function error of the MC
+    slope, paired across grid times because they share each path's clock
+    (None exactly when ``mc_fit`` is); ``mc_fit.slope_stderr`` is the OLS
+    residual error, which ignores the Monte Carlo noise.
     """
 
     predicted: DecayPrediction
-    oracle_curve: list[tuple[float, float]]
-    mc_curve: list[tuple[float, float, float]]
+    oracle_corr: tuple[float, ...]
+    mc_corr: tuple[float, ...]
+    mc_stderr: tuple[float, ...]
     oracle_fit: DecayFit
     mc_fit: DecayFit | None
     mc_slope_paired_stderr: float | None
@@ -238,22 +240,18 @@ def lrd_report(spec: TimeChangedSpec, s: float, t_grid, n_paths: int,
     and above s, one MC row per grid time.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    predicted = theory.corr_decay_prediction(spec.gmfbm)
-    oracle_curve = corr_curve_oracle(spec, s, t_grid)
-    oracle_fit = fit_decay(oracle_curve)
+    oracle_corr = tuple(c for _, c in corr_curve_oracle(spec, s, t_grid))
+    oracle_fit = fit_decay(t_grid, oracle_corr)
     ys, yt = _sample_pairs(spec, s, t_grid, n_paths, master_seed, n_workers)
     xc = np.log(t_grid) - np.log(t_grid).mean()
     corr, stderr, slope_stderr = _corr_errors(ys, yt, xc / (xc @ xc))
-    mc_curve = [(float(t), float(c), float(se))
-                for t, c, se in zip(t_grid, corr, stderr)]
-    mc_fit = (fit_decay([(t, c) for t, c, _ in mc_curve]) if np.all(corr > 0.0)
-              else None)
     return LrdReport(
-        predicted=predicted,
-        oracle_curve=oracle_curve,
-        mc_curve=mc_curve,
+        predicted=theory.corr_decay_prediction(spec.gmfbm),
+        oracle_corr=oracle_corr,
+        mc_corr=tuple(corr.tolist()),
+        mc_stderr=tuple(stderr.tolist()),
         oracle_fit=oracle_fit,
-        mc_fit=mc_fit,
+        mc_fit=fit_decay(t_grid, corr) if np.all(corr > 0.0) else None,
         mc_slope_paired_stderr=slope_stderr,
         is_lrd=theory.is_lrd(spec.gmfbm),
     )

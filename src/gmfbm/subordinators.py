@@ -145,15 +145,23 @@ def _time_array(t) -> np.ndarray:
 
 
 def gamma_moment(params: GammaParams, t, q: float):
-    """Exact E[Gamma_t**q] = Gamma(t/nu + q) / Gamma(t/nu), via log-Gamma.
+    """Exact E[Gamma_t**q] = Gamma(x + q) / Gamma(x), x = t/nu: x and x(x + 1)
+    at q = 1 and 2, as in ``tss_moment``, and via log-Gamma otherwise.
 
     ``t`` is one time (a float result) or a 1-d array of times (an array).
     """
     t_arr = _time_array(t)
     if not 0.0 < q < math.inf:
         raise ValueError(f"q must be positive and finite, got {q}")
-    out = np.array([math.exp(math.lgamma(x + q) - math.lgamma(x))
-                    for x in (t_arr.ravel() / params.nu).tolist()])
+    # in Python floats, where a value beyond the float range becomes inf or
+    # NaN with no numpy warning, and then raises below
+    xs = [u / params.nu for u in t_arr.ravel().tolist()]
+    if q in (1.0, 2.0):
+        out = np.array([x if q == 1.0 else x * (x + 1.0) for x in xs])
+    else:
+        out = np.array([math.exp(math.lgamma(x + q) - math.lgamma(x)) for x in xs])
+    if not np.all(np.isfinite(out)):
+        raise OverflowError(f"the order-{q} moment is beyond the float range at t/nu = {max(xs)}")
     return float(out[0]) if t_arr.ndim == 0 else out
 
 

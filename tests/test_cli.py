@@ -187,10 +187,53 @@ class TestLrd:
     def test_nan_oracle_slope_fails(self, tmp_path, monkeypatch, capsys):
         # the slope gate fails closed: a NaN gap is not within tolerance
         monkeypatch.setattr(mclab, "fit_decay",
-                            lambda curve: DecayFit(math.nan, 0.0, 0.0, 1.0))
+                            lambda t, values: DecayFit(math.nan, 0.0, 0.0, 1.0))
         code, _ = run(tmp_path, "lrd", *FAST_LRD)
         assert code == EXIT_STATISTICAL
         assert "FAIL" in capsys.readouterr().err
+
+    def test_gap_at_the_tolerance_fails(self, tmp_path, monkeypatch, capsys):
+        # the gate is strict, as criterion 7's is: a gap of exactly 0.05 fails
+        monkeypatch.setattr(mclab, "fit_decay",
+                            lambda t, values: DecayFit(-0.05, 0.0, 0.0, 1.0))
+        monkeypatch.setattr(theory, "corr_decay_prediction",
+                            lambda p: DecayPrediction(0.0, 0.0, 0.0))
+        code, text = run(tmp_path, "lrd", *FAST_LRD, fmt="json")
+        summary = json.loads(text)["summary"]
+        assert code == EXIT_STATISTICAL
+        assert summary["slope_gap"] == summary["slope_tolerance"] == 0.05
+        assert summary["verdict"] is False
+        assert "FAIL: |oracle slope - predicted| = 0.0500 >= 0.05 (" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("clock", ["tss", "gamma"])
+    def test_fail_advice_follows_the_cause(self, tmp_path, capsys, clock):
+        # for H2 < 1/2 the oracle slope tends to -H2, which the prediction
+        # lacks, so a larger --t-max cannot help; with unequal weights the
+        # grid ends before the asymptote, and it can
+        for extra, missing_term in ((["--h1", "0.2", "--h2", "0.3"], True),
+                                    (["--a", "2", "--b", "0.7"], False)):
+            code, _ = run(tmp_path, "lrd", *FAST_LRD, "--subordinator", clock, *extra)
+            fail = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("FAIL: ")]
+            assert code == EXIT_STATISTICAL
+            assert len(fail) == 1 and " >= 0.05 (" in fail[0]
+            assert ("(the oracle slope tends to -H2 = -0.3000, a term the prediction "
+                    "lacks; a larger --t-max will not close the gap)" in fail[0]) is missing_term
+            assert ("try a larger --t-max)" in fail[0]) is not missing_term
+
+    def test_swap_note(self, tmp_path, capsys):
+        # GmfbmParams orders the motions by Hurst index; stderr says so once,
+        # without the word CI rejects on stderr
+        code, _ = run(tmp_path, "lrd", *FAST_LRD, "--h1", "0.9", "--h2", "0.5")
+        err = capsys.readouterr().err
+        notes = [line for line in err.splitlines() if line.startswith("note: ")]
+        assert code == EXIT_OK
+        assert len(notes) == 1
+        assert "(a, h1) = (1, 0.5) and (b, h2) = (1, 0.9)" in notes[0]
+        assert "Warning" not in err
+        assert "PASS: |oracle slope - predicted| = " in err and " < 0.05" in err
+        run(tmp_path, "lrd", *FAST_LRD, "--h1", "0.5", "--h2", "0.9")
+        assert "note: " not in capsys.readouterr().err
 
     def test_nonpositive_mc_correlation_leaves_mc_fit_undefined(self, tmp_path, capsys):
         # at 100 paths one MC correlation of this run is <= 0: the MC slope
@@ -215,7 +258,7 @@ class TestLrd:
             summary = json.loads(text)["summary"]
             assert code == exit_code
             assert summary["verdict"] is passed
-            assert (summary["slope_gap"] <= summary["slope_tolerance"]) is passed
+            assert (summary["slope_gap"] < summary["slope_tolerance"]) is passed
             assert summary["is_lrd"] is True
             assert summary["predicted"]["dominant"] == pytest.approx(-0.2)
 
@@ -474,6 +517,11 @@ class TestExitCodes:
             (("cov-table", "--lambda", "1e-300", "--t-min", "2", "--t-max", "3",
               "--t-count", "2", "--paths", "100"), "subordinators.tss_variance"),
             (("lrd", "--a", "1e200"), "process.exact_var_oracle"),
+            # t/nu = 1e309 is beyond the float range, and so is x(x + 1) at 1e155
+            (("moments", "--subordinator", "gamma", "--nu", "1e-305", "--q", "1"),
+             "subordinators.gamma_moment"),
+            (("moments", "--subordinator", "gamma", "--nu", "1e-151", "--q", "2"),
+             "subordinators.gamma_moment"),
         ]
         for args, where in cases:
             code, text = run(tmp_path, *args)

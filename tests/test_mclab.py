@@ -364,7 +364,7 @@ class TestCorrCurveOracle:
 class TestFitDecay:
     def test_exact_power_law(self):
         t = np.geomspace(1.0, 1e4, 9)
-        fit = fit_decay(list(zip(t, 3.0 * t ** -0.2)))
+        fit = fit_decay(t, 3.0 * t ** -0.2)
         assert fit.slope == pytest.approx(-0.2, abs=1e-12)
         assert fit.intercept == pytest.approx(math.log(3.0), abs=1e-12)
         assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
@@ -372,27 +372,30 @@ class TestFitDecay:
 
     @pytest.mark.parametrize("spec", [TSS_SPEC, GAMMA_SPEC])
     def test_oracle_curve_slope(self, spec):
-        curve = corr_curve_oracle(spec, 1.0, np.geomspace(100.0, 10000.0, 12))
-        fit = fit_decay(curve)
+        t = np.geomspace(100.0, 10000.0, 12)
+        fit = fit_decay(t, [c for _, c in corr_curve_oracle(spec, 1.0, t)])
         assert abs(fit.slope - (-0.2)) < 0.05
 
     def test_noise_robustness(self):
         t = np.geomspace(10.0, 1e4, 12)
         clean = 2.0 * t ** -0.3
         noise = 1.0 + 0.01 * derive_stream(55, 0).gen.standard_normal(t.size)
-        noisy_fit = fit_decay(list(zip(t, clean * noise)))
+        noisy_fit = fit_decay(t, clean * noise)
         assert abs(noisy_fit.slope - (-0.3)) < 3.0 * noisy_fit.slope_stderr
 
     def test_domain(self):
         t = np.geomspace(1.0, 100.0, 4)
-        with pytest.raises(ValueError):
-            fit_decay(list(zip(t, t)))  # too few points
-        with pytest.raises(ValueError):
-            fit_decay([(1.0, 1.0), (2.0, -0.5), (3.0, 1.0), (4.0, 1.0), (5.0, 1.0)])
-        with pytest.raises(ValueError):
-            fit_decay([(0.0, 1.0), (2.0, 0.5), (3.0, 1.0), (4.0, 1.0), (5.0, 1.0)])
+        with pytest.raises(ValueError, match="at least 5 points"):
+            fit_decay(t, t)
+        with pytest.raises(ValueError, match="strictly positive"):
+            fit_decay([1.0, 2.0, 3.0, 4.0, 5.0], [1.0, -0.5, 1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="strictly positive"):
+            fit_decay([0.0, 2.0, 3.0, 4.0, 5.0], [1.0, 0.5, 1.0, 1.0, 1.0])
         with pytest.raises(ValueError, match="two distinct t"):
-            fit_decay([(2.0, 1.0)] * 5)
+            fit_decay([2.0] * 5, [1.0] * 5)
+        for values in ([1.0] * 4, [1.0] * 6):
+            with pytest.raises(ValueError, match="of one length"):
+                fit_decay([1.0, 2.0, 3.0, 4.0, 5.0], values)
 
 
 @pytest.fixture(scope="module")
@@ -416,8 +419,9 @@ class TestLrdReport:
     def test_serializable(self, report):
         payload = json.loads(json.dumps(asdict(report)))
         assert payload["predicted"]["dominant"] == pytest.approx(-0.2)
-        assert len(payload["oracle_curve"]) == 8
-        assert len(payload["mc_curve"]) == 8
+        for name in ("oracle_corr", "mc_corr", "mc_stderr"):
+            assert len(payload[name]) == 8
+        assert not {"oracle_curve", "mc_curve"} & set(payload)
         assert {"slope", "intercept", "slope_stderr", "r_squared"} <= \
             set(payload["oracle_fit"])
 
@@ -449,7 +453,7 @@ class TestLrdReport:
         grid = np.geomspace(100.0, 10000.0, 12)
         rep = lrd_report(spec, 1.0, grid, 5000, 108)
         bound = NormalDist().inv_cdf(1.0 - FAMILY_ALPHA / (2.0 * len(grid)))
-        for (t, oracle), (_, mc, se) in zip(rep.oracle_curve, rep.mc_curve):
+        for t, oracle, mc, se in zip(grid, rep.oracle_corr, rep.mc_corr, rep.mc_stderr):
             assert abs(mc - oracle) < bound * se, f"t={t:g}"
 
     def test_deterministic(self):
@@ -471,8 +475,8 @@ class TestLrdReport:
             rep = lrd_report(GAMMA_SPEC, 1.0, grid, 2000, seed)
             slopes.append(rep.mc_fit.slope)
             slope_stderrs.append(rep.mc_slope_paired_stderr)
-            z.append([(mc - oracle) / se for (_, oracle), (_, mc, se)
-                      in zip(rep.oracle_curve, rep.mc_curve)])
+            z.append([(mc - oracle) / se for oracle, mc, se
+                      in zip(rep.oracle_corr, rep.mc_corr, rep.mc_stderr)])
         slope_ratio = np.std(slopes, ddof=1) / np.median(slope_stderrs)
         assert 0.75 <= slope_ratio <= 1.33
         z_spread = np.std(z, axis=0, ddof=1)

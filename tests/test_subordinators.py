@@ -3,6 +3,7 @@ oracles."""
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -592,6 +593,19 @@ class TestGammaMoments:
     def test_half_moment_identity(self):
         target = math.sqrt(math.pi) / 2.0
         assert abs(gamma_moment(GammaParams(2.0), 2.0, 0.5) - target) < 1e-12
+
+    @pytest.mark.parametrize("x", [1e4, 1e12])
+    @pytest.mark.parametrize("nu", [1.0, 0.5])
+    def test_integer_orders_are_exact(self, x, nu):
+        # Gamma(x + 1) / Gamma(x) = x and Gamma(x + 2) / Gamma(x) = x(x + 1),
+        # x = t/nu, correctly rounded, for one time and for an array
+        def exact(x, q):
+            return float(Fraction(x) if q == 1.0 else Fraction(x) * (Fraction(x) + 1))
+
+        for q in (1.0, 2.0):
+            assert gamma_moment(GammaParams(nu), x * nu, q) == exact(x, q)
+            assert gamma_moment(GammaParams(nu), [3.0 * nu, x * nu], q).tolist() == \
+                [exact(3.0, q), exact(x, q)]
 
     def test_asymptotic_values(self):
         assert subordinator_moment_asymptotic(SubordinatorSpec.gamma(1.0), 1.0, 1.0) == 1.0
