@@ -6,8 +6,7 @@ Every estimator samples its paths in blocks (``randkit.path_blocks``):
 block k holds paths [kB, (k+1)B), B = ``randkit.BLOCK_PATHS``, and draws
 them as vectors from the stream keyed (master_seed, k).  Each block fills
 its own slice of the path array, which is reduced once, so results are
-bit-identical for a fixed master seed no matter how the blocks are spread
-across workers.
+bit-identical across reruns and depend on the block layout only.
 
 Every estimator runs on one sampler: each path samples its clock once over
 [s, t_1, ...], an increasing grid above s, with one exact (Y_s, Y_t) pair
@@ -60,22 +59,7 @@ class DecayFit:
             raise ValueError("r_squared must lie in [0, 1]")
 
 
-def _run_blocks(fill, n_paths: int, master_seed: int, n_workers: int) -> None:
-    # fill(block) writes the paths [lo, hi) of one block in place
-    blocks = path_blocks(master_seed, n_paths)
-    if n_workers <= 1:
-        for block in blocks:
-            fill(block)
-    else:
-        # imported here: it pulls in logging, which a one-worker run never needs
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(fill, blocks))
-
-
-def _sample_pairs(spec: TimeChangedSpec, s: float, t_grid, n_paths: int,
-                  master_seed: int, n_workers: int):
+def _sample_pairs(spec: TimeChangedSpec, s: float, t_grid, n_paths: int, master_seed: int):
     # (m, n_paths) draws of Y_s and Y_t, one row per time of the m-point
     # grid; each path samples its clock once over s and the grid, which the
     # pair sampler checks is increasing and above s
@@ -83,13 +67,9 @@ def _sample_pairs(spec: TimeChangedSpec, s: float, t_grid, n_paths: int,
         raise ValueError(f"need at least 100 paths, got {n_paths}")
     ys = np.empty((np.size(t_grid), n_paths))
     yt = np.empty_like(ys)
-
-    def fill(block) -> None:
-        stream, lo, hi = block
+    for stream, lo, hi in path_blocks(master_seed, n_paths):
         y_s, y_t = sample_timechanged_pair(spec, s, t_grid, stream, size=hi - lo)
         ys[:, lo:hi], yt[:, lo:hi] = y_s.T, y_t.T
-
-    _run_blocks(fill, n_paths, master_seed, n_workers)
     return ys, yt
 
 
@@ -127,7 +107,7 @@ def _corr_errors(ys: np.ndarray, yt: np.ndarray, slope_weights=None):
 
 
 def estimate_cov_curve(spec: TimeChangedSpec, s: float, t_grid, n_paths: int,
-                       master_seed: int, n_workers: int = 1) -> list[MomentEstimate]:
+                       master_seed: int) -> list[MomentEstimate]:
     """Sample covariances of (Y_s, Y_t) on an increasing grid above s, one
     estimate per grid time.
 
@@ -136,7 +116,7 @@ def estimate_cov_curve(spec: TimeChangedSpec, s: float, t_grid, n_paths: int,
     keeps its exact joint law.  Each standard error comes from the sample
     variance of the per-path centered products.
     """
-    ys, yt = _sample_pairs(spec, s, t_grid, n_paths, master_seed, n_workers)
+    ys, yt = _sample_pairs(spec, s, t_grid, n_paths, master_seed)
     dev = (ys - ys.mean(axis=1, keepdims=True)) * (yt - yt.mean(axis=1, keepdims=True))
     value = dev.sum(axis=1) / (n_paths - 1)
     stderr = dev.std(axis=1, ddof=1) / math.sqrt(n_paths)
@@ -144,14 +124,14 @@ def estimate_cov_curve(spec: TimeChangedSpec, s: float, t_grid, n_paths: int,
 
 
 def estimate_cov(spec: TimeChangedSpec, s: float, t: float, n_paths: int,
-                 master_seed: int, n_workers: int = 1) -> MomentEstimate:
+                 master_seed: int) -> MomentEstimate:
     """Sample covariance of (Y_s, Y_t) over independent paths: the one-time
     case of ``estimate_cov_curve``."""
-    return estimate_cov_curve(spec, s, [t], n_paths, master_seed, n_workers)[0]
+    return estimate_cov_curve(spec, s, [t], n_paths, master_seed)[0]
 
 
 def estimate_corr(spec: TimeChangedSpec, s: float, t: float, n_paths: int,
-                  master_seed: int, n_workers: int = 1) -> MomentEstimate:
+                  master_seed: int) -> MomentEstimate:
     """Pearson correlation of (Y_s, Y_t): the one-time case of the
     correlation curve that ``lrd_report`` measures, on the same sampler.
 
@@ -159,15 +139,15 @@ def estimate_corr(spec: TimeChangedSpec, s: float, t: float, n_paths: int,
     sqrt(n_paths), the nonparametric delta method (Efron and Tibshirani,
     1993, ch. 21).  Like its siblings it needs 0 < s < t.
     """
-    ys, yt = _sample_pairs(spec, s, [t], n_paths, master_seed, n_workers)
+    ys, yt = _sample_pairs(spec, s, [t], n_paths, master_seed)
     corr, stderr, _ = _corr_errors(ys, yt)
     return MomentEstimate(float(corr[0]), float(stderr[0]))
 
 
 def estimate_increment_sm(spec: TimeChangedSpec, s: float, t: float, n_paths: int,
-                          master_seed: int, n_workers: int = 1) -> MomentEstimate:
+                          master_seed: int) -> MomentEstimate:
     """Sample mean of (Y_t - Y_s)**2 with its standard error."""
-    ys, yt = _sample_pairs(spec, s, [t], n_paths, master_seed, n_workers)
+    ys, yt = _sample_pairs(spec, s, [t], n_paths, master_seed)
     sq = (yt[0] - ys[0]) ** 2
     return MomentEstimate(float(sq.mean()), float(sq.std(ddof=1) / math.sqrt(n_paths)))
 
@@ -227,7 +207,7 @@ class LrdReport:
 
 
 def lrd_report(spec: TimeChangedSpec, s: float, t_grid, n_paths: int,
-               master_seed: int, n_workers: int = 1) -> LrdReport:
+               master_seed: int) -> LrdReport:
     """Assemble predictions, oracle and Monte Carlo decay curves, and fits.
 
     Each path samples its clock once over [s, *grid] and draws one exact
@@ -242,7 +222,7 @@ def lrd_report(spec: TimeChangedSpec, s: float, t_grid, n_paths: int,
     t_grid = np.asarray(t_grid, dtype=float)
     oracle_corr = tuple(c for _, c in corr_curve_oracle(spec, s, t_grid))
     oracle_fit = fit_decay(t_grid, oracle_corr)
-    ys, yt = _sample_pairs(spec, s, t_grid, n_paths, master_seed, n_workers)
+    ys, yt = _sample_pairs(spec, s, t_grid, n_paths, master_seed)
     xc = np.log(t_grid) - np.log(t_grid).mean()
     corr, stderr, slope_stderr = _corr_errors(ys, yt, xc / (xc @ xc))
     return LrdReport(

@@ -3,10 +3,9 @@ Carlo paths, and the batched samplers used throughout the toolkit.
 
 Streams are counter-mode Philox generators keyed by ``(master_seed,
 stream_id)``.  Distinct key pairs yield statistically independent bit
-streams, and the sequence for a fixed key is reproducible across runs and
-worker layouts.  Substreams occupy disjoint 2**128-wide blocks of the
-256-bit Philox counter, so deriving them never consumes randomness from
-the parent.
+streams, and the sequence for a fixed key is reproducible across runs.
+Substreams occupy disjoint 2**128-wide blocks of the 256-bit Philox
+counter, so deriving them never consumes randomness from the parent.
 
 Every sampler draws a block: ``size`` is a required int, and the result is
 an array of that length (``size=1`` is a draw of one).  The tempered
@@ -110,8 +109,8 @@ def path_blocks(master_seed: int, n_paths: int) -> list[tuple[RngStream, int, in
 
     Block k is the triple (stream, lo, hi): it holds paths [lo, hi) =
     [k*BLOCK_PATHS, (k+1)*BLOCK_PATHS), clipped to n_paths, and draws them
-    all from the stream keyed (master_seed, k).  Results depend on the
-    block layout only, never on which worker samples a block.
+    all from the stream keyed (master_seed, k), so results are bit-identical
+    across reruns and depend on the block layout only.
     """
     return [(derive_stream(master_seed, k), lo, min(lo + BLOCK_PATHS, n_paths))
             for k, lo in enumerate(range(0, n_paths, BLOCK_PATHS))]

@@ -249,14 +249,16 @@ def tss_moment(params: TssParams, t, q: float):
     if not 0.0 < q <= 2.0:
         raise ValueError(f"q must lie in (0, 2], got {q}")
     ts = t_arr.ravel()
-    m1 = tss_mean(params, ts)
-    var = tss_variance(params, ts)
-    if q == 1.0:
-        out = m1
-    elif q == 2.0:
-        out = m1 * m1 + var
-    else:
+    # a value beyond the float range becomes inf with no numpy warning, and
+    # then raises below
+    with np.errstate(over="ignore"):
+        m1 = tss_mean(params, ts)
+        var = tss_variance(params, ts)
+        out = m1 if q == 1.0 else m1 * m1 + var
+    if q not in (1.0, 2.0):
         out = _tss_fractional_moment(params, ts, q, m1, var)
+    elif not np.all(np.isfinite(out)):
+        raise OverflowError(f"the order-{q} moment is beyond the float range at t = {ts.max()}")
     return float(out[0]) if t_arr.ndim == 0 else out
 
 
@@ -355,4 +357,7 @@ def subordinator_moment_asymptotic(spec: SubordinatorSpec, t: float, q: float) -
     ``spec.rate`` the mean clock rate."""
     if not t > 0.0 or not q > 0.0:
         raise ValueError("need t > 0 and q > 0")
+    # a finite rate*t whose power leaves the float range raises by itself
+    if spec.rate * t == math.inf:
+        raise OverflowError(f"the order-{q} moment is beyond the float range at t = {t}")
     return (spec.rate * t) ** q

@@ -532,6 +532,22 @@ class TestExitCodes:
                                   f"during {args[0]!r}: ")
             assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_tss_integer_moment_overflow_is_numerical_failure(self, tmp_path, capsys, fmt):
+        # the TSS mean is beyond the float range at t = 1e308 with lambda =
+        # 1e-3, and its second moment at t = 1e200: no inf or NaN cell, no
+        # numpy warning and no output, as for the Gamma moments
+        for args in [("--lambda", "1e-3", "--t-min", "1e307", "--t-max", "1e308", "--q", "1"),
+                     ("--lambda", "1", "--t-min", "1e199", "--t-max", "1e200", "--q", "2")]:
+            code, text = run(tmp_path, "moments", "--subordinator", "tss", "--t-count", "2",
+                             *args, fmt=fmt)
+            err = capsys.readouterr().err
+            assert code == EXIT_NUMERICAL
+            assert text is None
+            assert err.startswith("gmfbm: numerical failure: float overflow in "
+                                  "subordinators.tss_moment during 'moments': the order-")
+            assert err.count("\n") == 1
+
     def test_overflow_in_a_comprehension_names_its_function(self, tmp_path, capsys):
         # Python gives a list comprehension its own frame; the line names the
         # function that holds it
@@ -570,9 +586,8 @@ class TestRuntimeImports:
         assert self.loaded_after(tmp_path, runs, ["scipy"]) == "[]"
 
     def test_default_runs_do_not_load_unused_stdlib(self, tmp_path):
-        # the thread pool (with the logging it imports) serves only
-        # n_workers > 1 and configparser only --config; neither is on a
-        # default run's start-up path
+        # a default run needs no concurrency module (concurrent.futures
+        # would also pull in logging), and configparser serves only --config
         runs = [["lrd", "--paths", "100"], ["simulate", "--paths", "100"]]
         modules = ["logging", "configparser", "concurrent.futures"]
         assert self.loaded_after(tmp_path, runs, modules) == "[]"

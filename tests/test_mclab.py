@@ -31,7 +31,7 @@ from gmfbm.process import (
     exact_var_oracle,
     sample_timechanged_pair,
 )
-from gmfbm.randkit import derive_stream
+from gmfbm.randkit import derive_stream, path_blocks
 from gmfbm.subordinators import SubordinatorSpec, subordinator_moment
 
 MIX = GmfbmParams(1.0, 1.0, 0.55, 0.8)
@@ -85,12 +85,9 @@ class TestEstimateCov:
         mean_ratio = float(np.mean(ratios))
         assert abs(mean_ratio - 1.0 / math.sqrt(2.0)) < 0.2 / math.sqrt(2.0)
 
-    def test_seed_determinism_and_worker_invariance(self):
+    def test_seed_determinism(self):
         kwargs = dict(spec=GAMMA_SPEC, s=1.0, t=5.0, n_paths=3000, master_seed=77)
-        base = estimate_cov(**kwargs)
-        assert estimate_cov(**kwargs) == base
-        assert estimate_cov(**kwargs, n_workers=4) == base
-        assert estimate_cov(**kwargs, n_workers=7) == base
+        assert estimate_cov(**kwargs) == estimate_cov(**kwargs)
 
     def test_argument_domains(self):
         with pytest.raises(ValueError):
@@ -122,12 +119,10 @@ class TestEstimateCovCurve:
         assert estimate_cov(spec, 1.0, 10.0, n, 111) == MomentEstimate(
             float(dev.sum() / (n - 1)), float(dev.std(ddof=1) / math.sqrt(n)))
 
-    def test_worker_invariance(self):
+    def test_rerun_determinism(self):
         grid = np.geomspace(2.0, 50.0, 5)
-        base = estimate_cov_curve(TSS_SPEC, 1.0, grid, 2500, 112)
-        for n_workers in (4, 7):
-            assert estimate_cov_curve(TSS_SPEC, 1.0, grid, 2500, 112,
-                                      n_workers=n_workers) == base
+        assert estimate_cov_curve(TSS_SPEC, 1.0, grid, 2500, 112) == \
+            estimate_cov_curve(TSS_SPEC, 1.0, grid, 2500, 112)
 
     def test_unsorted_grid_with_repeat(self):
         # the grid is increasing, as the pair sampler checks
@@ -141,6 +136,33 @@ class TestEstimateCovCurve:
                 estimate_cov_curve(GAMMA_SPEC, 1.0, grid, 1000, 0)
         with pytest.raises(ValueError):
             estimate_cov_curve(GAMMA_SPEC, 1.0, [2.0, 3.0], 99, 0)
+
+
+class TestBlockLayout:
+    @pytest.mark.parametrize("spec", [TSS_SPEC, GAMMA_SPEC])
+    def test_blocks_draw_their_paths_in_block_order(self, spec):
+        # block k draws paths [lo, hi) from the stream (seed, k); the
+        # estimators reduce those draws concatenated in block order, bit for
+        # bit.  2500 paths are three blocks, the last one short
+        seed, n, grid = 114, 2500, np.geomspace(100.0, 1000.0, 5)
+        blocks = path_blocks(seed, n)
+        assert [(lo, hi) for _, lo, hi in blocks] == [(0, 1024), (1024, 2048), (2048, 2500)]
+        draws = [sample_timechanged_pair(spec, 1.0, grid, stream, size=hi - lo)
+                 for stream, lo, hi in blocks]
+        # the (m, n) C-order rows the estimators reduce: a row sum's bits
+        # depend on the memory layout
+        ys = np.ascontiguousarray(np.vstack([y_s for y_s, _ in draws]).T)
+        yt = np.ascontiguousarray(np.vstack([y_t for _, y_t in draws]).T)
+        dev = (ys - ys.mean(axis=1, keepdims=True)) * (yt - yt.mean(axis=1, keepdims=True))
+        assert estimate_cov_curve(spec, 1.0, grid, n, seed) == [
+            MomentEstimate(v, se) for v, se in zip((dev.sum(axis=1) / (n - 1)).tolist(),
+                                                   (dev.std(axis=1, ddof=1) / math.sqrt(n)).tolist())]
+        xc = np.log(grid) - np.log(grid).mean()
+        corr, stderr, slope_stderr = _corr_errors(ys, yt, xc / (xc @ xc))
+        rep = lrd_report(spec, 1.0, grid, n, seed)
+        assert (rep.mc_corr, rep.mc_stderr) == (tuple(corr.tolist()), tuple(stderr.tolist()))
+        assert rep.mc_slope_paired_stderr == slope_stderr is not None
+        assert rep.mc_fit == fit_decay(grid, corr)
 
 
 class TestEstimateCorr:
@@ -168,9 +190,8 @@ class TestEstimateCorr:
         assert 0.5 * classical < est.stderr < 2.0 * classical
 
     def test_determinism(self):
-        one = estimate_corr(TSS_SPEC, 1.0, 10.0, 2000, 9)
-        two = estimate_corr(TSS_SPEC, 1.0, 10.0, 2000, 9, n_workers=3)
-        assert one == two
+        assert estimate_corr(TSS_SPEC, 1.0, 10.0, 2000, 9) == \
+            estimate_corr(TSS_SPEC, 1.0, 10.0, 2000, 9)
 
 
 class TestCorrErrors:
@@ -236,7 +257,7 @@ class TestCorrErrors:
         # grid's draws
         grid = np.array([100.0, 250.0, 800.0, 3000.0, 10000.0])
         rep = lrd_report(GAMMA_SPEC, 1.0, grid, 2000, 115)
-        ys, yt = _sample_pairs(GAMMA_SPEC, 1.0, grid, 2000, 115, 1)
+        ys, yt = _sample_pairs(GAMMA_SPEC, 1.0, grid, 2000, 115)
         xc = np.log(grid) - np.log(grid).mean()
         _, _, expected = _corr_errors(ys, yt, xc / (xc @ xc))
         assert rep.mc_slope_paired_stderr == pytest.approx(expected, rel=1e-12)
@@ -270,7 +291,7 @@ class TestCorrErrors:
 
     @pytest.mark.parametrize("spec", [TSS_SPEC, GAMMA_SPEC])
     def test_estimate_corr_is_one_time_case(self, spec):
-        ys, yt = _sample_pairs(spec, 1.0, [10.0], 3000, 114, 1)
+        ys, yt = _sample_pairs(spec, 1.0, [10.0], 3000, 114)
         corr, stderr, _ = _corr_errors(ys, yt)
         assert estimate_corr(spec, 1.0, 10.0, 3000, 114) == MomentEstimate(
             float(corr[0]), float(stderr[0]))
@@ -457,13 +478,10 @@ class TestLrdReport:
             assert abs(mc - oracle) < bound * se, f"t={t:g}"
 
     def test_deterministic(self):
-        # 2500 paths are three blocks, so 2 and 3 workers split them unevenly
         grid = np.geomspace(100.0, 1000.0, 5)
         one = lrd_report(GAMMA_SPEC, 1.0, grid, 2500, 107)
         assert one.mc_slope_paired_stderr is not None
-        for n_workers in (2, 3):
-            assert lrd_report(GAMMA_SPEC, 1.0, grid, 2500, 107,
-                              n_workers=n_workers) == one
+        assert lrd_report(GAMMA_SPEC, 1.0, grid, 2500, 107) == one
 
     def test_paired_errors_calibrated_over_seeds(self):
         # over 100 seeds on criterion 7's grid, the spread of the MC slopes

@@ -642,6 +642,24 @@ class TestTssMoments:
         p = TssParams(0.7, 1.0)
         assert tss_moment(p, 10.0, 2.0) == pytest.approx(49.0 + 2.1, rel=1e-12)
 
+    @pytest.mark.parametrize("lam,inside,t,q", [(1e-3, 1e307, 1e308, 1.0),
+                                                (1.0, 1e150, 1e200, 2.0)])
+    def test_integer_order_beyond_float_range_raises(self, lam, inside, t, q):
+        # the mean, and the squared mean, overflow at t: an OverflowError for
+        # one time and for an array, never inf or a numpy warning
+        p = TssParams(0.7, lam)
+        assert math.isfinite(tss_moment(p, inside, q))
+        for times in (t, [inside, t]):
+            with pytest.raises(OverflowError, match=f"order-{q} moment is beyond the float range"):
+                tss_moment(p, times, q)
+
+    def test_asymptotic_beyond_float_range_raises(self):
+        # rate*t itself overflows at q = 1; at q = 2 only its square does
+        spec = SubordinatorSpec.tss(0.7, 1e-3)
+        for t, q in [(1e308, 1.0), (1e200, 2.0)]:
+            with pytest.raises(OverflowError):
+                subordinator_moment_asymptotic(spec, t, q)
+
     @pytest.mark.parametrize("key", sorted(IG_MOMENTS))
     def test_fractional_against_bessel_closed_form(self, key):
         lam, t, q = key
