@@ -30,6 +30,8 @@ from gmfbm.process import TimeChangedSpec, corr_curve_oracle, sample_timechanged
 from gmfbm.randkit import path_blocks
 from gmfbm.theory import DecayPrediction
 
+LRD_SLOPE_TOLERANCE = 0.05  # lrd fails when |oracle slope - predicted.dominant| reaches it
+
 
 @dataclass(frozen=True)
 class MomentEstimate:

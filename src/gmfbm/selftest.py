@@ -240,7 +240,8 @@ def decay_exponents():
         _require(_close(rep.predicted.dominant, -0.2),
                  f"{name}: predicted dominant {rep.predicted.dominant:+.4f}")
         oracle_gap = abs(rep.oracle_fit.slope - rep.predicted.dominant)
-        _require(oracle_gap < 0.05, f"{name}: |oracle slope - predicted| = {oracle_gap:.4f}")
+        _require(oracle_gap < mclab.LRD_SLOPE_TOLERANCE,
+                 f"{name}: |oracle slope - predicted| = {oracle_gap:.4f}")
         mc = rep.mc_fit
         _require(mc is not None,
                  f"{name}: mc slope undefined, a correlation is not positive")

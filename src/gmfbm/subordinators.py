@@ -240,7 +240,8 @@ def tss_moment(params: TssParams, t, q: float):
     The error estimate is the gap to the same panels with half the nodes;
     if it exceeds ``_REL_TOL`` relative, or the result is not a finite
     positive number, ``QuadratureError`` names the failing t and no value
-    is returned.
+    is returned.  A moment at q = 1 or 2, or a quantity the quadrature
+    starts from, beyond the float range raises ``OverflowError``.
 
     ``t`` is one time (a float result) or a 1-d array of times (an array).
     The nodes of every t are evaluated in one numpy pass and summed per t.
@@ -250,24 +251,30 @@ def tss_moment(params: TssParams, t, q: float):
         raise ValueError(f"q must lie in (0, 2], got {q}")
     ts = t_arr.ravel()
     # a value beyond the float range becomes inf with no numpy warning, and
-    # then raises below
+    # then raises below, before the quadrature sees it
     with np.errstate(over="ignore"):
         m1 = tss_mean(params, ts)
         var = tss_variance(params, ts)
         out = m1 if q == 1.0 else m1 * m1 + var
+        scale = ts * params.lam ** params.alpha
+    if q in (1.0, 2.0):
+        setup, what = [out], "moment"
+    else:
+        setup = [m1, scale, var] if q > 1.0 else [m1, scale]
+        what = "moment's set-up (the clock's mean, variance or t lam**alpha)"
+    if not np.all(np.isfinite(setup)):
+        raise OverflowError(f"the order-{q} {what} is beyond the float range at t = {ts.max()}")
     if q not in (1.0, 2.0):
-        out = _tss_fractional_moment(params, ts, q, m1, var)
-    elif not np.all(np.isfinite(out)):
-        raise OverflowError(f"the order-{q} moment is beyond the float range at t = {ts.max()}")
+        out = _tss_fractional_moment(params, ts, q, m1, var, scale)
     return float(out[0]) if t_arr.ndim == 0 else out
 
 
 def _tss_fractional_moment(params: TssParams, ts: np.ndarray, q: float,
-                           m1: np.ndarray, var: np.ndarray) -> np.ndarray:
-    # the quadrature of tss_moment for 0 < q < 2, q != 1, at the times ts
+                           m1: np.ndarray, var: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    # the quadrature of tss_moment for 0 < q < 2, q != 1, at the times ts,
+    # from the mean, the variance (read above q = 1) and t lam**alpha there
     alpha, lam = params.alpha, params.lam
     p = 1.0 - q if q < 1.0 else 2.0 - q
-    scale = ts * lam ** alpha
     log_lam = math.log(lam)
     # per t, the start s0 = log c0 of the panels, their count and width
     s0, panels, width = [], [], []

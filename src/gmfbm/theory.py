@@ -21,12 +21,18 @@ class DecayPrediction:
     """Predicted power-law exponents of the correlation decay in t.
 
     ``exponent_mixed`` = 2*H1 - H2 - 1, ``exponent_pure`` = H2 - 1; the
-    correlation decays like the dominant (larger) of the two.
+    stated prediction is that the correlation decays like ``dominant``,
+    the larger of the two.  The covariance also holds the constant V(s)/2,
+    so the correlation has a third term, t**-H2 (``exponent_plateau``),
+    which the stated prediction lacks; it leads for H2 < 1/2, and
+    ``dominant_of_three`` is the largest of all three exponents.
     """
 
     exponent_mixed: float
     exponent_pure: float
     dominant: float
+    exponent_plateau: float
+    dominant_of_three: float
 
 
 def _check_fixed_times(s: float, t: float) -> None:
@@ -90,6 +96,8 @@ def corr_decay_prediction(p: GmfbmParams) -> DecayPrediction:
         exponent_mixed=mixed,
         exponent_pure=pure,
         dominant=max(mixed, pure),
+        exponent_plateau=-p.h2,
+        dominant_of_three=max(mixed, pure, -p.h2),
     )
 
 

@@ -180,7 +180,7 @@ class TestLrd:
 
     def test_forced_wrong_prediction_fails(self, tmp_path, monkeypatch):
         monkeypatch.setattr(theory, "corr_decay_prediction",
-                            lambda p: DecayPrediction(-0.9, -0.9, -0.9))
+                            lambda p: DecayPrediction(-0.9, -0.9, -0.9, -0.9, -0.9))
         code, _ = run(tmp_path, "lrd", *FAST_LRD)
         assert code == EXIT_STATISTICAL
 
@@ -197,7 +197,7 @@ class TestLrd:
         monkeypatch.setattr(mclab, "fit_decay",
                             lambda t, values: DecayFit(-0.05, 0.0, 0.0, 1.0))
         monkeypatch.setattr(theory, "corr_decay_prediction",
-                            lambda p: DecayPrediction(0.0, 0.0, 0.0))
+                            lambda p: DecayPrediction(0.0, 0.0, 0.0, 0.0, 0.0))
         code, text = run(tmp_path, "lrd", *FAST_LRD, fmt="json")
         summary = json.loads(text)["summary"]
         assert code == EXIT_STATISTICAL
@@ -220,6 +220,23 @@ class TestLrd:
             assert ("(the oracle slope tends to -H2 = -0.3000, a term the prediction "
                     "lacks; a larger --t-max will not close the gap)" in fail[0]) is missing_term
             assert ("try a larger --t-max)" in fail[0]) is not missing_term
+
+    def test_prediction_reports_the_h2_term(self, tmp_path, capsys):
+        # the -H2 exponent and the dominant of the three, beside the stated
+        # prediction, on stderr and in JSON; the gate still reads dominant
+        for extra, plateau, of_three, dominant in (([], -0.8, -0.2, -0.2),
+                                                   (["--h1", "0.2", "--h2", "0.3"],
+                                                    -0.3, -0.3, -0.7)):
+            _, text = run(tmp_path, "lrd", *FAST_LRD, *extra, fmt="json")
+            predicted = json.loads(text)["summary"]["predicted"]
+            assert predicted["exponent_plateau"] == plateau
+            assert predicted["dominant_of_three"] == pytest.approx(of_three)
+            assert predicted["dominant"] == pytest.approx(dominant)
+            line = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("predicted exponents: ")]
+            assert len(line) == 1
+            assert line[0].endswith(f", dominant {dominant:+.4f}; with the -H2 term "
+                                    f"{plateau:+.4f}, dominant of the three {of_three:+.4f}")
 
     def test_swap_note(self, tmp_path, capsys):
         # GmfbmParams orders the motions by Hurst index; stderr says so once,
@@ -547,6 +564,39 @@ class TestExitCodes:
             assert err.startswith("gmfbm: numerical failure: float overflow in "
                                   "subordinators.tss_moment during 'moments': the order-")
             assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_tss_fractional_setup_overflow_is_numerical_failure(self, tmp_path, capsys, fmt):
+        # the mean is inf at t = 1e308 with lambda = 1e-3; at t = 1e300 with
+        # lambda = 1e10 the mean is finite but t lam**alpha is not.  Both are
+        # overflows (exit 4), not math domain errors (exit 1)
+        for args in [("--lambda", "1e-3", "--t-min", "1e307", "--t-max", "1e308"),
+                     ("--alpha", "0.9", "--lambda", "1e10", "--t-min", "1e299",
+                      "--t-max", "1e300")]:
+            code, text = run(tmp_path, "moments", "--subordinator", "tss", "--t-count", "2",
+                             "--q", "0.6", *args, fmt=fmt)
+            err = capsys.readouterr().err
+            assert code == EXIT_NUMERICAL
+            assert text is None
+            assert err.startswith("gmfbm: numerical failure: float overflow in "
+                                  "subordinators.tss_moment during 'moments': the order-0.6 ")
+            assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("args", [
+        ("lrd", "--t-min", "1", "--s", "1"),
+        ("cov-table", "--t-min", "0.5", "--s", "1"),
+        # refused before the oracle's quadrature, which cancels on this grid
+        ("cov-table", "--subordinator", "gamma", "--s", "2e6", "--t-min", "1e6",
+         "--t-max", "1e8"),
+    ])
+    def test_grid_not_above_s_is_invalid(self, tmp_path, capsys, args):
+        # the library functions that need t > s raise, not a copy of their rule
+        code, text = run(tmp_path, *args)
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert text is None
+        assert err.startswith("gmfbm: invalid parameters: need ")
+        assert err.count("\n") == 1
 
     def test_overflow_in_a_comprehension_names_its_function(self, tmp_path, capsys):
         # Python gives a list comprehension its own frame; the line names the

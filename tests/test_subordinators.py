@@ -653,6 +653,19 @@ class TestTssMoments:
             with pytest.raises(OverflowError, match=f"order-{q} moment is beyond the float range"):
                 tss_moment(p, times, q)
 
+    @pytest.mark.parametrize("alpha,lam,inside,t", [(0.7, 1e-3, 1e307, 1e308),
+                                                    (0.9, 1e10, 1e299, 1e300)])
+    def test_fractional_order_setup_beyond_float_range_raises(self, alpha, lam, inside, t):
+        # the moment at q = 0.6 is finite at t, but its quadrature starts from
+        # the mean (inf at 1e308) and t lam**alpha (inf at 1e300, with a
+        # finite mean of 9e298): an OverflowError, not a math domain error
+        p = TssParams(alpha, lam)
+        assert math.isfinite(tss_moment(p, inside, 0.6))
+        for times in (t, [inside, t]):
+            with pytest.raises(OverflowError, match=r"order-0\.6 moment's set-up \(the "
+                               r"clock's mean, variance or t lam\*\*alpha\) is beyond"):
+                tss_moment(p, times, 0.6)
+
     def test_asymptotic_beyond_float_range_raises(self):
         # rate*t itself overflows at q = 1; at q = 2 only its square does
         spec = SubordinatorSpec.tss(0.7, 1e-3)
@@ -763,6 +776,36 @@ class TestTssMoments:
         for j, q in enumerate(REFERENCE_Q):
             expected = [TSS_REFERENCE[alpha, lam, u][j] for u in REFERENCE_T]
             np.testing.assert_allclose(tss_moment(params, t, q), expected, rtol=1e-8)
+
+    def test_large_t_against_cumulant_expansion(self):
+        # beyond the mpmath table (t <= 1e4): expanding x**q about the mean mu t
+        # gives (mu t)**q (1 + C1/t + C2/t**2 + O(t**-3)), from the cumulants
+        # per unit time kappa_j = alpha Gamma(j - alpha)/Gamma(1 - alpha)
+        # lam**(alpha - j), with math.gamma alone.  From 1e6 on the
+        # quadrature meets it to rounding; below, the gap is the omitted
+        # t**-3 term, so it falls about 1000x per decade down to rounding
+        def binom(q, k):
+            return math.prod((q - i) / (i + 1) for i in range(k))
+
+        far = 10.0 ** np.arange(6.0, 9.01, 0.25)
+        near = 10.0 ** np.arange(3.0, 5.01, 0.25)
+        falls = []
+        for alpha, lam in [(0.05, 1.0), (0.2, 1.0), (0.5, 3.0), (0.7, 1.0), (0.95, 0.01)]:
+            kappa = [alpha * math.gamma(j - alpha) / math.gamma(1.0 - alpha)
+                     * lam ** (alpha - j) for j in range(4)]
+            mu = kappa[1]
+            for q in [0.1, 0.6, 1.1, 1.6, 1.9]:
+                c1 = binom(q, 2) * kappa[2] / mu ** 2
+                c2 = binom(q, 3) * kappa[3] / mu ** 3 + 3.0 * binom(q, 4) * kappa[2] ** 2 / mu ** 4
+                t = np.concatenate([near, far])
+                expansion = (mu * t) ** q * (1.0 + c1 / t + c2 / t ** 2)
+                gap = np.abs(tss_moment(TssParams(alpha, lam), t, q) / expansion - 1.0)
+                assert gap[near.size:].max() <= 5e-15, (alpha, lam, q)
+                # a decade is four quarter-decade steps
+                falls += [(gap[i] / gap[i + 4], alpha, lam, q, t[i])
+                          for i in range(near.size - 4) if gap[i + 4] > 1e-13]
+        assert len(falls) > 20
+        assert min(falls)[0] >= 500.0, min(falls)
 
     @pytest.mark.parametrize("spec", [SubordinatorSpec.tss(0.7, 1.0),
                                       SubordinatorSpec.tss(0.2, 100.0),

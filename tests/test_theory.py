@@ -121,7 +121,17 @@ class TestDecayPrediction:
         assert pred.exponent_mixed == pytest.approx(-0.7)
         assert pred.exponent_pure == pytest.approx(-0.2)
         assert pred.dominant == pytest.approx(-0.2)
+        assert pred.exponent_plateau == -0.8
+        assert pred.dominant_of_three == pytest.approx(-0.2)
         assert is_lrd(p)
+
+    def test_h2_term_leads_below_one_half(self):
+        # Cov tends to V(s)/2, so the correlation decays like t**-H2, which
+        # the stated prediction (dominant -0.7 here) lacks
+        pred = corr_decay_prediction(GmfbmParams(1.0, 1.0, 0.2, 0.3))
+        assert pred.dominant == pytest.approx(-0.7)
+        assert pred.exponent_plateau == -0.3
+        assert pred.dominant_of_three == -0.3
 
     def test_equal_indices(self):
         pred = corr_decay_prediction(GmfbmParams(1.0, 1.0, 0.6, 0.6))
@@ -135,6 +145,7 @@ class TestDecayPrediction:
         pred = corr_decay_prediction(GmfbmParams(a, b, h1, h2))
         assert pred.dominant < 0.0
         assert pred.dominant == max(pred.exponent_mixed, pred.exponent_pure)
+        assert pred.dominant_of_three == max(pred.dominant, pred.exponent_plateau)
 
 
 class TestIsLrd:
