@@ -112,15 +112,8 @@ class RunConfig:
         return d
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on bad usage by default; the contract here is 1
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="gmfbm", description=__doc__)
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="gmfbm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in _COMMANDS.items():
         p = sub.add_parser(name, help=fn.__doc__)
@@ -197,31 +190,6 @@ def _make_config(args: argparse.Namespace) -> RunConfig:
 # output writers
 # ---------------------------------------------------------------------------
 
-def _cells(keys) -> list[str]:
-    # %d for integers, else 17 significant digits: an exact round trip for doubles
-    keys = np.asarray(keys)
-    fmt = "%d" if keys.dtype.kind in "iu" else "%.17g"
-    return [fmt % k for k in keys.tolist()]
-
-
-def _csv_chunks(names: list[str], inner: list, blocks):
-    # each distinct key is formatted once; csvcells writes the value cells
-    # and lays out the rows, a slice of outer keys at a time
-    from gmfbm import csvcells
-
-    n_values = len(names) - 1 - len(inner)
-    tails = csvcells.padded(["".join("," + cell for cell in key) + ","
-                             for key in itertools.product(*map(_cells, inner))])
-    step = max(1, csvcells.SLICE_CELLS // (len(tails) * n_values))
-    head = ",".join(names) + "\n"
-    for outer, values in blocks:
-        keys = csvcells.padded(_cells(outer))
-        values = np.reshape(np.asarray(values, dtype=float), (len(keys), len(tails), n_values))
-        for lo in range(0, len(keys), step):
-            yield head + csvcells.csv_rows(keys[lo:lo + step], tails, values[lo:lo + step])
-            head = ""
-
-
 def _json_chunks(config: RunConfig, names: list[str], inner: list, blocks, summary: dict):
     # the indent=2 document, a block of rows at a time (every table has a
     # row): the envelope is dumped with no rows and split where they go.
@@ -249,7 +217,8 @@ def _emit(config: RunConfig, names: list[str], inner: list, blocks, summary: dic
     outer slowest, with their value cells in ``values`` in C order.
     """
     if config["format"] == "csv":
-        chunks = _csv_chunks(names, inner, blocks)
+        from gmfbm import csvcells  # JSON runs never load the cell formatter
+        chunks = csvcells.chunks(names, inner, blocks)
     else:
         chunks = _json_chunks(config, names, inner, blocks, summary)
     # the first block is ready before anything is opened, so a run that
@@ -380,7 +349,8 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
-        return EXIT_OK if exc.code in (0, None) else int(exc.code)
+        # argparse exits 0 after --help and 2 on bad usage, which is 1 here
+        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         if args.command == "selftest":
             from gmfbm.selftest import run_selftest
@@ -398,8 +368,10 @@ def main(argv=None) -> int:
     except (QuadratureError, ConditioningError, CancellationError) as exc:
         print(f"gmfbm: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except OverflowError as exc:
-        print(f"gmfbm: numerical failure: float overflow in {_raised_in(exc)} "
+    except (OverflowError, FloatingPointError) as exc:
+        # the library raises FloatingPointError for a value that underflows
+        kind = "overflow" if isinstance(exc, OverflowError) else "underflow"
+        print(f"gmfbm: numerical failure: float {kind} in {_raised_in(exc)} "
               f"during {args.command!r}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -1,4 +1,5 @@
-"""CSV rows whose value cells are the bytes of ``"%.17g" % x``, formed in numpy.
+"""The CSV writer: tables whose value cells are the bytes of ``"%.17g" % x``,
+formed in numpy.
 
 ``%.17g`` writes x in fixed notation when the decimal exponent k of x
 rounded to 17 significant digits is in -4..16.  There 10^q, q = 16 - k, is
@@ -18,18 +19,20 @@ up to u) stays where it is.  The fraction, with its trailing zeros dropped,
 moves up one byte to make room for the '.' at byte 4 + u.  Bytes 2..25 are
 the cell, and the NUL bytes are dropped when the rows are joined.
 
-Only the CSV writer imports this module, so other commands do not pay for
-its tables.
+``chunks`` writes every byte of a CSV table.  Only CSV output imports
+this module, so JSON runs do not pay for its tables.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
 CELL = 24  # the longest %.17g of a double: -2.2250738585072014e-308
 
-# value cells formatted per call of csv_rows: a bound on its working set
-SLICE_CELLS = 4096
+# value cells formatted per slice of rows: a bound on the working set
+_SLICE_CELLS = 4096
 
 _POW10 = np.array([float(10**q) for q in range(21)])  # exact doubles
 
@@ -121,26 +124,42 @@ def fill_value_cells(x: np.ndarray, out: np.ndarray) -> None:
         out[np.unravel_index(other, x.shape)] = text.view(np.uint8).reshape(-1, CELL)
 
 
-def padded(cells: list[str]) -> np.ndarray:
-    """The cells as rows of NUL-padded bytes."""
+def chunks(names: list[str], inner: list, blocks):
+    """The CSV text of one table, a slice of rows at a time: the header
+    ``names``, then per row its key cells (``%d`` for integer keys, else
+    ``%.17g``) and its value cells, from the blocks that ``cli._emit`` takes."""
+    n_values = len(names) - 1 - len(inner)
+    # per inner key: its cells, each after a ',', and the ',' before the values
+    tails = _padded(["".join("," + cell for cell in key) + ","
+                     for key in itertools.product(*map(_key_cells, inner))])
+    step = max(1, _SLICE_CELLS // (len(tails) * n_values))
+    head = ",".join(names) + "\n"
+    for outer, values in blocks:
+        keys = _padded(_key_cells(outer))
+        w_key, width = keys.shape[1], keys.shape[1] + tails.shape[1]
+        values = np.reshape(np.asarray(values, dtype=float), (len(keys), len(tails), n_values))
+        for lo in range(0, len(keys), step):
+            # NUL-padded rows: key, tail, then each value cell and a ',' or '\n'
+            key = keys[lo:lo + step]
+            rows = np.empty((len(key), len(tails), width + n_values * (CELL + 1)), np.uint8)
+            rows[:, :, :w_key] = key[:, None]
+            rows[:, :, w_key:width] = tails
+            cells = rows[:, :, width:].reshape(rows.shape[:2] + (n_values, CELL + 1))
+            cells[..., CELL] = ord(",")
+            cells[..., -1, CELL] = ord("\n")
+            fill_value_cells(values[lo:lo + step], cells[..., :CELL])
+            yield head + rows[rows != 0].tobytes().decode("ascii")
+            head = ""
+
+
+def _key_cells(keys) -> list[str]:
+    # %d for integers, else 17 significant digits: an exact round trip for doubles
+    keys = np.asarray(keys)
+    fmt = "%d" if keys.dtype.kind in "iu" else "%.17g"
+    return [fmt % k for k in keys.tolist()]
+
+
+def _padded(cells: list[str]) -> np.ndarray:
+    # the cells as rows of NUL-padded bytes
     cells = np.array(cells, dtype="S")
     return cells.view(np.uint8).reshape(cells.size, cells.itemsize)
-
-
-def csv_rows(keys: np.ndarray, tails: np.ndarray, values: np.ndarray) -> str:
-    """CSV text of the rows keyed by keys x tails, outer slowest.
-
-    keys and tails are ``padded`` cells; each tail is the row's inner key
-    cells, each after a ',', and a closing ','.  values[i, j] holds the
-    value cells of row (i, j).
-    """
-    n_values = values.shape[-1]
-    w_key, width = keys.shape[1], keys.shape[1] + tails.shape[1]
-    rows = np.empty((len(keys), len(tails), width + n_values * (CELL + 1)), np.uint8)
-    rows[:, :, :w_key] = keys[:, None]
-    rows[:, :, w_key:width] = tails
-    cells = rows[:, :, width:].reshape(values.shape + (CELL + 1,))
-    cells[..., CELL] = ord(",")
-    cells[..., -1, CELL] = ord("\n")
-    fill_value_cells(values, cells[..., :CELL])
-    return rows[rows != 0].tobytes().decode("ascii")

@@ -85,14 +85,20 @@ def _corr_errors(ys: np.ndarray, yt: np.ndarray, slope_weights=None):
     slope has the influence sum_j w_j IF_ij / r_j, which carries the
     correlation across rows.  The slope error is None without weights or
     when a correlation is not positive, since its log is undefined.  A row
-    with zero sample variance has no correlation, and raises ``ValueError``.
+    whose sample variance is not finite (a value is inf or NaN, or its
+    square overflows) raises ``OverflowError``; a row with zero sample
+    variance has no correlation, and raises ``ValueError``.  Standardised
+    rows are bounded, so every result is then finite.
     """
     n = ys.shape[1]
-    zx = ys - ys.mean(axis=1, keepdims=True)
-    zy = yt - yt.mean(axis=1, keepdims=True)
-    sx = np.sqrt((zx * zx).mean(axis=1, keepdims=True))
-    sy = np.sqrt((zy * zy).mean(axis=1, keepdims=True))
+    with np.errstate(over="ignore", invalid="ignore"):
+        zx = ys - ys.mean(axis=1, keepdims=True)
+        zy = yt - yt.mean(axis=1, keepdims=True)
+        sx = np.sqrt((zx * zx).mean(axis=1, keepdims=True))
+        sy = np.sqrt((zy * zy).mean(axis=1, keepdims=True))
     for name, sd in (("Y_s", sx), ("Y_t", sy)):
+        if not np.all(np.isfinite(sd)):
+            raise OverflowError(f"the sample variance of {name} over {n} paths is not finite")
         if not np.all(sd > 0.0):
             raise ValueError(f"{name} is constant over {n} paths, so the Monte Carlo "
                              f"correlation of Y_s and Y_t is undefined")
@@ -116,12 +122,18 @@ def estimate_cov_curve(spec: TimeChangedSpec, s: float, t_grid, n_paths: int,
     Each path samples its clock once, over s and the grid, so the estimates
     share their clock paths (common random numbers) while each (Y_s, Y_t)
     keeps its exact joint law.  Each standard error comes from the sample
-    variance of the per-path centered products.
+    variance of the per-path centered products.  An estimate or standard
+    error beyond the float range raises ``OverflowError``.
     """
     ys, yt = _sample_pairs(spec, s, t_grid, n_paths, master_seed)
-    dev = (ys - ys.mean(axis=1, keepdims=True)) * (yt - yt.mean(axis=1, keepdims=True))
-    value = dev.sum(axis=1) / (n_paths - 1)
-    stderr = dev.std(axis=1, ddof=1) / math.sqrt(n_paths)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = (ys - ys.mean(axis=1, keepdims=True)) * (yt - yt.mean(axis=1, keepdims=True))
+        value = dev.sum(axis=1) / (n_paths - 1)
+        stderr = dev.std(axis=1, ddof=1) / math.sqrt(n_paths)
+    bad = ~(np.isfinite(value) & np.isfinite(stderr))
+    if bad.any():
+        raise OverflowError(f"the Monte Carlo covariance or its stderr at t = "
+                            f"{np.ravel(t_grid)[np.argmax(bad)]:.17g} is beyond the float range")
     return [MomentEstimate(v, se) for v, se in zip(value.tolist(), stderr.tolist())]
 
 

@@ -64,12 +64,20 @@ class GmfbmParams:
         object.__setattr__(self, "h2", h2)
 
     def increment_variance(self, lag, out=None):
-        """a**2 lag**2H1 + b**2 lag**2H2; into ``out`` (may be ``lag``) if given."""
-        second = np.power(lag, 2.0 * self.h2)
-        second *= self.b ** 2
-        out = np.power(lag, 2.0 * self.h1, out=out)
-        out *= self.a ** 2
-        out += second
+        """a**2 lag**2H1 + b**2 lag**2H2; into ``out`` (may be ``lag``) if given.
+
+        A variance beyond the float range raises ``OverflowError``, where the
+        samplers would take an inf for a repeated time.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            second = np.power(lag, 2.0 * self.h2)
+            second *= self.b ** 2
+            out = np.power(lag, 2.0 * self.h1, out=out)
+            out *= self.a ** 2
+            out += second
+        if not np.isfinite(out).all():
+            raise OverflowError("the increment variance a**2 lag**2H1 + b**2 lag**2H2 is "
+                                "beyond the float range at a lag the clock reached")
         return out
 
 
@@ -130,20 +138,30 @@ def sample_timechanged_path(spec: TimeChangedSpec, grid, stream: RngStream,
 
 def exact_var_oracle(spec: TimeChangedSpec, t):
     """Var(Y_t) = a**2 m(t, 2H1) + b**2 m(t, 2H2), for one time (a float
-    result) or a 1-d array of times (an array, one moment call per order)."""
+    result) or a 1-d array of times (an array, one moment call per order).
+
+    The variance is exactly positive, so one that underflows to 0 (as at
+    a = b = 1e-200, where a**2 does) raises ``FloatingPointError``, naming
+    the first such time.
+    """
     p = spec.gmfbm
-    return (p.a ** 2 * subordinator_moment(spec.subordinator, t, 2.0 * p.h1)
-            + p.b ** 2 * subordinator_moment(spec.subordinator, t, 2.0 * p.h2))
+    var = (p.a ** 2 * subordinator_moment(spec.subordinator, t, 2.0 * p.h1)
+           + p.b ** 2 * subordinator_moment(spec.subordinator, t, 2.0 * p.h2))
+    zero = np.ravel(var) == 0.0
+    if zero.any():
+        raise FloatingPointError(f"Var(Y_t) = a**2 m(t, 2H1) + b**2 m(t, 2H2) underflows to 0 "
+                                 f"at t = {np.ravel(t)[np.argmax(zero)]:.17g}")
+    return var
 
 
 def _cov_oracle(spec: TimeChangedSpec, s: float, t: np.ndarray,
                 correlation: bool = False) -> np.ndarray:
     # Cov(Y_s, Y_t) = (V(t) + V(s) - V(|t-s|)) / 2 for a 1-d t, over
     # sqrt(V(t) V(s)) for the correlation, from one exact_var_oracle call
-    # over the distinct positive times; V(0) = Var(Y_0) = 0.  The distinct
-    # times come from a set: np.unique here raised the benchmark's peak RSS
-    # by about 0.4 MB.  Both values are exactly positive for s, t > 0, so
-    # the first <= 0 or NaN raises
+    # over the distinct positive times, which raises if a V underflows to 0;
+    # V(0) = Var(Y_0) = 0.  The distinct times come from a set: np.unique
+    # here raised the benchmark's peak RSS by about 0.4 MB.  Both values are
+    # exactly positive for s, t > 0, so the first <= 0 or NaN raises
     every = np.concatenate([[s], t, np.abs(t - s)])
     times = np.array(sorted(set(every.tolist())))
     var = np.zeros(times.size)
@@ -152,7 +170,11 @@ def _cov_oracle(spec: TimeChangedSpec, s: float, t: np.ndarray,
     var_s, var_t, var_lag = var[0], var[1:t.size + 1], var[t.size + 1:]
     values = 0.5 * (var_t + var_s - var_lag)
     if correlation:
-        values = values / np.sqrt(var_t * var_s)
+        # V(s) is scaled by 4**k into [1/2, 2), so that the product cannot
+        # underflow, and the quotient back by 2**k; powers of 2 scale
+        # exactly, so the bits are those of values / sqrt(V(t) V(s))
+        k = -(math.frexp(var_s)[1] // 2)
+        values = np.ldexp(values / np.sqrt(var_t * math.ldexp(var_s, 2 * k)), k)
     bad = ~(values > 0.0)
     if bad.any():
         j = np.argmax(bad)

@@ -144,9 +144,47 @@ def _time_array(t) -> np.ndarray:
     return t_arr
 
 
+# Bernoulli numbers B_0..B_12, for the large-x series of ln Gamma(x + q) - ln Gamma(x)
+_BERNOULLI = (1.0, -1 / 2, 1 / 6, 0.0, -1 / 30, 0.0, 1 / 42, 0.0, -1 / 30, 0.0, 5 / 66, 0.0,
+              -691 / 2730)
+_GAMMA_SERIES_TERMS = 10
+
+
+def _lgamma_ratio_series(q: float) -> tuple[list[float], float]:
+    """The coefficients c_1..c_10 of ln Gamma(x + q) - ln Gamma(x) = q ln x +
+    sum_k c_k x**-k (DLMF 5.11.8), c_k = (-1)**(k+1) (B_{k+1}(q) - B_{k+1}(0))
+    / (k (k+1)), and the x from which the omitted terms are below 2**-53.
+
+    That switch is set by the first two omitted terms, c_11 and c_12, since
+    either one can vanish alone (B_13(q) does at q = 1/2).  Where q is so
+    large (about 1e22 and up) that they leave the float range, it is inf.
+    """
+    coeffs = []
+    for k in range(1, _GAMMA_SERIES_TERMS + 3):
+        poly = 0.0  # (B_{k+1}(q) - B_{k+1}(0)) / q by Horner's rule
+        for j in range(k + 1):
+            poly = poly * q + math.comb(k + 1, j) * _BERNOULLI[j]
+        coeffs.append((-1) ** (k + 1) * q * poly / (k * (k + 1)))
+    switch = max((abs(coeffs[k - 1]) * 2.0**53) ** (1.0 / k)
+                 for k in (_GAMMA_SERIES_TERMS + 1, _GAMMA_SERIES_TERMS + 2))
+    return coeffs[:_GAMMA_SERIES_TERMS], switch
+
+
+def _inverse_power_series(coeffs: list[float], x: float) -> float:
+    # sum_k coeffs[k-1] x**-k, by Horner's rule in 1/x
+    total = 0.0
+    for c in reversed(coeffs):
+        total = (total + c) / x
+    return total
+
+
 def gamma_moment(params: GammaParams, t, q: float):
     """Exact E[Gamma_t**q] = Gamma(x + q) / Gamma(x), x = t/nu: x and x(x + 1)
-    at q = 1 and 2, as in ``tss_moment``, and via log-Gamma otherwise.
+    at q = 1 and 2, as in ``tss_moment``.  Other orders take x**q times the
+    exponential of the large-x series of ``_lgamma_ratio_series`` from its
+    switch on, and exp(lgamma(x + q) - lgamma(x)) below it, where that
+    difference loses only the few digits of lgamma(x) (the switch is below
+    50 for q <= 3).
 
     ``t`` is one time (a float result) or a 1-d array of times (an array).
     """
@@ -159,7 +197,10 @@ def gamma_moment(params: GammaParams, t, q: float):
     if q in (1.0, 2.0):
         out = np.array([x if q == 1.0 else x * (x + 1.0) for x in xs])
     else:
-        out = np.array([math.exp(math.lgamma(x + q) - math.lgamma(x)) for x in xs])
+        coeffs, switch = _lgamma_ratio_series(q)
+        out = np.array([math.pow(x, q) * math.exp(_inverse_power_series(coeffs, x))
+                        if x >= switch else math.exp(math.lgamma(x + q) - math.lgamma(x))
+                        for x in xs])
     if not np.all(np.isfinite(out)):
         raise OverflowError(f"the order-{q} moment is beyond the float range at t/nu = {max(xs)}")
     return float(out[0]) if t_arr.ndim == 0 else out
@@ -361,10 +402,14 @@ def subordinator_moment(spec: SubordinatorSpec, t, q: float):
 
 def subordinator_moment_asymptotic(spec: SubordinatorSpec, t: float, q: float) -> float:
     """Large-t approximation (rate*t)**q of the q-th clock moment, with
-    ``spec.rate`` the mean clock rate."""
+    ``spec.rate`` the mean clock rate.  Beyond the float range it raises
+    ``OverflowError``, and where it underflows to 0 ``FloatingPointError``."""
     if not t > 0.0 or not q > 0.0:
         raise ValueError("need t > 0 and q > 0")
     # a finite rate*t whose power leaves the float range raises by itself
     if spec.rate * t == math.inf:
         raise OverflowError(f"the order-{q} moment is beyond the float range at t = {t}")
-    return (spec.rate * t) ** q
+    moment = (spec.rate * t) ** q
+    if moment == 0.0:
+        raise FloatingPointError(f"the order-{q} moment (rate*t)**q underflows to 0 at t = {t}")
+    return moment

@@ -51,13 +51,19 @@ def cov_asymptotic(spec: TimeChangedSpec, s: float, t: float) -> float:
     prefactor (1 for TSS, 2 for Gamma):
 
         k a**2 H1 s r**2H1 t**(2H1-1) + k b**2 H2 s r**2H2 t**(2H2-1)
+
+    The formula is positive, so a value that underflows to 0 raises
+    ``FloatingPointError``.
     """
     _check_fixed_times(s, t)
     p = spec.gmfbm
     k = _prefactor(spec)
     rate = spec.subordinator.rate
-    return (k * p.a ** 2 * p.h1 * s * rate ** (2.0 * p.h1) * t ** (2.0 * p.h1 - 1.0)
-            + k * p.b ** 2 * p.h2 * s * rate ** (2.0 * p.h2) * t ** (2.0 * p.h2 - 1.0))
+    cov = (k * p.a ** 2 * p.h1 * s * rate ** (2.0 * p.h1) * t ** (2.0 * p.h1 - 1.0)
+           + k * p.b ** 2 * p.h2 * s * rate ** (2.0 * p.h2) * t ** (2.0 * p.h2 - 1.0))
+    if cov == 0.0:
+        raise FloatingPointError(f"the asymptotic covariance underflows to 0 at t = {t}")
+    return cov
 
 
 def increment_sm_asymptotic(spec: TimeChangedSpec, s: float, t: float) -> float:

@@ -170,6 +170,16 @@ class TestOutputContract:
 
 
 class TestLrd:
+    @pytest.mark.parametrize("nu", ["1e-6", "1e-13"])
+    def test_gamma_oracle_slope_at_tiny_nu(self, tmp_path, capsys, nu):
+        # t/nu reaches 1e17 at nu = 1e-13, where log-Gamma gave every moment
+        # as 1 and an oracle slope of +6.82; the series gives the large-t slope
+        code, _ = run(tmp_path, "lrd", "--subordinator", "gamma", "--nu", nu, "--paths", "300")
+        err = capsys.readouterr().err
+        assert code == EXIT_OK
+        assert "fitted slopes: oracle -0.2067 " in err
+        assert "PASS" in err
+
     def test_acceptance_parameters_pass(self, tmp_path, capsys):
         code, text = run(tmp_path, "lrd", *FAST_LRD)
         assert code == EXIT_OK
@@ -328,6 +338,15 @@ class TestMoments:
         assert gaps[-1] < gaps[0]
         assert gaps[-1] < 0.05
 
+    def test_gamma_ratio_at_large_t_over_nu(self, tmp_path):
+        # (exact / asymptotic) - 1 is q(q - 1)/(2t) + O(t**-2), below an ulp
+        # here; log-Gamma gave an exact moment of 1 from t/nu = 1e17 on
+        _, text = run(tmp_path, "moments", "--subordinator", "gamma", "--t-min", "1e13",
+                      "--t-max", "1e19", "--t-count", "4", "--q", "0.6,1.6")
+        ratios = [float(line.split(",")[4]) for line in text.strip().split("\n")[1:]]
+        assert len(ratios) == 8
+        assert max(abs(r - 1.0) for r in ratios) < 1e-12
+
     def test_deterministic(self, tmp_path):
         args = ("moments", "--t-min", "5", "--t-max", "50", "--t-count", "3")
         _, one = run(tmp_path, *args, name="m1")
@@ -460,27 +479,28 @@ class TestExitCodes:
         assert err == "gmfbm: numerical failure: forced\n"
 
     def test_cancelled_oracle_correlation_is_numerical_failure(self, tmp_path, capsys):
-        # at t = 1e8 on a Gamma clock V(t) + V(s) - V(t-s) cancels to an
-        # oracle correlation <= 0: a numerical failure, not a usage error
-        code, text = run(tmp_path, "lrd", "--subordinator", "gamma", "--t-min", "1e6",
-                         "--t-max", "1e8", "--paths", "200")
+        # at t = 1e16 on a Gamma clock V(t) - V(t-s) is about one ulp of V(t),
+        # so V(t) + V(s) - V(t-s) cancels to an oracle correlation <= 0: a
+        # numerical failure, not a usage error
+        code, text = run(tmp_path, "lrd", "--subordinator", "gamma", "--t-min", "1e14",
+                         "--t-max", "1e16", "--paths", "200")
         err = capsys.readouterr().err
         assert code == EXIT_NUMERICAL
         assert text is None
         assert err.startswith("gmfbm: numerical failure: oracle correlation ")
-        assert " at t = 100000000 is not positive" in err
+        assert " at t = 10000000000000000 is not positive" in err
         assert err.count("\n") == 1
 
     def test_cancelled_oracle_covariance_is_numerical_failure(self, tmp_path, capsys):
         # the same cancellation in cov-table's oracle column, which is
         # exactly positive: it must not be printed
-        code, text = run(tmp_path, "cov-table", "--subordinator", "gamma", "--t-min", "1e6",
-                         "--t-max", "1e8", "--paths", "100")
+        code, text = run(tmp_path, "cov-table", "--subordinator", "gamma", "--t-min", "1e14",
+                         "--t-max", "1e16", "--paths", "100")
         err = capsys.readouterr().err
         assert code == EXIT_NUMERICAL
         assert text is None
         assert err.startswith("gmfbm: numerical failure: oracle covariance ")
-        assert " at t = 100000000 is not positive" in err
+        assert " at t = 10000000000000000 is not positive" in err
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("args", [
@@ -510,6 +530,46 @@ class TestExitCodes:
         assert err == ("gmfbm: invalid parameters: Y_s is constant over 200 paths, so the "
                        "Monte Carlo correlation of Y_s and Y_t is undefined\n")
 
+    @pytest.mark.parametrize("args, line", [
+        (("simulate", "--subordinator", "gamma", "--nu", "1e-300", "--paths", "2",
+          "--t-count", "2"), "float overflow in process.increment_variance during 'simulate'"),
+        (("moments", "--subordinator", "gamma", "--t-min", "1e-320", "--t-max", "1e-300",
+          "--t-count", "2"),
+         "float underflow in subordinators.subordinator_moment_asymptotic during 'moments'"),
+        (("cov-table", "--subordinator", "gamma", "--nu", "1e300", "--paths", "200",
+          "--t-count", "2"), "float underflow in theory.cov_asymptotic during 'cov-table'"),
+        (("cov-table", "--subordinator", "gamma", "--nu", "1e-190", "--t-max", "200",
+          "--paths", "200", "--t-count", "2"),
+         "float overflow in mclab.estimate_cov_curve during 'cov-table'"),
+        (("lrd", "--subordinator", "gamma", "--nu", "1e-300", "--paths", "200"),
+         "float overflow in subordinators.gamma_moment during 'lrd'"),
+        (("lrd", "--a", "1e-200", "--b", "1e-200", "--paths", "200"),
+         "float underflow in process.exact_var_oracle during 'lrd'"),
+        (("cov-table", "--a", "1e-200", "--b", "1e-200", "--paths", "200", "--t-count", "2"),
+         "float underflow in theory.cov_asymptotic during 'cov-table'"),
+    ])
+    def test_overflowed_or_underflowed_value_is_numerical_failure(self, tmp_path, capsys,
+                                                                   args, line):
+        # these wrote inf or 0 cells after numpy warnings and exited 0, or
+        # blamed a constant sample or cancellation for a V of 0
+        code, text = run(tmp_path, *args)
+        err = capsys.readouterr().err
+        assert code == EXIT_NUMERICAL
+        assert text is None
+        assert err.startswith(f"gmfbm: numerical failure: {line}: ")
+        assert err.count("\n") == 1
+        assert "Warning" not in err
+
+    def test_true_cancellation_keeps_its_message(self, tmp_path, capsys):
+        # V(s) = 7.7e-301 is positive, and V(t) - V(t-s) cancels it away
+        code, text = run(tmp_path, "cov-table", "--s", "1e-300", "--paths", "200",
+                         "--t-count", "2")
+        err = capsys.readouterr().err
+        assert code == EXIT_NUMERICAL
+        assert text is None
+        assert err.startswith("gmfbm: numerical failure: oracle covariance 0 at t = 100 ")
+        assert err.endswith(" lost its digits to cancellation\n")
+
     def test_infinite_tss_tilt_fails_instead_of_hanging(self):
         # lam * dt**(1/alpha) overflows: double rejection would never accept a
         # trial.  A subprocess, so that a hang fails at the timeout
@@ -528,9 +588,9 @@ class TestExitCodes:
     def test_overflow_is_numerical_failure(self, tmp_path, capsys):
         # the stderr line names the command and the innermost gmfbm function
         cases = [
-            # t/nu = 1e302 overflows the log-Gamma of the exact moment
+            # the exact order-1.6 moment is beyond the float range at t/nu = 1e302
             (("moments", "--subordinator", "gamma", "--nu", "1e-300"),
-             "subordinators.subordinator_moment_asymptotic"),
+             "subordinators.gamma_moment"),
             (("cov-table", "--lambda", "1e-300", "--t-min", "2", "--t-max", "3",
               "--t-count", "2", "--paths", "100"), "subordinators.tss_variance"),
             (("lrd", "--a", "1e200"), "process.exact_var_oracle"),
@@ -585,7 +645,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("args", [
         ("lrd", "--t-min", "1", "--s", "1"),
         ("cov-table", "--t-min", "0.5", "--s", "1"),
-        # refused before the oracle's quadrature, which cancels on this grid
+        # refused before the oracle is formed
         ("cov-table", "--subordinator", "gamma", "--s", "2e6", "--t-min", "1e6",
          "--t-max", "1e8"),
     ])

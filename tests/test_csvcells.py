@@ -68,12 +68,15 @@ def test_random_doubles_across_every_exponent(shape):
 
 
 def test_csv_rows_match_per_row_reference():
-    keys = ["0", "17", "2048"]
-    tails = [",0.5,", ",1e-05,"]
+    # two blocks of outer keys, each row keyed by (outer, inner): the header
+    # once, then every row as one % format
+    keys = [0, 17, 2048]
+    inner = [0.5, 1e-05]
     rng = np.random.default_rng(5)
     values = rng.standard_normal((3, 2, 3)) * 10.0 ** rng.integers(-6, 19, (3, 2, 3))
     values[1, 1, 2] = np.nan
-    text = csvcells.csv_rows(csvcells.padded(keys), csvcells.padded(tails), values)
-    ref = "".join("%s%s%.17g,%.17g,%.17g\n" % (key, tail, *values[i, j])
-                  for i, key in enumerate(keys) for j, tail in enumerate(tails))
+    blocks = [(np.array(keys[:1]), values[:1]), (np.array(keys[1:]), values[1:])]
+    text = "".join(csvcells.chunks(["k", "x", "u", "v", "w"], [inner], blocks))
+    ref = "k,x,u,v,w\n" + "".join("%d,%.17g,%.17g,%.17g,%.17g\n" % (key, x, *values[i, j])
+                                  for i, key in enumerate(keys) for j, x in enumerate(inner))
     assert text == ref

@@ -282,12 +282,31 @@ class TestCorrErrors:
         with pytest.raises(ValueError, match=r"^Y_t is constant over 500 paths, "):
             _corr_errors(x, y, np.array([-0.5, -0.1, 0.1, 0.5]))
 
+    @pytest.mark.parametrize("scale, bad", [(1.0, np.nan), (1.0, np.inf), (1e160, 1.0)])
+    def test_nonfinite_sample_variance_raises(self, scale, bad):
+        # a row with a NaN or inf is not constant, and one near 1e160 squares
+        # beyond the float range: each is named as not finite, with no warning
+        x, y = self.columns(n=500)
+        y[2] *= scale
+        y[2, 7] *= bad
+        with pytest.raises(OverflowError,
+                           match=r"^the sample variance of Y_t over 500 paths is not finite$"):
+            _corr_errors(x, y)
+
     def test_constant_clock_raises(self):
         # at nu = 1e9 every Gamma clock draw up to t = 10 underflows to 0,
         # so Y_s is 0 on every path
         spec = TimeChangedSpec(MIX, SubordinatorSpec.gamma(1e9))
         with pytest.raises(ValueError, match=r"^Y_s is constant over 200 paths, "):
             estimate_corr(spec, 1.0, 10.0, 200, 3)
+
+    def test_covariance_beyond_the_float_range_raises(self):
+        # at nu = 1e-190 the clock reaches 1e192 and Y about 1e153: the
+        # centered products square beyond the float range
+        spec = TimeChangedSpec(MIX, SubordinatorSpec.gamma(1e-190))
+        with pytest.raises(OverflowError, match=r"^the Monte Carlo covariance or its stderr "
+                                                r"at t = 100 is beyond the float range$"):
+            estimate_cov_curve(spec, 1.0, [100.0, 200.0], 200, 3)
 
     @pytest.mark.parametrize("spec", [TSS_SPEC, GAMMA_SPEC])
     def test_estimate_corr_is_one_time_case(self, spec):

@@ -48,6 +48,13 @@ class TestParams:
         with pytest.raises(ValueError):
             GmfbmParams(0.0, 0.0, 0.5, 0.6)
 
+    @pytest.mark.parametrize("in_place", [False, True])
+    def test_increment_variance_overflow_raises(self, in_place):
+        # 1e200**1.6 is beyond the float range, with no numpy warning
+        lag = np.array([1.0, 1e200])
+        with pytest.raises(OverflowError, match=r"^the increment variance a\*\*2 lag\*\*2H1 "):
+            MIX.increment_variance(lag, out=lag if in_place else None)
+
     def test_single_weight_allowed(self):
         p = GmfbmParams(0.0, 2.0, 0.5, 0.6)
         assert p.b == 2.0
@@ -329,6 +336,25 @@ class TestOracles:
         with pytest.raises(CancellationError,
                            match=r"^oracle covariance -0\.5 at t = 30 is not positive"):
             exact_cov_oracle(GAMMA_SPEC, 1.0, [10.0, 20.0, 30.0, 40.0])
+
+    def test_variance_underflow_raises_naming_first_time(self):
+        # a**2 = b**2 = 0 at a = b = 1e-200: V is 0, not a variance
+        spec = TimeChangedSpec(GmfbmParams(1e-200, 1e-200, 0.55, 0.8), TSS_SPEC.subordinator)
+        message = r"^Var\(Y_t\) = a\*\*2 m\(t, 2H1\) \+ b\*\*2 m\(t, 2H2\) underflows to 0 at t = "
+        with pytest.raises(FloatingPointError, match=message + "2$"):
+            exact_var_oracle(spec, 2.0)
+        with pytest.raises(FloatingPointError, match=message + "1$"):
+            corr_curve_oracle(spec, 1.0, [10.0, 20.0])
+
+    @pytest.mark.parametrize("spec", [TSS_SPEC, GAMMA_SPEC])
+    def test_corr_of_small_variances(self, spec):
+        # V(t) V(s) underflows at a = b = 1e-100, but the correlation is
+        # invariant to the scale of (a, b)
+        small = TimeChangedSpec(GmfbmParams(1e-100, 1e-100, 0.55, 0.8), spec.subordinator)
+        grid = np.geomspace(100.0, 10000.0, 12)
+        expected = [c for _, c in corr_curve_oracle(spec, 1.0, grid)]
+        got = [c for _, c in corr_curve_oracle(small, 1.0, grid)]
+        assert got == pytest.approx(expected, rel=1e-14)
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -444,6 +444,16 @@ TSS_REFERENCE = {
 }
 
 
+def mpmath_gamma_ratio(x, q):
+    """Gamma(x + q) / Gamma(x) from mpmath's log-Gamma, with 40 digits beyond
+    the about log10(x) that the difference of the two cancels."""
+    import mpmath as mp
+
+    with mp.workdps(40 + max(0, math.ceil(math.log10(x)))):
+        x = mp.mpf(x)
+        return float(mp.exp(mp.loggamma(x + q) - mp.loggamma(x)))
+
+
 def mpmath_tss_moment(alpha, lam, t, q):
     """E[X_t**q] of the tempered stable clock from the transform phi = exp(-psi)
     alone, at 30 digits:
@@ -623,6 +633,37 @@ class TestGammaMoments:
             gamma_moment(GammaParams(1.0), 0.0, 1.0)
         with pytest.raises(ValueError):
             gamma_moment(GammaParams(1.0), 1.0, 0.0)
+
+    @pytest.mark.parametrize("q", [0.1, 0.6, 1.1, 1.6, 1.9, 2.5])
+    def test_against_mpmath_at_quarter_decades(self, q):
+        # x = t/nu at every quarter decade from 1 to 1e20, in one array call:
+        # log-Gamma below the series switch (x < 50 here), the series above
+        x = np.array([10.0 ** (k / 4) for k in range(81)])
+        ref = np.array([mpmath_gamma_ratio(v, q) for v in x.tolist()])
+        got = gamma_moment(GammaParams(1.0), x, q)
+        assert np.max(np.abs(got / ref - 1.0)) <= 1e-13
+
+    @pytest.mark.parametrize("q", [1e-6, 0.5, 1.0 + 1e-9, 3.7, 10.0, 40.0])
+    def test_series_holds_from_its_switch(self, q):
+        # the switch comes from the first two omitted terms: c_12 vanishes at
+        # q = 1/2, and for small q c_11 is O(q**2) while c_12 is O(q)
+        _, switch = subordinators._lgamma_ratio_series(q)
+        x = switch * np.array([1.0, 1.5, 3.0, 10.0, 1e2, 1e4])
+        ref = np.array([mpmath_gamma_ratio(v, q) for v in x.tolist()])
+        got = gamma_moment(GammaParams(1.0), x, q)
+        assert np.max(np.abs(got / ref - 1.0)) <= 1e-15
+
+    def test_series_switch_is_low_for_small_orders(self):
+        # below the switch log-Gamma loses about log10(x lg x) digits
+        switches = [subordinators._lgamma_ratio_series(q)[1]
+                    for q in np.linspace(0.01, 3.0, 300).tolist() if q != 1.0]
+        assert max(switches) < 50.0
+
+    def test_asymptotic_underflow_raises(self):
+        # (rate t)**q is positive, so a 0 is an underflow, not a value
+        with pytest.raises(FloatingPointError, match=r"^the order-1\.6 moment \(rate\*t\)\*\*q "
+                                                     r"underflows to 0 at t = 1e-320$"):
+            subordinator_moment_asymptotic(SubordinatorSpec.gamma(1.0), 1e-320, 1.6)
 
     @pytest.mark.parametrize("q", [math.inf, math.nan])
     def test_nonfinite_order_raises(self, q):

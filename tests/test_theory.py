@@ -28,6 +28,12 @@ def gamma_spec(a=1.0, b=1.0, h1=0.55, h2=0.8, nu=1.0):
 
 
 class TestCovAsymptotics:
+    def test_underflow_raises(self):
+        # r = 1e-300: r**2H1 and r**2H2 underflow, and the formula is positive
+        with pytest.raises(FloatingPointError,
+                           match=r"^the asymptotic covariance underflows to 0 at t = 100\.0$"):
+            cov_asymptotic(gamma_spec(nu=1e300), 1.0, 100.0)
+
     def test_tss_single_block_value(self):
         spec = tss_spec(a=1.0, b=0.0)
         for t in (10.0, 250.0):
