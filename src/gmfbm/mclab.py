@@ -11,11 +11,12 @@ bit-identical across reruns and depend on the block layout only.
 Every estimator runs on one sampler: each path samples its clock once over
 [s, t_1, ...], an increasing grid above s, with one exact (Y_s, Y_t) pair
 per grid time given the clock.  The grid times share the clock path, not
-the fBm draws.
-Correlations take their standard errors from each path's influence on the
-Pearson r, the nonparametric delta method or infinitesimal jackknife
-(Efron and Tibshirani, *An Introduction to the Bootstrap*, 1993, ch. 21):
-one pass over the paths, with no resampling and no random numbers.
+the fBm draws.  One reduction, with one rule for a bad sample, turns the
+draws into every estimate.  Correlations take their standard errors from
+each path's influence on the Pearson r, the nonparametric delta method or
+infinitesimal jackknife (Efron and Tibshirani, *An Introduction to the
+Bootstrap*, 1993, ch. 21): one pass over the paths, with no resampling and
+no random numbers.
 """
 
 from __future__ import annotations
@@ -75,20 +76,22 @@ def _sample_pairs(spec: TimeChangedSpec, s: float, t_grid, n_paths: int, master_
     return ys, yt
 
 
-def _corr_errors(ys: np.ndarray, yt: np.ndarray, slope_weights=None):
-    """Pearson r of each row pair of ys and yt (m, n), its standard error,
-    and the paired standard error of ``slope_weights @ log(r)``.
+def _second_moments(ys: np.ndarray, yt: np.ndarray, t_grid, slope_weights=None):
+    """The one reduction of the draws ys and yt (m, n), one row pair per
+    grid time: lists of the sample covariances, Pearson r's and means of
+    (Y_t - Y_s)**2 as ``MomentEstimate``s, and the paired standard error of
+    ``slope_weights @ log(r)``.
 
-    Path i moves r_j by its influence IF_ij = zx zy - r_j (zx² + zy²) / 2,
-    with zx and zy its standardised values, so each error is the standard
-    deviation of the per-path influences over sqrt(n); the weighted log
-    slope has the influence sum_j w_j IF_ij / r_j, which carries the
-    correlation across rows.  The slope error is None without weights or
-    when a correlation is not positive, since its log is undefined.  A row
-    whose sample variance is not finite (a value is inf or NaN, or its
-    square overflows) raises ``OverflowError``; a row with zero sample
-    variance has no correlation, and raises ``ValueError``.  Standardised
-    rows are bounded, so every result is then finite.
+    The covariance and the increment moment take their errors from the
+    sample variance of the per-path terms.  Path i moves r_j by its
+    influence IF_ij = zx zy - r_j (zx² + zy²) / 2, with zx and zy its
+    standardised values; the weighted log slope has the influence sum_j w_j
+    IF_ij / r_j, which carries the correlation across rows.  The slope
+    error is None without weights or when an r is not positive.  A sample
+    variance or statistic that is not finite raises ``OverflowError``
+    naming its grid time; a constant Y_s or Y_t has no correlation, and
+    raises ``ValueError``.  Standardised rows are bounded, so every result
+    is then finite.
     """
     n = ys.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -96,9 +99,20 @@ def _corr_errors(ys: np.ndarray, yt: np.ndarray, slope_weights=None):
         zy = yt - yt.mean(axis=1, keepdims=True)
         sx = np.sqrt((zx * zx).mean(axis=1, keepdims=True))
         sy = np.sqrt((zy * zy).mean(axis=1, keepdims=True))
+        dev = zx * zy
+        sq = (yt - ys) ** 2
+        cov, cov_se = dev.sum(axis=1) / (n - 1), dev.std(axis=1, ddof=1) / math.sqrt(n)
+        sm, sm_se = sq.mean(axis=1), sq.std(axis=1, ddof=1) / math.sqrt(n)
+    for name, *stats in (("sample variance of Y_s", sx[:, 0]),
+                         ("sample variance of Y_t", sy[:, 0]),
+                         ("covariance or its stderr", cov, cov_se),
+                         ("mean of (Y_t - Y_s)**2 or its stderr", sm, sm_se)):
+        bad = ~np.all(np.isfinite(stats), axis=0)
+        if bad.any():
+            t = np.ravel(t_grid)[np.argmax(bad)]
+            raise OverflowError(f"the Monte Carlo {name} at t = {t:.17g} is beyond "
+                                f"the float range")
     for name, sd in (("Y_s", sx), ("Y_t", sy)):
-        if not np.all(np.isfinite(sd)):
-            raise OverflowError(f"the sample variance of {name} over {n} paths is not finite")
         if not np.all(sd > 0.0):
             raise ValueError(f"{name} is constant over {n} paths, so the Monte Carlo "
                              f"correlation of Y_s and Y_t is undefined")
@@ -107,11 +121,13 @@ def _corr_errors(ys: np.ndarray, yt: np.ndarray, slope_weights=None):
     prod = zx * zy
     corr = prod.mean(axis=1)
     infl = prod - 0.5 * corr[:, None] * (zx * zx + zy * zy)
-    stderr = infl.std(axis=1, ddof=1) / math.sqrt(n)
-    if slope_weights is None or not np.all(corr > 0.0):
-        return corr, stderr, None
-    slope_infl = (slope_weights / corr) @ infl
-    return corr, stderr, float(slope_infl.std(ddof=1) / math.sqrt(n))
+    corr_se = infl.std(axis=1, ddof=1) / math.sqrt(n)
+    slope_se = None
+    if slope_weights is not None and np.all(corr > 0.0):
+        slope_se = float(((slope_weights / corr) @ infl).std(ddof=1) / math.sqrt(n))
+    def estimates(values, stderrs):
+        return [MomentEstimate(v, se) for v, se in zip(values.tolist(), stderrs.tolist())]
+    return estimates(cov, cov_se), estimates(corr, corr_se), estimates(sm, sm_se), slope_se
 
 
 def estimate_cov_curve(spec: TimeChangedSpec, s: float, t_grid, n_paths: int,
@@ -122,19 +138,10 @@ def estimate_cov_curve(spec: TimeChangedSpec, s: float, t_grid, n_paths: int,
     Each path samples its clock once, over s and the grid, so the estimates
     share their clock paths (common random numbers) while each (Y_s, Y_t)
     keeps its exact joint law.  Each standard error comes from the sample
-    variance of the per-path centered products.  An estimate or standard
-    error beyond the float range raises ``OverflowError``.
+    variance of the per-path centered products.  A sample beyond the float
+    range raises ``OverflowError``, and a constant one ``ValueError``.
     """
-    ys, yt = _sample_pairs(spec, s, t_grid, n_paths, master_seed)
-    with np.errstate(over="ignore", invalid="ignore"):
-        dev = (ys - ys.mean(axis=1, keepdims=True)) * (yt - yt.mean(axis=1, keepdims=True))
-        value = dev.sum(axis=1) / (n_paths - 1)
-        stderr = dev.std(axis=1, ddof=1) / math.sqrt(n_paths)
-    bad = ~(np.isfinite(value) & np.isfinite(stderr))
-    if bad.any():
-        raise OverflowError(f"the Monte Carlo covariance or its stderr at t = "
-                            f"{np.ravel(t_grid)[np.argmax(bad)]:.17g} is beyond the float range")
-    return [MomentEstimate(v, se) for v, se in zip(value.tolist(), stderr.tolist())]
+    return _second_moments(*_sample_pairs(spec, s, t_grid, n_paths, master_seed), t_grid)[0]
 
 
 def estimate_cov(spec: TimeChangedSpec, s: float, t: float, n_paths: int,
@@ -146,24 +153,17 @@ def estimate_cov(spec: TimeChangedSpec, s: float, t: float, n_paths: int,
 
 def estimate_corr(spec: TimeChangedSpec, s: float, t: float, n_paths: int,
                   master_seed: int) -> MomentEstimate:
-    """Pearson correlation of (Y_s, Y_t): the one-time case of the
-    correlation curve that ``lrd_report`` measures, on the same sampler.
-
-    The stderr is the standard deviation of each path's influence on r over
-    sqrt(n_paths), the nonparametric delta method (Efron and Tibshirani,
-    1993, ch. 21).  Like its siblings it needs 0 < s < t.
+    """Pearson correlation of (Y_s, Y_t) with its influence-function
+    stderr: the one-time case of the correlation curve that ``lrd_report``
+    measures, on the same sampler.  Like its siblings it needs 0 < s < t.
     """
-    ys, yt = _sample_pairs(spec, s, [t], n_paths, master_seed)
-    corr, stderr, _ = _corr_errors(ys, yt)
-    return MomentEstimate(float(corr[0]), float(stderr[0]))
+    return _second_moments(*_sample_pairs(spec, s, [t], n_paths, master_seed), [t])[1][0]
 
 
 def estimate_increment_sm(spec: TimeChangedSpec, s: float, t: float, n_paths: int,
                           master_seed: int) -> MomentEstimate:
     """Sample mean of (Y_t - Y_s)**2 with its standard error."""
-    ys, yt = _sample_pairs(spec, s, [t], n_paths, master_seed)
-    sq = (yt[0] - ys[0]) ** 2
-    return MomentEstimate(float(sq.mean()), float(sq.std(ddof=1) / math.sqrt(n_paths)))
+    return _second_moments(*_sample_pairs(spec, s, [t], n_paths, master_seed), [t])[2][0]
 
 
 def fit_decay(t, values) -> DecayFit:
@@ -226,26 +226,25 @@ def lrd_report(spec: TimeChangedSpec, s: float, t_grid, n_paths: int,
 
     Each path samples its clock once over [s, *grid] and draws one exact
     (Y_s, Y_t) pair per grid time given it, so the grid times share the
-    clock path but not the fBm draws.  Every MC correlation takes its
-    stderr from the per-path influences on it, and the slope of log r on
-    log t takes ``mc_slope_paired_stderr`` from the same influences summed
-    across grid times with the OLS weights (Efron and Tibshirani, *An
-    Introduction to the Bootstrap*, 1993, ch. 21).  The grid is increasing
-    and above s, one MC row per grid time.
+    clock path but not the fBm draws.  ``mc_slope_paired_stderr`` sums the
+    per-path influences on each MC correlation across grid times with the
+    OLS weights of log t.  The grid is increasing and above s, one MC row
+    per grid time.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     oracle_corr = tuple(c for _, c in corr_curve_oracle(spec, s, t_grid))
     oracle_fit = fit_decay(t_grid, oracle_corr)
-    ys, yt = _sample_pairs(spec, s, t_grid, n_paths, master_seed)
     xc = np.log(t_grid) - np.log(t_grid).mean()
-    corr, stderr, slope_stderr = _corr_errors(ys, yt, xc / (xc @ xc))
+    _, corr, _, slope_stderr = _second_moments(
+        *_sample_pairs(spec, s, t_grid, n_paths, master_seed), t_grid, xc / (xc @ xc))
+    mc_corr = tuple(e.value for e in corr)
     return LrdReport(
         predicted=theory.corr_decay_prediction(spec.gmfbm),
         oracle_corr=oracle_corr,
-        mc_corr=tuple(corr.tolist()),
-        mc_stderr=tuple(stderr.tolist()),
+        mc_corr=mc_corr,
+        mc_stderr=tuple(e.stderr for e in corr),
         oracle_fit=oracle_fit,
-        mc_fit=fit_decay(t_grid, corr) if np.all(corr > 0.0) else None,
+        mc_fit=fit_decay(t_grid, mc_corr) if min(mc_corr) > 0.0 else None,
         mc_slope_paired_stderr=slope_stderr,
         is_lrd=theory.is_lrd(spec.gmfbm),
     )

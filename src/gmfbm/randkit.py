@@ -15,11 +15,13 @@ stable samplers keep the accepted trials of i.i.d. batches in trial order.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
 _U64 = 1 << 64
 _LN2 = math.log(2.0)
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 # Monte Carlo paths per block; each block draws from one stream.
 BLOCK_PATHS = 1024
@@ -129,12 +131,13 @@ def sample_gamma(stream: RngStream, shape: float, size: int) -> np.ndarray:
     return stream.gen.standard_gamma(shape, size=size)
 
 
-def _stable_unit(gen: np.random.Generator, alpha: float, n: int) -> np.ndarray:
-    # Kanter's (Ann. Probab. 1975) positive alpha-stable law with Laplace
-    # transform exp(-u**alpha), the thinning sampler's proposal: S = (A(V) /
-    # E**(1-alpha))**(1/alpha), V ~ Uniform(0, pi), E ~ Exp(1), A = C / B.
+def _log_stable_unit(gen: np.random.Generator, alpha: float, n: int) -> np.ndarray:
+    # log S for Kanter's (Ann. Probab. 1975) positive alpha-stable law with
+    # Laplace transform exp(-u**alpha), the thinning sampler's proposal: S =
+    # (A(V) / E**(1-alpha))**(1/alpha), V ~ Uniform(0, pi), E ~ Exp(1), A =
+    # C / B.  At small alpha S itself leaves the float range.
     log_a = _zolotarev_log_c(alpha) - _zolotarev_log_b(gen.random(n) * math.pi, alpha)
-    return np.exp((log_a - (1.0 - alpha) * np.log(gen.standard_exponential(n))) / alpha)
+    return (log_a - (1.0 - alpha) * np.log(gen.standard_exponential(n))) / alpha
 
 
 def _accept_in_trial_order(trials, n: int, k: int) -> np.ndarray:
@@ -157,14 +160,19 @@ def _tempered_by_thinning(gen: np.random.Generator, alpha: float, lam: float,
     # when an Exp(1) draw exceeds lam * x, with exact acceptance probability
     # p = exp(-dt' * lam**alpha) >= 1/2 as dt' * lam**alpha <= ln 2.  One batch
     # 3 sd (+2) above the mean trial count m/p is short in 0.1-0.3% of calls.
+    # Each proposal dt'**(1/alpha) S is formed in logs: at small alpha the
+    # factor underflows while S overflows.  One beyond the float range, or
+    # whose lam * x is, is inf, accepted with probability 0; one below it
+    # rounds to 0.
     dt_sub = dt / n_sub
-    scale_fac = dt_sub ** (1.0 / alpha)
+    log_scale = math.log(dt_sub) / alpha
     m = n * n_sub
     p = math.exp(-dt_sub * lam ** alpha)
 
     def trials(k):
-        x = _stable_unit(gen, alpha, k)
-        return scale_fac * x[gen.standard_exponential(k) > lam * scale_fac * x]
+        with np.errstate(over="ignore"):
+            x = np.exp(log_scale + _log_stable_unit(gen, alpha, k))
+            return x[gen.standard_exponential(k) > lam * x]
 
     k = math.ceil((m + 3.0 * math.sqrt(m * (1.0 - p))) / p) + 2
     return _accept_in_trial_order(trials, m, k).reshape(n, n_sub).sum(axis=1)
@@ -238,31 +246,32 @@ def _tilted_stable_double_rejection(gen: np.random.Generator, alpha: float,
         log_b, z, log_accept = log_b[ok], z[ok], log_accept[ok]
         # inner stage: sample X around the conditional mode
         # m = (b lam / a)**alpha, a = A(u)**(1/(1-alpha)), accept with the
-        # exact density ratio
+        # exact density ratio.  It runs in units of m, y = X/m: as alpha -> 1
+        # a overflows and m underflows, while m**-b = A(u) / (b lam)**(1-alpha)
+        # and a m = b lam m**-b stay finite
         j = log_b.size
-        log_a = (log_c - log_b) / (1.0 - alpha)
-        log_m = alpha * (log_b_lam - log_a)
-        a = np.exp(log_a)
-        m = np.exp(log_m)
-        delta = np.sqrt(m * alpha / a)
+        log_m_pow = log_c - log_b - (1.0 - alpha) * log_b_lam  # log m**-b
+        am = np.exp(log_m_pow + log_b_lam)
+        delta = np.sqrt(alpha / am)
         a1 = delta * c1
-        a3 = z / a
+        a3 = z / am
         v2 = gen.random(j) * (a1 + delta + a3)
         n_half = gen.standard_normal(j)
         e1 = gen.standard_exponential(j)
         below = v2 < a1
         above = v2 >= a1 + delta
-        x = np.where(below, m - delta * np.abs(n_half),
-                     np.where(above, m + delta + e1 * a3,
-                              m + delta * gen.random(j)))
+        y = np.where(below, 1.0 - delta * np.abs(n_half),
+                     np.where(above, 1.0 + delta + e1 * a3,
+                              1.0 + delta * gen.random(j)))
         bonus = np.where(below, n_half * n_half / 2.0, np.where(above, e1, 0.0))
-        ok = x > 0.0
-        x, m, log_m, a, bonus, log_accept = (x[ok], m[ok], log_m[ok], a[ok],
-                                             bonus[ok], log_accept[ok])
-        # lam m**-b ((m/x)**b - 1) = lam (x**-b - m**-b); the draw is x**-b
-        x_b = np.exp(-b * np.log(x))
-        cost = a * (x - m) + lam * (x_b - np.exp(-b * log_m)) - bonus
-        return x_b[cost <= -log_accept]
+        ok = y > 0.0
+        y, log_m_pow, am, bonus, log_accept = (y[ok], log_m_pow[ok], am[ok], bonus[ok],
+                                             log_accept[ok])
+        # a (X - m) + lam (X**-b - m**-b), with lam m**-b = a m / b; the draw
+        # is X**-b = m**-b y**-b
+        log_y = np.log(y)
+        cost = am * (y - 1.0) + am / b * np.expm1(-b * log_y) - bonus
+        return np.exp(log_m_pow - b * log_y)[cost <= -log_accept]
 
     return _accept_in_trial_order(trials, n, 2 * n)
 
@@ -293,10 +302,11 @@ def sample_tempered_stable_increment(stream: RngStream, alpha: float,
     n_sub = tempered_stable_substep_count(alpha, lam, dt)
     if n_sub <= _SUBSTEP_LIMIT:
         return _tempered_by_thinning(stream.gen, alpha, lam, dt, size, n_sub)
-    with np.errstate(over="ignore"):
-        scale = dt ** (1.0 / alpha)
-        tilt = lam * scale
-    if not math.isfinite(tilt):  # every trial would be NaN, none accepted
+    # in logs, before a float power can overflow: a scale or tilt beyond the
+    # float range would make every trial NaN, and none would be accepted
+    log_scale = math.log(dt) / alpha
+    if log_scale + max(math.log(lam), 0.0) >= _LOG_FLOAT_MAX:
         raise OverflowError(f"tilt lam * dt**(1/alpha) = {lam:g} * {dt:g}**"
                             f"(1/{alpha:g}) is not a finite float")
-    return scale * _tilted_stable_double_rejection(stream.gen, alpha, tilt, size)
+    scale = dt ** (1.0 / alpha)
+    return scale * _tilted_stable_double_rejection(stream.gen, alpha, lam * scale, size)

@@ -198,9 +198,12 @@ def gamma_moment(params: GammaParams, t, q: float):
         out = np.array([x if q == 1.0 else x * (x + 1.0) for x in xs])
     else:
         coeffs, switch = _lgamma_ratio_series(q)
-        out = np.array([math.pow(x, q) * math.exp(_inverse_power_series(coeffs, x))
-                        if x >= switch else math.exp(math.lgamma(x + q) - math.lgamma(x))
-                        for x in xs])
+        try:
+            out = np.array([math.pow(x, q) * math.exp(_inverse_power_series(coeffs, x))
+                            if x >= switch else math.exp(math.lgamma(x + q) - math.lgamma(x))
+                            for x in xs])
+        except OverflowError:  # math.pow and math.exp raise where x * x returns inf
+            out = np.array(math.inf)
     if not np.all(np.isfinite(out)):
         raise OverflowError(f"the order-{q} moment is beyond the float range at t/nu = {max(xs)}")
     return float(out[0]) if t_arr.ndim == 0 else out

@@ -530,6 +530,18 @@ class TestExitCodes:
         assert err == ("gmfbm: invalid parameters: Y_s is constant over 200 paths, so the "
                        "Monte Carlo correlation of Y_s and Y_t is undefined\n")
 
+    def test_constant_mc_covariance_sample_is_invalid(self, tmp_path, capsys):
+        # at s = 1e-8 every Gamma clock draw S_s underflows to 0, so Y_s is 0
+        # on every path: cov-table shares lrd's rule instead of writing a
+        # covariance of 0 with a stderr of 0 on every row
+        code, text = run(tmp_path, "cov-table", "--subordinator", "gamma", "--s", "1e-8",
+                         "--t-min", "1e6", "--t-max", "1e8", "--t-count", "3", "--paths", "100")
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert text is None
+        assert err == ("gmfbm: invalid parameters: Y_s is constant over 100 paths, so the "
+                       "Monte Carlo correlation of Y_s and Y_t is undefined\n")
+
     @pytest.mark.parametrize("args, line", [
         (("simulate", "--subordinator", "gamma", "--nu", "1e-300", "--paths", "2",
           "--t-count", "2"), "float overflow in process.increment_variance during 'simulate'"),
@@ -540,7 +552,7 @@ class TestExitCodes:
           "--t-count", "2"), "float underflow in theory.cov_asymptotic during 'cov-table'"),
         (("cov-table", "--subordinator", "gamma", "--nu", "1e-190", "--t-max", "200",
           "--paths", "200", "--t-count", "2"),
-         "float overflow in mclab.estimate_cov_curve during 'cov-table'"),
+         "float overflow in mclab._second_moments during 'cov-table'"),
         (("lrd", "--subordinator", "gamma", "--nu", "1e-300", "--paths", "200"),
          "float overflow in subordinators.gamma_moment during 'lrd'"),
         (("lrd", "--a", "1e-200", "--b", "1e-200", "--paths", "200"),
@@ -667,7 +679,8 @@ class TestExitCodes:
         assert text is None
         assert capsys.readouterr().err == (
             "gmfbm: numerical failure: float overflow in subordinators.gamma_moment "
-            "during 'moments': math range error\n")
+            "during 'moments': the order-1e+300 moment is beyond the float range at "
+            "t/nu = 10000.0\n")
 
 
 class TestRuntimeImports:

@@ -12,8 +12,8 @@ from gmfbm import process, theory
 from gmfbm.mclab import (
     DecayFit,
     MomentEstimate,
-    _corr_errors,
     _sample_pairs,
+    _second_moments,
     corr_curve_oracle,
     estimate_corr,
     estimate_cov,
@@ -40,6 +40,15 @@ GAMMA_SPEC = TimeChangedSpec(MIX, SubordinatorSpec.gamma(1.0))
 N_UNIT = 20_000
 # family-wise error of the per-point z tests over a grid
 FAMILY_ALPHA = 1e-4
+
+
+def corr_errors(ys, yt, slope_weights=None):
+    # the correlation part of the one reduction, as arrays, on the grid
+    # times 1, 2, ... (which only name a row in an error)
+    _, corr, _, slope_stderr = _second_moments(ys, yt, np.arange(1.0, len(ys) + 1.0),
+                                               slope_weights)
+    return (np.array([e.value for e in corr]), np.array([e.stderr for e in corr]),
+            slope_stderr)
 
 
 class TestTypes:
@@ -158,7 +167,7 @@ class TestBlockLayout:
             MomentEstimate(v, se) for v, se in zip((dev.sum(axis=1) / (n - 1)).tolist(),
                                                    (dev.std(axis=1, ddof=1) / math.sqrt(n)).tolist())]
         xc = np.log(grid) - np.log(grid).mean()
-        corr, stderr, slope_stderr = _corr_errors(ys, yt, xc / (xc @ xc))
+        corr, stderr, slope_stderr = corr_errors(ys, yt, xc / (xc @ xc))
         rep = lrd_report(spec, 1.0, grid, n, seed)
         assert (rep.mc_corr, rep.mc_stderr) == (tuple(corr.tolist()), tuple(stderr.tolist()))
         assert rep.mc_slope_paired_stderr == slope_stderr is not None
@@ -233,7 +242,7 @@ class TestCorrErrors:
 
     def test_exact_correlation(self):
         x, y = self.columns()
-        corr, _, _ = _corr_errors(x, y)
+        corr, _, _ = corr_errors(x, y)
         for j in range(len(self.SCALES)):
             xc, yc = x[j] - x[j].mean(), y[j] - y[j].mean()
             assert corr[j] == pytest.approx(
@@ -244,7 +253,7 @@ class TestCorrErrors:
         log_t = np.log(np.geomspace(10.0, 1000.0, len(self.SCALES)))
         xc = log_t - log_t.mean()
         weights = xc / (xc @ xc)
-        _, stderr, slope_stderr = _corr_errors(x, y, weights)
+        _, stderr, slope_stderr = corr_errors(x, y, weights)
         reps = self.plain_bootstrap(x, y, self.RESAMPLES)
         lo, hi = self.RATIO_BAND
         ratios = stderr / reps.std(axis=0, ddof=1)
@@ -259,16 +268,16 @@ class TestCorrErrors:
         rep = lrd_report(GAMMA_SPEC, 1.0, grid, 2000, 115)
         ys, yt = _sample_pairs(GAMMA_SPEC, 1.0, grid, 2000, 115)
         xc = np.log(grid) - np.log(grid).mean()
-        _, _, expected = _corr_errors(ys, yt, xc / (xc @ xc))
+        _, _, expected = corr_errors(ys, yt, xc / (xc @ xc))
         assert rep.mc_slope_paired_stderr == pytest.approx(expected, rel=1e-12)
 
     def test_slope_stderr_needs_weights_and_positive_correlations(self):
         x, y = self.columns(n=500)
         weights = np.array([-0.5, -0.1, 0.1, 0.5])
-        assert _corr_errors(x, y)[2] is None
-        assert _corr_errors(x, y, weights)[2] > 0.0
+        assert corr_errors(x, y)[2] is None
+        assert corr_errors(x, y, weights)[2] > 0.0
         y[2] *= -1.0
-        assert _corr_errors(x, y, weights)[2] is None
+        assert corr_errors(x, y, weights)[2] is None
 
     def test_constant_row_raises(self):
         # a row with zero sample variance has no correlation: it raises
@@ -276,48 +285,72 @@ class TestCorrErrors:
         x, y = self.columns(n=500)
         x[1] = 2.5
         with pytest.raises(ValueError, match=r"^Y_s is constant over 500 paths, "):
-            _corr_errors(x, y)
+            corr_errors(x, y)
         x, y = self.columns(n=500)
         y[3] = 0.0
         with pytest.raises(ValueError, match=r"^Y_t is constant over 500 paths, "):
-            _corr_errors(x, y, np.array([-0.5, -0.1, 0.1, 0.5]))
+            corr_errors(x, y, np.array([-0.5, -0.1, 0.1, 0.5]))
 
     @pytest.mark.parametrize("scale, bad", [(1.0, np.nan), (1.0, np.inf), (1e160, 1.0)])
     def test_nonfinite_sample_variance_raises(self, scale, bad):
         # a row with a NaN or inf is not constant, and one near 1e160 squares
-        # beyond the float range: each is named as not finite, with no warning
+        # beyond the float range: each is named with its grid time (the
+        # third), with no warning
         x, y = self.columns(n=500)
         y[2] *= scale
         y[2, 7] *= bad
-        with pytest.raises(OverflowError,
-                           match=r"^the sample variance of Y_t over 500 paths is not finite$"):
-            _corr_errors(x, y)
+        with pytest.raises(OverflowError, match=r"^the Monte Carlo sample variance of Y_t "
+                                                r"at t = 3 is beyond the float range$"):
+            corr_errors(x, y)
 
     def test_constant_clock_raises(self):
         # at nu = 1e9 every Gamma clock draw up to t = 10 underflows to 0,
         # so Y_s is 0 on every path
+        # so Y_s is 0 on every path; every estimator shares the rule, the
+        # covariance too, whose 0 with a stderr of 0 would measure nothing
         spec = TimeChangedSpec(MIX, SubordinatorSpec.gamma(1e9))
+        for estimator in (estimate_corr, estimate_cov, estimate_increment_sm):
+            with pytest.raises(ValueError, match=r"^Y_s is constant over 200 paths, "):
+                estimator(spec, 1.0, 10.0, 200, 3)
         with pytest.raises(ValueError, match=r"^Y_s is constant over 200 paths, "):
-            estimate_corr(spec, 1.0, 10.0, 200, 3)
+            estimate_cov_curve(spec, 1.0, [10.0, 20.0], 200, 3)
 
     def test_covariance_beyond_the_float_range_raises(self):
-        # at nu = 1e-190 the clock reaches 1e192 and Y about 1e153: the
-        # centered products square beyond the float range
+        # at nu = 1e-190 the clock reaches 1e192 and Y_t about 1e154: its
+        # squares, and the centered products', are beyond the float range
         spec = TimeChangedSpec(MIX, SubordinatorSpec.gamma(1e-190))
-        with pytest.raises(OverflowError, match=r"^the Monte Carlo covariance or its stderr "
+        with pytest.raises(OverflowError, match=r"^the Monte Carlo sample variance of Y_t "
                                                 r"at t = 100 is beyond the float range$"):
             estimate_cov_curve(spec, 1.0, [100.0, 200.0], 200, 3)
+
+    @pytest.mark.parametrize("row, flip, name", [
+        (1e152 * derive_stream(33, 0).gen.standard_normal(500), 1.0,
+         "covariance or its stderr"),
+        (2.0 ** 507 * np.resize([1.0, -1.0], 500), -1.0,
+         r"mean of \(Y_t - Y_s\)\*\*2 or its stderr"),
+    ], ids=["covariance", "increment"])
+    def test_finite_variances_with_an_overflowing_statistic_raise(self, row, flip, name):
+        # each row's sample variance is finite (about 1e304 and 2**1014), but
+        # with Y_t = Y_s the centered products square beyond the float
+        # range, and with Y_t = -Y_s = +-2**507 the products are exactly
+        # constant while the sum of (Y_t - Y_s)**2 = 2**1016 over 500 paths
+        # is not finite
+        x = np.ones((3, 500))
+        x[1] = row
+        with pytest.raises(OverflowError, match=rf"^the Monte Carlo {name} at t = 2 is "
+                                                r"beyond the float range$"):
+            corr_errors(x, flip * x)
 
     @pytest.mark.parametrize("spec", [TSS_SPEC, GAMMA_SPEC])
     def test_estimate_corr_is_one_time_case(self, spec):
         ys, yt = _sample_pairs(spec, 1.0, [10.0], 3000, 114)
-        corr, stderr, _ = _corr_errors(ys, yt)
+        corr, stderr, _ = corr_errors(ys, yt)
         assert estimate_corr(spec, 1.0, 10.0, 3000, 114) == MomentEstimate(
             float(corr[0]), float(stderr[0]))
         # reference: one block of pairs reduced as a flat sample, bit for bit
         n = 1000
         ys, yt = sample_timechanged_pair(spec, 1.0, [10.0], derive_stream(114, 0), size=n)
-        corr, stderr, _ = _corr_errors(ys.T, yt.T)
+        corr, stderr, _ = corr_errors(ys.T, yt.T)
         assert estimate_corr(spec, 1.0, 10.0, n, 114) == MomentEstimate(
             float(corr[0]), float(stderr[0]))
 

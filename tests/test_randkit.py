@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from gmfbm import randkit
 from gmfbm.randkit import (
     _SUBSTEP_LIMIT,
     _accept_in_trial_order,
-    _stable_unit,
+    _log_stable_unit,
     _tempered_by_thinning,
     _tilted_stable_double_rejection,
     _zolotarev_log_b,
@@ -24,6 +25,7 @@ from gmfbm.randkit import (
     tempered_stable_substep_count,
 )
 from gmfbm.selftest import mean_z
+from gmfbm.subordinators import TssParams, tss_moment
 
 N_BIG = 100_000
 N_MED = 10_000
@@ -146,14 +148,14 @@ class TestStable:
     # scale**(1/alpha) times a unit draw has transform exp(-scale * u**alpha)
     @pytest.mark.parametrize("alpha,scale,u", [(0.5, 1.0, 1.0), (0.7, 2.0, 1.0)])
     def test_laplace_transform(self, alpha, scale, u):
-        draws = scale ** (1.0 / alpha) * _stable_unit(
-            derive_stream(31, int(alpha * 10)).gen, alpha, N_BIG)
+        draws = scale ** (1.0 / alpha) * np.exp(_log_stable_unit(
+            derive_stream(31, int(alpha * 10)).gen, alpha, N_BIG))
         emp = np.exp(-u * draws)
         target = math.exp(-scale * u ** alpha)
         assert mean_z(emp, target) < 3.0
 
     def test_positive(self):
-        draws = _stable_unit(derive_stream(31, 3).gen, 0.4, N_MED)
+        draws = np.exp(_log_stable_unit(derive_stream(31, 3).gen, 0.4, N_MED))
         assert np.all(draws > 0.0)
 
     @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.7, 0.95])
@@ -167,7 +169,7 @@ class TestStable:
         frac = (1.0 - alpha) / alpha
         kanter = (np.sin(alpha * v) * np.sin((1.0 - alpha) * v) ** frac
                   / (np.sin(v) ** (1.0 / alpha) * e ** frac))
-        draws = _stable_unit(derive_stream(37, 1).gen, alpha, N_MED)
+        draws = np.exp(_log_stable_unit(derive_stream(37, 1).gen, alpha, N_MED))
         np.testing.assert_allclose(draws, kanter, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95])
@@ -185,7 +187,7 @@ class TestStable:
         c = alpha ** alpha * (1.0 - alpha) ** (1.0 - alpha)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            draws = _stable_unit(ZeroAngle(), alpha, e.size)
+            draws = np.exp(_log_stable_unit(ZeroAngle(), alpha, e.size))
         np.testing.assert_allclose(draws, c ** (1.0 / alpha) * e ** (-(1.0 - alpha) / alpha),
                                    rtol=1e-13, atol=0.0)
 
@@ -343,6 +345,38 @@ class TestTemperedStable:
                 draws = sample_tempered_stable_increment(stream, alpha, lam, dt,
                                                          size=2000)
             assert np.all(np.isfinite(draws)) and np.all(draws > 0.0)
+
+    EDGES = [(0.9995, 1.0, 10.0), (0.9999, 1.0, 10.0), (0.99999, 1.0, 100.0),
+             (0.002, 1.0, 0.01), (0.005, 1.0, 0.1)]
+
+    def test_alpha_edges_keep_the_law(self):
+        # near alpha = 1 double rejection's a overflows and its mode m
+        # underflows; near alpha = 0 each Kanter proposal overflows while
+        # dt'**(1/alpha) underflows.  E[X**q] against the quadrature at
+        # q = 1/2 and 1, at a family-wise level of 1e-4 over the ten tests,
+        # with no floating-point warning.  At alpha = 0.002 about 97% of the
+        # draws are 0: the law's mass below the smallest double
+        z_max = NormalDist().inv_cdf(1.0 - 1e-4 / (2 * 2 * len(self.EDGES)))
+        for i, (alpha, lam, dt) in enumerate(self.EDGES):
+            with warnings.catch_warnings(), \
+                    np.errstate(divide="warn", over="warn", invalid="warn"):
+                warnings.simplefilter("error")
+                draws = sample_tempered_stable_increment(derive_stream(53, i), alpha, lam, dt,
+                                                         size=500_000)
+            for q in (0.5, 1.0):
+                z = mean_z(draws ** q, tss_moment(TssParams(alpha, lam), dt, q))
+                assert z < z_max, (alpha, lam, dt, q, z)
+
+    @pytest.mark.parametrize("dt", [10.0, np.float64(10.0)], ids=["float", "float64"])
+    def test_tilt_beyond_the_float_range_raises(self, dt):
+        # dt**(1/alpha) = 10**500 overflows a Python float by itself; the
+        # tilt is tested in logs first, so both float types get its message
+        with pytest.raises(OverflowError, match=r"^tilt lam \* dt\*\*\(1/alpha\) = 1 \* "
+                                                r"10\*\*\(1/0\.002\) is not a finite float$"):
+            sample_tempered_stable_increment(derive_stream(0, 0), 0.002, 1.0, dt, size=5)
+        # a scale beyond the float range fails too, though lam * scale would not
+        with pytest.raises(OverflowError, match=r"^tilt lam "):
+            sample_tempered_stable_increment(derive_stream(0, 0), 0.5, 1e-10, 1e155, size=5)
 
     def test_positive(self):
         draws = sample_tempered_stable_increment(derive_stream(47, 0), 0.5, 2.0, 0.3,

@@ -617,6 +617,17 @@ class TestGammaMoments:
             assert gamma_moment(GammaParams(nu), [3.0 * nu, x * nu], q).tolist() == \
                 [exact(3.0, q), exact(x, q)]
 
+    @pytest.mark.parametrize("nu, t, q, text", [
+        (1e-300, 1e4, 1.6, r"order-1\.6 moment is beyond the float range at t/nu = 1e\+304"),
+        (1e-300, 3.0, 200.0, r"order-200\.0 moment is beyond the float range at t/nu = 3e\+300"),
+        (1.0, 100.0, 500.0, r"order-500\.0 moment is beyond the float range at t/nu = 100\.0"),
+    ], ids=["series", "series-large-q", "lgamma"])
+    def test_fractional_overflow_names_the_order(self, nu, t, q, text):
+        # math.pow and math.exp raise where the closed forms return inf; the
+        # message is the closed forms' one, with the order and t/nu
+        with pytest.raises(OverflowError, match=rf"^the {text}$"):
+            gamma_moment(GammaParams(nu), t, q)
+
     def test_asymptotic_values(self):
         assert subordinator_moment_asymptotic(SubordinatorSpec.gamma(1.0), 1.0, 1.0) == 1.0
         assert subordinator_moment_asymptotic(SubordinatorSpec.gamma(2.0), 20.0, 2.0) == \
@@ -891,6 +902,28 @@ class TestTssMoments:
         draws = sample_increment(spec, 1.0, derive_stream(14, int(100 * alpha)),
                                  size=200_000)
         assert mean_z(draws ** q, tss_moment(spec.params, 1.0, q)) < 3.0
+
+
+class TestMomentRate:
+    # E[X_t**q] = (k1 t)**q (1 + C1 / t + O(1/t**2)) for a clock with
+    # cumulants k1 t and k2 t, C1 = q (q - 1) k2 / (2 k1**2): k2 / k1**2 is
+    # (1 - alpha) / (alpha lam**alpha) on the tempered stable clock and nu
+    # on the Gamma clock.  So t (exact / asymptotic - 1) tends to C1 like
+    # 1/t; at t >= 1e3 it is within 1e-3 of C1 relatively
+    @pytest.mark.parametrize("spec, k2_over_k1_sq", [
+        (SubordinatorSpec.tss(0.7, 1.0), 0.3 / 0.7),
+        (SubordinatorSpec.tss(0.2, 1.0), 0.8 / 0.2),
+        (SubordinatorSpec.tss(0.5, 3.0), 0.5 / (0.5 * math.sqrt(3.0))),
+        (SubordinatorSpec.gamma(1.0), 1.0),
+        (SubordinatorSpec.gamma(0.1), 0.1),
+    ], ids=["tss-0.7-1", "tss-0.2-1", "tss-0.5-3", "gamma-1", "gamma-0.1"])
+    @pytest.mark.parametrize("q", [0.6, 1.1, 1.6, 2.0])
+    def test_first_correction_is_the_cumulant_term(self, spec, k2_over_k1_sq, q):
+        t = np.logspace(3.0, 6.0, 13)
+        c1 = q * (q - 1.0) * k2_over_k1_sq / 2.0
+        asymptotic = np.array([subordinator_moment_asymptotic(spec, x, q) for x in t])
+        rate = t * (subordinator_moment(spec, t, q) / asymptotic - 1.0)
+        np.testing.assert_allclose(rate, c1, rtol=0.01, atol=0.0)
 
 
 class TestDispatchAndConsistency:
