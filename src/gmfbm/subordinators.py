@@ -8,7 +8,7 @@ Two families are supported:
   Gamma(shape t/nu, rate 1).
 
 Moments E[X_t**q] come in three flavours: exact (Gamma-function ratio for
-the Gamma family, Laplace-transform quadrature for tempered stable),
+the Gamma family, Bell polynomials and quadrature for tempered stable),
 large-t asymptotic (r*t)**q with r = ``SubordinatorSpec.rate`` the mean
 clock rate (1/nu resp. alpha*lambda**(alpha-1)), and Monte Carlo via the
 samplers in ``randkit``.
@@ -36,6 +36,7 @@ _HEAD_NODES = 24
 _PANEL_NODES = 24
 _PANELS_PER_DECADE = 2
 _MAX_PANELS = 4096
+_TSS_MAX_ORDER = 4  # the highest order tss_moment takes
 
 
 class QuadratureError(RuntimeError):
@@ -88,7 +89,7 @@ class SubordinatorSpec:
         """Mean clock rate E[X_t] / t: alpha*lam**(alpha-1) (TSS), 1/nu (Gamma)."""
         if self.kind == "gamma":
             return 1.0 / self.params.nu
-        return tss_mean(self.params, 1.0)
+        return _tss_bell(self.params, 1.0, 1)[0][0]
 
     @classmethod
     def tss(cls, alpha: float, lam: float) -> "SubordinatorSpec":
@@ -213,12 +214,18 @@ def gamma_moment(params: GammaParams, t, q: float):
 # Tempered stable moments
 # ---------------------------------------------------------------------------
 
-def tss_mean(params: TssParams, t: float) -> float:
-    return t * params.alpha * params.lam ** (params.alpha - 1.0)
-
-
-def tss_variance(params: TssParams, t: float) -> float:
-    return t * params.alpha * (1.0 - params.alpha) * params.lam ** (params.alpha - 2.0)
+def _tss_bell(params: TssParams, ts, n: int):
+    """The cumulants kappa_j t = t alpha (1-alpha)...(j-1-alpha) lam**(alpha-j), j <= n,
+    multiplied in that order, and the partial Bell polynomials B_{n,k}(kappa t), k <= n,
+    by B_{m,k} = sum_i binom(m-1, i-1) kappa_i t B_{m-i,k-1} (Comtet 1974, 3.3)."""
+    alpha, kappa, c = params.alpha, [], ts * params.alpha
+    bell = [[]]  # bell[m][k-1] = B_{m,k}
+    for m in range(1, n + 1):
+        kappa.append(c * params.lam ** (alpha - m))
+        c = c * (m - alpha)
+        bell.append([kappa[-1]] + [sum(math.comb(m - 1, i - 1) * kappa[i - 1] * bell[m - i][k - 2]
+                                   for i in range(1, m - k + 2)) for k in range(2, m + 1)])
+    return kappa, bell[n]
 
 
 @functools.lru_cache(maxsize=64)
@@ -254,24 +261,25 @@ def _gauss_rule(p: float, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def tss_moment(params: TssParams, t, q: float):
-    """High-precision E[X_t**q] for the tempered stable clock, 0 < q <= 2.
+    """High-precision E[X_t**q] for the tempered stable clock, 0 < q <= 4.
 
-    q = 1 and q = 2 come from exact cumulants.  Fractional orders combine
-    the Gamma-integral for a negative power, x**(-p) =
-    1/Gamma(p) int u**(p-1) e**(-ux) du, with the exact mean (or second
-    moment) of the transform phi(u) = exp(-psi(u)):
+    One rule for every order.  Write n = ceil(q), p = n - q and x = 1 +
+    u/lambda.  The law tilted by e**(-uX) has cumulants kappa_j t
+    x**(alpha-j), so a monomial of the partial Bell polynomial B_{n,k} of
+    ``_tss_bell`` carries x**(k alpha - n), and with phi(u) = exp(-psi(u))
 
-        q in (0,1):  E[X**q] = E[X * X**-(1-q)]
-                   = 1/Gamma(1-q) int_0^inf u**(-q) psi'(u) phi(u) du
-        q in (1,2):  E[X**q] = E[X**2 * X**-(2-q)]
-                   = 1/Gamma(2-q) int_0^inf u**(1-q) (psi'(u)**2 - psi''(u))
-                     phi(u) du
+        E[X**n e**(-uX)] = phi(u) sum_k B_{n,k}(kappa t) x**(k alpha - n).
 
-    Both integrands are u**(p-1) times a positive function smooth(u) that is
+    An integer order is that sum at u = 0.  Any other order puts
+    X**(-p) = 1/Gamma(p) int u**(p-1) e**(-uX) du into E[X**n X**(-p)]:
+
+        E[X**q] = 1/Gamma(p) sum_k B_{n,k} int_0^inf u**(p-1) x**(k alpha - n) phi(u) du.
+
+    Each integrand is u**(p-1) times a positive function smooth(u) that is
     analytic on the positive axis (its nearest singularity is u = -lambda)
-    and decays like exp(-psi(u)); the formulas are continuous at q = 1 and
-    q = 2.  The integral is cut where psi = 120 and computed with numpy
-    alone, in two pieces:
+    and decays like exp(-psi(u)); the rule is continuous at the integers.
+    The integral is cut where psi = 120 and computed with numpy alone, in
+    two pieces:
 
     * on [0, c0], c0 = min(1/E[X_t], lambda), a Gauss-Jacobi rule with the
       weight u**(p-1) built in, so the endpoint singularity costs nothing;
@@ -284,41 +292,37 @@ def tss_moment(params: TssParams, t, q: float):
     The error estimate is the gap to the same panels with half the nodes;
     if it exceeds ``_REL_TOL`` relative, or the result is not a finite
     positive number, ``QuadratureError`` names the failing t and no value
-    is returned.  A moment at q = 1 or 2, or a quantity the quadrature
-    starts from, beyond the float range raises ``OverflowError``.
+    is returned.  A moment at an integer order, or a quantity the
+    quadrature starts from, beyond the float range raises ``OverflowError``.
 
     ``t`` is one time (a float result) or a 1-d array of times (an array).
     The nodes of every t are evaluated in one numpy pass and summed per t.
     """
     t_arr = _time_array(t)
-    if not 0.0 < q <= 2.0:
-        raise ValueError(f"q must lie in (0, 2], got {q}")
-    ts = t_arr.ravel()
+    if not 0.0 < q <= _TSS_MAX_ORDER:
+        raise ValueError(f"q must lie in (0, {_TSS_MAX_ORDER}], got {q}")
+    ts, n = t_arr.ravel(), math.ceil(q)
     # a value beyond the float range becomes inf with no numpy warning, and
     # then raises below, before the quadrature sees it
     with np.errstate(over="ignore"):
-        m1 = tss_mean(params, ts)
-        var = tss_variance(params, ts)
-        out = m1 if q == 1.0 else m1 * m1 + var
+        kappa, bell = _tss_bell(params, ts, n)
+        out = sum(bell)
         scale = ts * params.lam ** params.alpha
-    if q in (1.0, 2.0):
-        setup, what = [out], "moment"
-    else:
-        setup = [m1, scale, var] if q > 1.0 else [m1, scale]
-        what = "moment's set-up (the clock's mean, variance or t lam**alpha)"
+    setup = [out] if q == n else kappa + [scale]
+    what = "moment" if q == n else "moment's set-up (the clock's mean, variance or t lam**alpha)"
     if not np.all(np.isfinite(setup)):
         raise OverflowError(f"the order-{q} {what} is beyond the float range at t = {ts.max()}")
-    if q not in (1.0, 2.0):
-        out = _tss_fractional_moment(params, ts, q, m1, var, scale)
+    if q != n:
+        out = _tss_fractional_moment(params, ts, q, n, kappa[0], bell, scale)
     return float(out[0]) if t_arr.ndim == 0 else out
 
 
-def _tss_fractional_moment(params: TssParams, ts: np.ndarray, q: float,
-                           m1: np.ndarray, var: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    # the quadrature of tss_moment for 0 < q < 2, q != 1, at the times ts,
-    # from the mean, the variance (read above q = 1) and t lam**alpha there
+def _tss_fractional_moment(params: TssParams, ts: np.ndarray, q: float, n: int,
+                           m1: np.ndarray, bell: list, scale: np.ndarray) -> np.ndarray:
+    # the quadrature of tss_moment at a fractional q, n = ceil(q), at the
+    # times ts, from the mean, the Bell polynomials B_{n,k} and t lam**alpha
     alpha, lam = params.alpha, params.lam
-    p = 1.0 - q if q < 1.0 else 2.0 - q
+    p = n - q
     log_lam = math.log(lam)
     # per t, the start s0 = log c0 of the panels, their count and width
     s0, panels, width = [], [], []
@@ -371,11 +375,8 @@ def _tss_fractional_moment(params: TssParams, ts: np.ndarray, q: float,
             terms = np.exp(exponent * log1px + log_phi)
             return np.array([np.add.reduce(terms[lo:hi]) for lo, hi in blocks])
 
-        if q < 1.0:
-            # psi'(u) phi(u)
-            return m1 * per_t(alpha - 1.0)
-        # (psi'(u)**2 - psi''(u)) phi(u): two positive terms
-        return m1 * m1 * per_t(2.0 * (alpha - 1.0)) + var * per_t(alpha - 2.0)
+        # sum_k B_{n,k} x**(k alpha - n) phi(u): positive terms
+        return sum(b * per_t(k * alpha - n) for k, b in enumerate(bell, 1))
 
     prefactor = math.exp(-math.lgamma(p))
     # an overflow here (t near 1e250) is reported by the check below, once

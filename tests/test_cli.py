@@ -604,7 +604,7 @@ class TestExitCodes:
             (("moments", "--subordinator", "gamma", "--nu", "1e-300"),
              "subordinators.gamma_moment"),
             (("cov-table", "--lambda", "1e-300", "--t-min", "2", "--t-max", "3",
-              "--t-count", "2", "--paths", "100"), "subordinators.tss_variance"),
+              "--t-count", "2", "--paths", "100"), "subordinators._tss_bell"),
             (("lrd", "--a", "1e200"), "process.exact_var_oracle"),
             # t/nu = 1e309 is beyond the float range, and so is x(x + 1) at 1e155
             (("moments", "--subordinator", "gamma", "--nu", "1e-305", "--q", "1"),

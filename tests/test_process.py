@@ -402,3 +402,29 @@ class TestIncrementSecondMoment:
         vals = [exact_increment_second_moment(TSS_SPEC, s, s + gap)
                 for gap in (1.0, 2.0, 4.0, 8.0)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
+
+
+class TestFourthMoments:
+    # given the clock, Y is Gaussian with variance V(S) = a**2 S**2H1 +
+    # b**2 S**2H2, so E[Y_t**4] = 3 E[V(S_t)**2], a sum of three clock
+    # moments, and E[(Y_t - Y_s)**4] is the same sum at t - s.  These see the
+    # clock's spread and the Gaussian law given it, which no second moment
+    # does (Y_t's kurtosis is about 6 at t = 1 on the TSS clock)
+    def test_against_pair_sampler(self):
+        s, t = 0.5, np.array([1.0, 10.0, 100.0])
+        a, b, h1, h2 = MIX.a, MIX.b, MIX.h1, MIX.h2
+
+        def fourth(sub, u):
+            return 3.0 * (a ** 4 * subordinator_moment(sub, u, 4.0 * h1)
+                          + 2.0 * a ** 2 * b ** 2 * subordinator_moment(sub, u, 2.0 * (h1 + h2))
+                          + b ** 4 * subordinator_moment(sub, u, 4.0 * h2))
+
+        z = []
+        for sid, spec in enumerate([TSS_SPEC, GAMMA_SPEC]):
+            y_s, y_t = sample_timechanged_pair(spec, s, t, derive_stream(25, sid), size=400_000)
+            level, increment = fourth(spec.subordinator, t), fourth(spec.subordinator, t - s)
+            for j in range(t.size):
+                z += [mean_z(y_t[:, j] ** 4, level[j]),
+                      mean_z((y_t[:, j] - y_s[:, j]) ** 4, increment[j])]
+        # family-wise over the 12 statistics
+        assert max(z) < 4.0, z
