@@ -111,7 +111,8 @@ def fbm_values_at_times(times, var, stream: RngStream, size=None) -> np.ndarray:
     increment variance var(step) <= n*u*var(t_last) (u = eps/2;
     var(t_last) is the largest diagonal entry) is a numerical repeat and is
     collapsed the same way, so each collapsed step changes the value by a
-    variance of at most n*u*var(t_last).
+    variance of at most n*u*var(t_last).  A var(t_last) that underflows to 0
+    at t_last > 0 would collapse every step, and raises FloatingPointError.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim not in (1, 2) or times.shape[-1] == 0:
@@ -120,7 +121,10 @@ def fbm_values_at_times(times, var, stream: RngStream, size=None) -> np.ndarray:
     if not (np.all(steps >= 0.0) and _finite_nonnegative(times)):
         raise ValueError("times must be finite, nonnegative and nondecreasing")
     n = times.shape[-1]
-    dummy = var(steps) <= n * np.finfo(float).eps / 2.0 * var(times[..., -1:])
+    v_last = var(times[..., -1:])
+    if np.any((v_last == 0.0) & (times[..., -1:] > 0.0)):
+        raise FloatingPointError("var(t) underflows to 0 at a positive last time t of a row")
+    dummy = var(steps) <= n * np.finfo(float).eps / 2.0 * v_last
     real = ~dummy
     cov = _cov_matrix_at(times, var)
     cov *= real[..., :, None] & real[..., None, :]

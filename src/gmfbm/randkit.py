@@ -15,13 +15,11 @@ stable samplers keep the accepted trials of i.i.d. batches in trial order.
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 
 _U64 = 1 << 64
 _LN2 = math.log(2.0)
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 # Monte Carlo paths per block; each block draws from one stream.
 BLOCK_PATHS = 1024
@@ -196,18 +194,18 @@ def _zolotarev_log_b(u: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def _tilted_stable_double_rejection(gen: np.random.Generator, alpha: float,
-                                    lam: float, n: int) -> np.ndarray:
+                                    log_lam: float, n: int) -> np.ndarray:
     # Devroye's double rejection for the exponentially tilted positive
     # stable law (density proportional to exp(-lam*x) times the unit stable
-    # density).  Expected cost is O(1) uniformly in the tilt, which is what
-    # makes large time spans affordable.  A trial runs the outer angle
-    # stage, then the inner stage, and is dropped if either rejects.  The
-    # outer acceptance ratio is kept in log space; with lam**alpha in the
-    # thousands it overflows otherwise.  Every power is an exp of one log.
+    # density): log draws from log lam.  Expected cost is O(1) uniformly in
+    # the tilt, which is what makes large time spans affordable.  A trial
+    # runs the outer angle stage, then the inner stage, and is dropped if
+    # either rejects.  The outer acceptance ratio is kept in log space; with
+    # lam**alpha in the thousands it overflows otherwise.
     b = (1.0 - alpha) / alpha
     log_c = _zolotarev_log_c(alpha)
-    log_b_lam = math.log(b) + math.log(lam)
-    lam_alpha = lam ** alpha
+    log_b_lam = math.log(b) + log_lam
+    lam_alpha = math.exp(alpha * log_lam)
     gam = lam_alpha * alpha * (1.0 - alpha)
     sqrt_gam = math.sqrt(gam)
     c1 = math.sqrt(math.pi / 2.0)
@@ -236,7 +234,7 @@ def _tilted_stable_double_rejection(gen: np.random.Generator, alpha: float,
         u_ang, log_u1 = u_ang[ok], log_u1[ok]
         log_b = _zolotarev_log_b(u_ang, alpha)
         zeta = np.exp(0.5 * log_b)
-        z = 1.0 / (1.0 - np.exp(np.log1p(alpha / sqrt_gam * zeta) / -alpha))
+        z = -1.0 / np.expm1(np.log1p(alpha / sqrt_gam * zeta) / -alpha)  # no cancellation
         d = np.where(u_ang > 0.0, psi / np.sqrt(math.pi - u_ang), 0.0)
         d += xi * np.exp(-gam * u_ang * u_ang / 2.0) if gam >= 1.0 else xi
         # lam**alpha expm1(-log B) = -lam**alpha (1 - 1/B), exact near B = 1
@@ -268,10 +266,10 @@ def _tilted_stable_double_rejection(gen: np.random.Generator, alpha: float,
         y, log_m_pow, am, bonus, log_accept = (y[ok], log_m_pow[ok], am[ok], bonus[ok],
                                              log_accept[ok])
         # a (X - m) + lam (X**-b - m**-b), with lam m**-b = a m / b; the draw
-        # is X**-b = m**-b y**-b
+        # is X**-b = m**-b y**-b, returned as its log
         log_y = np.log(y)
         cost = am * (y - 1.0) + am / b * np.expm1(-b * log_y) - bonus
-        return np.exp(log_m_pow - b * log_y)[cost <= -log_accept]
+        return (log_m_pow - b * log_y)[cost <= -log_accept]
 
     return _accept_in_trial_order(trials, n, 2 * n)
 
@@ -302,11 +300,12 @@ def sample_tempered_stable_increment(stream: RngStream, alpha: float,
     n_sub = tempered_stable_substep_count(alpha, lam, dt)
     if n_sub <= _SUBSTEP_LIMIT:
         return _tempered_by_thinning(stream.gen, alpha, lam, dt, size, n_sub)
-    # in logs, before a float power can overflow: a scale or tilt beyond the
-    # float range would make every trial NaN, and none would be accepted
+    # dt**(1/alpha) S, S tilted by lam dt**(1/alpha), is one exp of a log
+    # sum, so only the draw itself must be a float; one below it rounds to 0
     log_scale = math.log(dt) / alpha
-    if log_scale + max(math.log(lam), 0.0) >= _LOG_FLOAT_MAX:
-        raise OverflowError(f"tilt lam * dt**(1/alpha) = {lam:g} * {dt:g}**"
-                            f"(1/{alpha:g}) is not a finite float")
-    scale = dt ** (1.0 / alpha)
-    return scale * _tilted_stable_double_rejection(stream.gen, alpha, lam * scale, size)
+    with np.errstate(over="ignore"):
+        x = np.exp(log_scale + _tilted_stable_double_rejection(
+            stream.gen, alpha, math.log(lam) + log_scale, size))
+    if not np.all(np.isfinite(x)):
+        raise OverflowError(f"a tempered stable draw over dt = {dt:g} is not a finite float")
+    return x

@@ -92,6 +92,22 @@ class TestSimulate:
                       "--t-min", "1", "--t-max", "4", "--seed", "1")
         assert text.endswith("\n")
 
+    def test_spans_beyond_a_float_scale_draw(self, tmp_path, capsys):
+        # at alpha = 0.002 the double-rejection scale dt**(1/alpha) leaves
+        # the float range above dt = 4.1; at lam**alpha dt = 1e40 the clock
+        # is concentrated at its mean 0.7 t.  Both draw, with no warning
+        code, _ = run(tmp_path, "simulate", "--alpha", "0.002", "--paths", "5",
+                      "--t-count", "3", "--t-min", "1", "--t-max", "100")
+        assert code == EXIT_OK
+        code, text = run(tmp_path, "simulate", "--alpha", "0.7", "--t-min", "1e38",
+                         "--t-max", "1e40", "--paths", "5", "--t-count", "3")
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == ""
+        rows = [line.split(",") for line in text.strip().split("\n")[1:]]
+        clocks = [float(sub) for _, t, sub, _ in rows if float(t) == 1e40]
+        assert len(clocks) == 5
+        assert all(abs(c / 7e39 - 1.0) < 1e-12 for c in clocks), clocks
+
 
 class TestCovTable:
     ARGS = ("cov-table", "--subordinator", "gamma", "--paths", "500",
@@ -559,6 +575,13 @@ class TestExitCodes:
          "float underflow in process.exact_var_oracle during 'lrd'"),
         (("cov-table", "--a", "1e-200", "--b", "1e-200", "--paths", "200", "--t-count", "2"),
          "float underflow in theory.cov_asymptotic during 'cov-table'"),
+        # Var(Y | S) underflows to 0, so every step would collapse to 0
+        (("simulate", "--a", "1e-200", "--b", "1e-200", "--paths", "3", "--t-count", "3"),
+         "float underflow in fbm.fbm_values_at_times during 'simulate'"),
+        # E[S_t] = 5e309: a clock draw beyond the float range
+        (("simulate", "--alpha", "0.5", "--lambda", "1e-300", "--t-min", "1e150",
+          "--t-max", "1e160", "--paths", "3", "--t-count", "2"),
+         "float overflow in randkit.sample_tempered_stable_increment during 'simulate'"),
     ])
     def test_overflowed_or_underflowed_value_is_numerical_failure(self, tmp_path, capsys,
                                                                    args, line):
@@ -583,8 +606,10 @@ class TestExitCodes:
         assert err.endswith(" lost its digits to cancellation\n")
 
     def test_infinite_tss_tilt_fails_instead_of_hanging(self):
-        # lam * dt**(1/alpha) overflows: double rejection would never accept a
-        # trial.  A subprocess, so that a hang fails at the timeout
+        # lam * dt**(1/alpha) is beyond the float range; double rejection
+        # draws it in logs, so the clock is about 1e-297 and Var(Y | S)
+        # about 1e-327 underflows to 0.  A subprocess, so that a hang fails
+        # at the timeout
         argv = ["simulate", "--paths", "5", "--t-count", "3", "--alpha", "0.01",
                 "--lambda", "1e300"]
         src = os.path.abspath(os.path.join(os.path.dirname(cli.__file__), os.pardir))
@@ -593,8 +618,8 @@ class TestExitCodes:
                               env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == EXIT_NUMERICAL
         assert proc.stdout == ""
-        assert proc.stderr.startswith("gmfbm: numerical failure: float overflow in "
-                                      "randkit.sample_tempered_stable_increment ")
+        assert proc.stderr.startswith("gmfbm: numerical failure: float underflow in "
+                                      "fbm.fbm_values_at_times ")
         assert proc.stderr.count("\n") == 1
 
     def test_overflow_is_numerical_failure(self, tmp_path, capsys):

@@ -410,21 +410,41 @@ class TestFourthMoments:
     # moments, and E[(Y_t - Y_s)**4] is the same sum at t - s.  These see the
     # clock's spread and the Gaussian law given it, which no second moment
     # does (Y_t's kurtosis is about 6 at t = 1 on the TSS clock)
-    def test_against_pair_sampler(self):
-        s, t = 0.5, np.array([1.0, 10.0, 100.0])
+    S, T = 0.5, np.array([1.0, 10.0, 100.0])
+
+    @staticmethod
+    def fourth(sub, u):
         a, b, h1, h2 = MIX.a, MIX.b, MIX.h1, MIX.h2
+        return 3.0 * (a ** 4 * subordinator_moment(sub, u, 4.0 * h1)
+                      + 2.0 * a ** 2 * b ** 2 * subordinator_moment(sub, u, 2.0 * (h1 + h2))
+                      + b ** 4 * subordinator_moment(sub, u, 4.0 * h2))
 
-        def fourth(sub, u):
-            return 3.0 * (a ** 4 * subordinator_moment(sub, u, 4.0 * h1)
-                          + 2.0 * a ** 2 * b ** 2 * subordinator_moment(sub, u, 2.0 * (h1 + h2))
-                          + b ** 4 * subordinator_moment(sub, u, 4.0 * h2))
+    def z_scores(self, spec, y_s, y_t):
+        level = self.fourth(spec.subordinator, self.T)
+        increment = self.fourth(spec.subordinator, self.T - self.S)
+        return [z for j in range(self.T.size)
+                for z in (mean_z(y_t[:, j] ** 4, level[j]),
+                          mean_z((y_t[:, j] - y_s[:, j]) ** 4, increment[j]))]
 
+    def test_against_pair_sampler(self):
         z = []
         for sid, spec in enumerate([TSS_SPEC, GAMMA_SPEC]):
-            y_s, y_t = sample_timechanged_pair(spec, s, t, derive_stream(25, sid), size=400_000)
-            level, increment = fourth(spec.subordinator, t), fourth(spec.subordinator, t - s)
-            for j in range(t.size):
-                z += [mean_z(y_t[:, j] ** 4, level[j]),
-                      mean_z((y_t[:, j] - y_s[:, j]) ** 4, increment[j])]
+            y_s, y_t = sample_timechanged_pair(spec, self.S, self.T, derive_stream(25, sid),
+                                               size=400_000)
+            z += self.z_scores(spec, y_s, y_t)
+        # family-wise over the 12 statistics
+        assert max(z) < 4.0, z
+
+    def test_against_path_sampler(self):
+        # the whole simulate path: the clock on [s, *t] (double rejection
+        # over the TSS gaps of 9 and 90), then one Cholesky factor per path;
+        # 4e5 paths in 8 calls of 50,000 from one stream
+        grid = np.append(self.S, self.T)
+        z = []
+        for sid, spec in enumerate([TSS_SPEC, GAMMA_SPEC]):
+            stream = derive_stream(26, sid)
+            y = np.concatenate([sample_timechanged_path_with_clock(spec, grid, stream, 50_000)[1]
+                                for _ in range(8)])
+            z += self.z_scores(spec, np.repeat(y[:, :1], self.T.size, axis=1), y[:, 1:])
         # family-wise over the 12 statistics
         assert max(z) < 4.0, z

@@ -241,9 +241,9 @@ class TestTemperedStable:
             assert n_sub == n_target
             thin = _tempered_by_thinning(derive_stream(45, n_sub).gen, alpha, lam,
                                          dt, N_BIG, n_sub)
-            scale = dt ** (1.0 / alpha)
-            dbl = scale * _tilted_stable_double_rejection(
-                derive_stream(45, 100 + n_sub).gen, alpha, lam * scale, N_BIG)
+            log_scale = math.log(dt) / alpha
+            dbl = np.exp(log_scale + _tilted_stable_double_rejection(
+                derive_stream(45, 100 + n_sub).gen, alpha, math.log(lam) + log_scale, N_BIG))
             assert stats.ks_2samp(thin, dbl).pvalue > 0.01 / 3
 
     @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 0.9])
@@ -266,7 +266,7 @@ class TestTemperedStable:
                                 10.0, 1e2, 1e4, 1e6]):
             assert tempered_stable_substep_count(alpha, 1.0, dt) > _SUBSTEP_LIMIT
             gen = derive_stream(51, int(100 * alpha) * 10 + i).gen
-            _tilted_stable_double_rejection(gen, alpha, dt ** (1.0 / alpha), 1)
+            _tilted_stable_double_rejection(gen, alpha, math.log(dt) / alpha, 1)
             trials_per_draw = k / captured[-1](k).size
             assert trials_per_draw < (8.0 if dt <= 10.0 else 2.2)
 
@@ -332,30 +332,39 @@ class TestTemperedStable:
     @pytest.mark.parametrize("alpha", [0.05, 0.2, 0.7, 0.99])
     @pytest.mark.parametrize("lam", [1e-4, 1.0, 100.0])
     def test_regime_sweep_finite_positive(self, alpha, lam):
-        # substep counts from 1 to 10**6 cover both samplers; no draw may be
-        # zero, infinite or NaN, and no floating-point warning may fire
+        # substep counts from 1 to 10**6 cover both samplers, and a span with
+        # lam**alpha dt = 1e40 a tilt where 1 - exp(t) in double rejection's
+        # z would cancel to 0; no draw may be zero, infinite or NaN, and no
+        # floating-point warning may fire.  At 1e40 the law is concentrated
+        # (relative sd below 1e-19), so the mean is kappa_1 dt to rounding
         sid = int(alpha * 100) * 10 + int(math.log10(lam)) + 4
         stream = derive_stream(48, sid)
-        for n_target in (1, _SUBSTEP_LIMIT, _SUBSTEP_LIMIT + 1, 10 ** 6):
+        for n_target in (1, _SUBSTEP_LIMIT, _SUBSTEP_LIMIT + 1, 10 ** 6, 1e40):
             dt = (n_target - 1e-3) * math.log(2.0) / lam ** alpha
-            assert tempered_stable_substep_count(alpha, lam, dt) == n_target
+            n_sub = tempered_stable_substep_count(alpha, lam, dt)
+            assert n_sub == n_target if n_target < 1e40 else n_sub > 1e39
             with warnings.catch_warnings(), \
                     np.errstate(divide="warn", over="warn", invalid="warn"):
                 warnings.simplefilter("error")
                 draws = sample_tempered_stable_increment(stream, alpha, lam, dt,
                                                          size=2000)
             assert np.all(np.isfinite(draws)) and np.all(draws > 0.0)
+        mean = alpha * lam ** (alpha - 1.0) * dt
+        assert abs(draws.mean() / mean - 1.0) < 1e-12
 
     EDGES = [(0.9995, 1.0, 10.0), (0.9999, 1.0, 10.0), (0.99999, 1.0, 100.0),
-             (0.002, 1.0, 0.01), (0.005, 1.0, 0.1)]
+             (0.002, 1.0, 0.01), (0.005, 1.0, 0.1),
+             (0.002, 1.0, 9.0), (0.002, 1.0, 100.0), (0.005, 1.0, 50.0)]
 
     def test_alpha_edges_keep_the_law(self):
         # near alpha = 1 double rejection's a overflows and its mode m
         # underflows; near alpha = 0 each Kanter proposal overflows while
-        # dt'**(1/alpha) underflows.  E[X**q] against the quadrature at
-        # q = 1/2 and 1, at a family-wise level of 1e-4 over the ten tests,
-        # with no floating-point warning.  At alpha = 0.002 about 97% of the
-        # draws are 0: the law's mass below the smallest double
+        # dt'**(1/alpha) underflows, and above the switch (the last three
+        # spans) double rejection's scale dt**(1/alpha) and tilt leave the
+        # float range.  E[X**q] against the quadrature at q = 1/2 and 1, at a
+        # family-wise level of 1e-4 over all the tests, with no
+        # floating-point warning.  At alpha = 0.002, dt = 0.01 about 97% of
+        # the draws are 0: the law's mass below the smallest double
         z_max = NormalDist().inv_cdf(1.0 - 1e-4 / (2 * 2 * len(self.EDGES)))
         for i, (alpha, lam, dt) in enumerate(self.EDGES):
             with warnings.catch_warnings(), \
@@ -367,16 +376,32 @@ class TestTemperedStable:
                 z = mean_z(draws ** q, tss_moment(TssParams(alpha, lam), dt, q))
                 assert z < z_max, (alpha, lam, dt, q, z)
 
-    @pytest.mark.parametrize("dt", [10.0, np.float64(10.0)], ids=["float", "float64"])
-    def test_tilt_beyond_the_float_range_raises(self, dt):
-        # dt**(1/alpha) = 10**500 overflows a Python float by itself; the
-        # tilt is tested in logs first, so both float types get its message
-        with pytest.raises(OverflowError, match=r"^tilt lam \* dt\*\*\(1/alpha\) = 1 \* "
-                                                r"10\*\*\(1/0\.002\) is not a finite float$"):
-            sample_tempered_stable_increment(derive_stream(0, 0), 0.002, 1.0, dt, size=5)
-        # a scale beyond the float range fails too, though lam * scale would not
-        with pytest.raises(OverflowError, match=r"^tilt lam "):
-            sample_tempered_stable_increment(derive_stream(0, 0), 0.5, 1e-10, 1e155, size=5)
+    def test_tilt_beyond_the_float_range_keeps_the_law(self):
+        # dt**(1/alpha) = 10**500 overflows a Python float by itself, and a
+        # float64 to inf; the draw is one exp of a log sum, so both float
+        # types draw the same law: E[X**q] against the quadrature at q = 1/2
+        # and 1, at a family-wise level of 1e-4
+        alpha, lam = 0.002, 1.0
+        draws = sample_tempered_stable_increment(derive_stream(54, 0), alpha, lam, 10.0,
+                                                 size=500_000)
+        np.testing.assert_array_equal(
+            sample_tempered_stable_increment(derive_stream(54, 0), alpha, lam,
+                                             np.float64(10.0), size=500_000), draws)
+        z_max = NormalDist().inv_cdf(1.0 - 1e-4 / (2 * 2))
+        for q in (0.5, 1.0):
+            z = mean_z(draws ** q, tss_moment(TssParams(alpha, lam), 10.0, q))
+            assert z < z_max, (q, z)
+
+    def test_scale_beyond_the_float_range_draws_the_mean(self):
+        # dt**(1/alpha) = 1e310 is beyond the float range though the tilt
+        # lam dt**(1/alpha) = 1e300 is not; the law is concentrated at
+        # kappa_1 dt = alpha lam**(alpha-1) dt = 5e159 (relative sd 1e-75)
+        alpha, lam, dt = 0.5, 1e-10, 1e155
+        draws = sample_tempered_stable_increment(derive_stream(54, 1), alpha, lam, dt,
+                                                 size=2000)
+        assert np.all(np.isfinite(draws))
+        mean = alpha * lam ** (alpha - 1.0) * dt
+        assert abs(draws.mean() / mean - 1.0) < 1e-12
 
     def test_positive(self):
         draws = sample_tempered_stable_increment(derive_stream(47, 0), 0.5, 2.0, 0.3,
