@@ -376,18 +376,20 @@ class TestTemperedStable:
                 z = mean_z(draws ** q, tss_moment(TssParams(alpha, lam), dt, q))
                 assert z < z_max, (alpha, lam, dt, q, z)
 
-    def test_tilt_beyond_the_float_range_keeps_the_law(self):
+    @pytest.mark.parametrize("dt", [10.0, np.float64(10.0)], ids=["float", "float64"])
+    def test_tilt_beyond_the_float_range_keeps_the_law(self, dt):
         # dt**(1/alpha) = 10**500 overflows a Python float by itself, and a
         # float64 to inf; the draw is one exp of a log sum, so both float
-        # types draw the same law: E[X**q] against the quadrature at q = 1/2
-        # and 1, at a family-wise level of 1e-4
+        # types draw the same law: the same draws as a Python float dt, and
+        # E[X**q] against the quadrature at q = 1/2 and 1, at a family-wise
+        # level of 1e-4 over both float types
         alpha, lam = 0.002, 1.0
-        draws = sample_tempered_stable_increment(derive_stream(54, 0), alpha, lam, 10.0,
-                                                 size=500_000)
         np.testing.assert_array_equal(
-            sample_tempered_stable_increment(derive_stream(54, 0), alpha, lam,
-                                             np.float64(10.0), size=500_000), draws)
-        z_max = NormalDist().inv_cdf(1.0 - 1e-4 / (2 * 2))
+            sample_tempered_stable_increment(derive_stream(54, 2), alpha, lam, dt, size=1000),
+            sample_tempered_stable_increment(derive_stream(54, 2), alpha, lam, 10.0, size=1000))
+        draws = sample_tempered_stable_increment(derive_stream(54, 0), alpha, lam, dt,
+                                                 size=500_000)
+        z_max = NormalDist().inv_cdf(1.0 - 1e-4 / (2 * 2 * 2))
         for q in (0.5, 1.0):
             z = mean_z(draws ** q, tss_moment(TssParams(alpha, lam), 10.0, q))
             assert z < z_max, (q, z)
