@@ -44,7 +44,6 @@ from gmfbm.theory import (
     DecayPrediction,
     corr_decay_prediction,
     cov_asymptotic,
-    increment_sm_asymptotic,
     is_lrd,
 )
 from gmfbm.mclab import (

@@ -287,6 +287,9 @@ def cmd_lrd(config: RunConfig) -> int:
         _info(f"note: h1 exceeds h2, so the two motions are swapped to (a, h1) = "
               f"({p.a:g}, {p.h1:g}) and (b, h2) = ({p.b:g}, {p.h2:g}); the exponents and "
               f"the long-range-dependence criterion below read that order, not the one given")
+    if 0.0 in (p.a, p.b):
+        _info(f"note: a motion of weight 0 is absent, so the exponents below read the other "
+              f"one's index {p.h2 if p.a == 0.0 else p.h1:g} as both H1 and H2")
     _info(f"predicted exponents: mixed {pred.exponent_mixed:+.4f}, "
           f"pure {pred.exponent_pure:+.4f}, dominant {pred.dominant:+.4f}; "
           f"with the -H2 term {pred.exponent_plateau:+.4f}, "

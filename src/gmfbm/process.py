@@ -29,8 +29,14 @@ from gmfbm.subordinators import (
 
 
 class CancellationError(RuntimeError):
-    """An oracle value that is exactly positive came out <= 0 or NaN:
-    cancellation between its rounded terms left no correct digit."""
+    """An oracle value that is exactly positive came out <= 0 or NaN, or
+    rounding its cancelling terms can move it by over CANCELLATION_TOLERANCE."""
+
+
+# the unit roundoff of each stored V value, and the largest rounding bound,
+# relative to Cov, that an oracle covariance or correlation may carry
+UNIT_ROUNDOFF = 2.0 ** -53
+CANCELLATION_TOLERANCE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -161,26 +167,34 @@ def _cov_oracle(spec: TimeChangedSpec, s: float, t: np.ndarray,
     # over the distinct positive times, which raises if a V underflows to 0;
     # V(0) = Var(Y_0) = 0.  The distinct times come from a set: np.unique
     # here raised the benchmark's peak RSS by about 0.4 MB.  Both values are
-    # exactly positive for s, t > 0, so the first <= 0 or NaN raises
+    # exactly positive for s, t > 0, so the first <= 0 or NaN raises, as
+    # does the first Cov that rounding the three V values can move by more
+    # than CANCELLATION_TOLERANCE of itself
     every = np.concatenate([[s], t, np.abs(t - s)])
     times = np.array(sorted(set(every.tolist())))
     var = np.zeros(times.size)
     var[times > 0.0] = exact_var_oracle(spec, times[times > 0.0])
     var = var[np.searchsorted(times, every)]
     var_s, var_t, var_lag = var[0], var[1:t.size + 1], var[t.size + 1:]
-    values = 0.5 * (var_t + var_s - var_lag)
+    values = cov = 0.5 * (var_t + var_s - var_lag)
+    bound = UNIT_ROUNDOFF * (cov + var_lag)  # u (V(t) + V(s) + V(t-s)) / 2
     if correlation:
         # V(s) is scaled by 4**k into [1/2, 2), so that the product cannot
         # underflow, and the quotient back by 2**k; powers of 2 scale
         # exactly, so the bits are those of values / sqrt(V(t) V(s))
         k = -(math.frexp(var_s)[1] // 2)
         values = np.ldexp(values / np.sqrt(var_t * math.ldexp(var_s, 2 * k)), k)
-    bad = ~(values > 0.0)
+    bad = ~(values > 0.0) | (bound > CANCELLATION_TOLERANCE * cov)
     if bad.any():
         j = np.argmax(bad)
+        name = "correlation" if correlation else "covariance"
+        if values[j] > 0.0:
+            raise CancellationError(
+                f"oracle {name} at t = {t[j]:.17g} has a rounding error bound of "
+                f"{bound[j] / cov[j]:.3g} of its value, above {CANCELLATION_TOLERANCE:g}: "
+                f"V(t) + V(s) - V(t-s) cancels")
         raise CancellationError(
-            f"oracle {'correlation' if correlation else 'covariance'} {values[j]:.3g} "
-            f"at t = {t[j]:.17g} is not positive: "
+            f"oracle {name} {values[j]:.3g} at t = {t[j]:.17g} is not positive: "
             f"V(t) + V(s) - V(t-s) lost its digits to cancellation")
     return values
 
@@ -191,8 +205,8 @@ def exact_cov_oracle(spec: TimeChangedSpec, s: float, t):
     ``t`` is one time (a float result) or a 1-d grid of times (an array).
     V is evaluated once at each distinct time of {s}, t and |t-s|, in one
     call.  Stationary clock increments turn E[|S_t - S_s|**2H] into
-    m(|t-s|, 2H).  The covariance is positive; a value <= 0 or NaN raises
-    ``CancellationError``.
+    m(|t-s|, 2H).  The covariance is positive; a value <= 0 or NaN, or one that
+    rounding the V values can move by over 1e-3 of it, raises ``CancellationError``.
     """
     t_arr = np.asarray(t, dtype=float)
     if not (s > 0.0 and t_arr.ndim <= 1 and np.all(t_arr > 0.0)):
@@ -205,8 +219,8 @@ def corr_curve_oracle(spec: TimeChangedSpec, s: float, t_grid) -> list[tuple[flo
     """Noise-free correlation curve, (t, Corr(Y_s, Y_t)) per grid time t > s.
 
     Corr = Cov / sqrt(V(t) V(s)), with Cov formed as in ``exact_cov_oracle``
-    from the same one exact_var_oracle call; a correlation <= 0 or NaN
-    raises ``CancellationError`` naming the first such grid time.
+    from the same one exact_var_oracle call and with the same check; a failed
+    check raises ``CancellationError`` naming the first such grid time.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if not (s > 0.0 and t_grid.ndim == 1 and t_grid.size > 0 and np.all(t_grid > s)):

@@ -1,12 +1,11 @@
-"""Reference large-t formulas for the covariance and the increment second
-moment of the time-changed process, evaluated literally, plus the
-long-range-dependence classifier.
+"""The reference large-t covariance formula, evaluated literally, the
+predicted correlation-decay exponents and the long-range-dependence
+classifier.
 
-These are the conventional two-term (covariance) and three-term (increment)
-approximations this toolkit exists to stress-test.  Where their constants
-disagree with the exact oracles in ``process`` (a factor 2 in the Gamma
-covariance, a factor H2 in the increment leading term), the diagnostics
-surface the measured ratio rather than silently correcting the formula.
+The covariance formula is the conventional two-term approximation this
+toolkit exists to stress-test.  Where its constant disagrees with the exact
+oracles in ``process`` (a factor 2 for the Gamma clock), ``cov-table``
+surfaces the measured ratio rather than silently correcting the formula.
 """
 
 from __future__ import annotations
@@ -35,16 +34,6 @@ class DecayPrediction:
     dominant_of_three: float
 
 
-def _check_fixed_times(s: float, t: float) -> None:
-    if not 0.0 < s < t:
-        raise ValueError(f"need 0 < s < t, got s={s}, t={t}")
-
-
-def _prefactor(spec: TimeChangedSpec) -> float:
-    # the Gamma formulas are conventionally stated with a factor 2
-    return 2.0 if spec.subordinator.kind == "gamma" else 1.0
-
-
 def cov_asymptotic(spec: TimeChangedSpec, s: float, t: float) -> float:
     """Two-term large-t covariance formula, with r the mean clock rate
     (alpha lam**(alpha-1) for TSS, 1/nu for Gamma) and k the stated
@@ -55,9 +44,10 @@ def cov_asymptotic(spec: TimeChangedSpec, s: float, t: float) -> float:
     The formula is positive, so a value that underflows to 0 raises
     ``FloatingPointError``.
     """
-    _check_fixed_times(s, t)
+    if not 0.0 < s < t:
+        raise ValueError(f"need 0 < s < t, got s={s}, t={t}")
     p = spec.gmfbm
-    k = _prefactor(spec)
+    k = 2.0 if spec.subordinator.kind == "gamma" else 1.0
     rate = spec.subordinator.rate
     cov = (k * p.a ** 2 * p.h1 * s * rate ** (2.0 * p.h1) * t ** (2.0 * p.h1 - 1.0)
            + k * p.b ** 2 * p.h2 * s * rate ** (2.0 * p.h2) * t ** (2.0 * p.h2 - 1.0))
@@ -66,44 +56,24 @@ def cov_asymptotic(spec: TimeChangedSpec, s: float, t: float) -> float:
     return cov
 
 
-def increment_sm_asymptotic(spec: TimeChangedSpec, s: float, t: float) -> float:
-    """Three-term reference formula for E[(Y_t - Y_s)**2], per block
-
-        TSS:    c H r**2H (t**2H - 2 t**(2H-1) + s**2H)
-        Gamma:  2c H r**2H (t**2H - 2 s t**(2H-1) + s**2H)
-
-    summed over both blocks, with c the squared mixing weight and r the
-    mean clock rate.  The TSS middle term has no s factor; both formulas
-    are evaluated as stated.
-    """
-    _check_fixed_times(s, t)
-    p = spec.gmfbm
-    k = _prefactor(spec)
-    rate = spec.subordinator.rate
-    middle = s if spec.subordinator.kind == "gamma" else 1.0
-
-    def block(coeff: float, h: float) -> float:
-        scale = k * coeff ** 2 * h * rate ** (2.0 * h)
-        return scale * (t ** (2.0 * h) - 2.0 * middle * t ** (2.0 * h - 1.0) + s ** (2.0 * h))
-
-    return block(p.a, p.h1) + block(p.b, p.h2)
-
-
 def corr_decay_prediction(p: GmfbmParams) -> DecayPrediction:
     """Predicted correlation-decay exponents for a parameter set.
 
     The exponents depend on the Hurst indices alone (a clock only changes
     constants, so pass a spec's ``gmfbm``).  With h1 <= h2 canonical, the
-    pure term h2 - 1 always dominates the mixed term 2*h1 - h2 - 1.
+    pure term h2 - 1 always dominates the mixed term 2*h1 - h2 - 1.  A
+    motion of weight 0 is absent, so the other one's index is both H1 and H2.
     """
-    mixed = 2.0 * p.h1 - p.h2 - 1.0
-    pure = p.h2 - 1.0
+    h1 = p.h2 if p.a == 0.0 else p.h1
+    h2 = p.h1 if p.b == 0.0 else p.h2
+    mixed = 2.0 * h1 - h2 - 1.0
+    pure = h2 - 1.0
     return DecayPrediction(
         exponent_mixed=mixed,
         exponent_pure=pure,
         dominant=max(mixed, pure),
-        exponent_plateau=-p.h2,
-        dominant_of_three=max(mixed, pure, -p.h2),
+        exponent_plateau=-h2,
+        dominant_of_three=max(mixed, pure, -h2),
     )
 
 

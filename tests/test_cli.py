@@ -234,9 +234,10 @@ class TestLrd:
     @pytest.mark.parametrize("clock", ["tss", "gamma"])
     def test_fail_advice_follows_the_cause(self, tmp_path, capsys, clock):
         # for H2 < 1/2 the oracle slope tends to -H2, which the prediction
-        # lacks, so a larger --t-max cannot help; with unequal weights the
-        # grid ends before the asymptote, and it can
+        # lacks, so a larger --t-max cannot help (B^0.3 alone reads H2 = 0.3);
+        # with unequal weights the grid ends before the asymptote, and it can
         for extra, missing_term in ((["--h1", "0.2", "--h2", "0.3"], True),
+                                    (["--b", "0", "--h1", "0.3"], True),
                                     (["--a", "2", "--b", "0.7"], False)):
             code, _ = run(tmp_path, "lrd", *FAST_LRD, "--subordinator", clock, *extra)
             fail = [line for line in capsys.readouterr().err.splitlines()
@@ -277,6 +278,25 @@ class TestLrd:
         assert "PASS: |oracle slope - predicted| = " in err and " < 0.05" in err
         run(tmp_path, "lrd", *FAST_LRD, "--h1", "0.5", "--h2", "0.9")
         assert "note: " not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("clock", ["tss", "gamma"])
+    def test_zero_weight_predicts_from_the_motion_left(self, tmp_path, capsys, clock):
+        # with b = 0 the process is B^0.55 alone: the prediction reads 0.55 as
+        # both indices (dominant -0.45, oracle slope about -0.482) instead of
+        # H2 = 0.8 (dominant -0.2), which failed with the advice to extend
+        # --t-max; the same for the swapped input and for a = 0
+        for extra, index, dominant in ((["--a", "1", "--b", "0"], "0.55", -0.45),
+                                       (["--a", "0", "--b", "1", "--h1", "0.8",
+                                         "--h2", "0.55"], "0.55", -0.45),
+                                       (["--a", "0", "--b", "1"], "0.8", -0.2)):
+            code, text = run(tmp_path, "lrd", "--subordinator", clock, *extra,
+                             "--paths", "200", fmt="json")
+            err = capsys.readouterr().err
+            notes = [line for line in err.splitlines() if line.startswith("note: a motion")]
+            assert code == EXIT_OK
+            assert json.loads(text)["summary"]["predicted"]["dominant"] == pytest.approx(dominant)
+            assert len(notes) == 1 and f" index {index} as both H1 and H2" in notes[0]
+            assert "PASS: |oracle slope - predicted| = " in err
 
     def test_nonpositive_mc_correlation_leaves_mc_fit_undefined(self, tmp_path, capsys):
         # at 100 paths one MC correlation of this run is <= 0: the MC slope
@@ -495,17 +515,18 @@ class TestExitCodes:
         assert err == "gmfbm: numerical failure: forced\n"
 
     def test_cancelled_oracle_correlation_is_numerical_failure(self, tmp_path, capsys):
-        # at t = 1e16 on a Gamma clock V(t) - V(t-s) is about one ulp of V(t),
-        # so V(t) + V(s) - V(t-s) cancels to an oracle correlation <= 0: a
-        # numerical failure, not a usage error
+        # at t = 1e14 on a Gamma clock V(t) - V(t-s) keeps about two of V's
+        # digits, so rounding the three V values can move the oracle
+        # correlation by 1.4% of itself (at 1e16 it cancels to <= 0): a
+        # numerical failure at the first such grid time, not a usage error
         code, text = run(tmp_path, "lrd", "--subordinator", "gamma", "--t-min", "1e14",
                          "--t-max", "1e16", "--paths", "200")
         err = capsys.readouterr().err
         assert code == EXIT_NUMERICAL
         assert text is None
-        assert err.startswith("gmfbm: numerical failure: oracle correlation ")
-        assert " at t = 10000000000000000 is not positive" in err
-        assert err.count("\n") == 1
+        assert err.startswith("gmfbm: numerical failure: oracle correlation at "
+                              "t = 100000000000000 has a rounding error bound of 0.0139 ")
+        assert err.endswith(" of its value, above 0.001: V(t) + V(s) - V(t-s) cancels\n")
 
     def test_cancelled_oracle_covariance_is_numerical_failure(self, tmp_path, capsys):
         # the same cancellation in cov-table's oracle column, which is
@@ -515,8 +536,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == EXIT_NUMERICAL
         assert text is None
-        assert err.startswith("gmfbm: numerical failure: oracle covariance ")
-        assert " at t = 10000000000000000 is not positive" in err
+        assert err.startswith("gmfbm: numerical failure: oracle covariance at "
+                              "t = 100000000000000 has a rounding error bound of 0.0139 ")
+        assert err.count("\n") == 1
+
+    def test_covariance_off_by_rounding_is_numerical_failure(self, tmp_path, capsys):
+        # at s = 1e-8, V(t) - V(t-s) loses about log10(t/s) of V's digits: the
+        # oracle column was off by up to 3.8% against mpmath and exited 0
+        # (1 for its constant Monte Carlo Y_s); the bound flags it at t = 1e6
+        code, text = run(tmp_path, "cov-table", "--subordinator", "gamma", "--s", "1e-8",
+                         "--t-min", "1e6", "--t-max", "1e8", "--t-count", "3", "--paths", "100")
+        err = capsys.readouterr().err
+        assert code == EXIT_NUMERICAL
+        assert text is None
+        assert err.startswith("gmfbm: numerical failure: oracle covariance at t = 1000000 "
+                              "has a rounding error bound of ")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("args", [
@@ -549,9 +583,10 @@ class TestExitCodes:
     def test_constant_mc_covariance_sample_is_invalid(self, tmp_path, capsys):
         # at s = 1e-8 every Gamma clock draw S_s underflows to 0, so Y_s is 0
         # on every path: cov-table shares lrd's rule instead of writing a
-        # covariance of 0 with a stderr of 0 on every row
+        # covariance of 0 with a stderr of 0 on every row (on t in [2, 10]
+        # the oracle's rounding bound is about 1e-7 of Cov, so it passes)
         code, text = run(tmp_path, "cov-table", "--subordinator", "gamma", "--s", "1e-8",
-                         "--t-min", "1e6", "--t-max", "1e8", "--t-count", "3", "--paths", "100")
+                         "--t-min", "2", "--t-max", "10", "--t-count", "3", "--paths", "100")
         err = capsys.readouterr().err
         assert code == EXIT_USAGE
         assert text is None

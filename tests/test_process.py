@@ -337,6 +337,19 @@ class TestOracles:
                            match=r"^oracle covariance -0\.5 at t = 30 is not positive"):
             exact_cov_oracle(GAMMA_SPEC, 1.0, [10.0, 20.0, 30.0, 40.0])
 
+    def test_rounding_bound_above_tolerance_raises_naming_first_time(self, monkeypatch):
+        # V(s) = V(t) = 1 make the covariance 1 - V(t-s)/2; rounding the three
+        # V values can move it by u (2 + V(t-s))/2: 1.1e-4 of Cov = 2e-12 at
+        # t = 20, and 2.2e-3 of Cov = 1e-13 at t = 30, above 1e-3
+        lag_var = {19.0: 2.0 - 4e-12, 29.0: 2.0 - 2e-13, 39.0: 3.0}
+        monkeypatch.setattr(process, "exact_var_oracle", lambda spec, times: np.array(
+            [lag_var.get(u, 1.0) for u in times.tolist()]))
+        assert exact_cov_oracle(GAMMA_SPEC, 1.0, 20.0) == pytest.approx(2e-12, rel=1e-3)
+        with pytest.raises(CancellationError,
+                           match=r"^oracle covariance at t = 30 has a rounding error bound of "
+                                 r"0\.0022\d of its value, above 0\.001: "):
+            exact_cov_oracle(GAMMA_SPEC, 1.0, [10.0, 20.0, 30.0, 40.0])
+
     def test_variance_underflow_raises_naming_first_time(self):
         # a**2 = b**2 = 0 at a = b = 1e-200: V is 0, not a variance
         spec = TimeChangedSpec(GmfbmParams(1e-200, 1e-200, 0.55, 0.8), TSS_SPEC.subordinator)

@@ -4,13 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmfbm.process import GmfbmParams, TimeChangedSpec, exact_cov_oracle, \
-    exact_increment_second_moment
+from gmfbm.process import GmfbmParams, TimeChangedSpec, exact_cov_oracle
 from gmfbm.subordinators import SubordinatorSpec
 from gmfbm.theory import (
     corr_decay_prediction,
     cov_asymptotic,
-    increment_sm_asymptotic,
     is_lrd,
 )
 
@@ -84,42 +82,6 @@ class TestCovAsymptotics:
             cov_asymptotic(tss_spec(), 2.0, 1.0)
 
 
-class TestIncrementAsymptotics:
-    def test_tss_single_block_collapse(self):
-        spec = tss_spec(a=2.0, b=0.0)
-        s, t = 1.0, 50.0
-        k = 4.0 * 0.55 * 0.7 ** 1.1
-        expected = k * (t ** 1.1 - 2.0 * t ** 0.1 + s ** 1.1)
-        assert increment_sm_asymptotic(spec, s, t) == pytest.approx(expected, rel=1e-12)
-
-    def test_gamma_single_block_collapse(self):
-        spec = gamma_spec(a=2.0, b=0.0, nu=2.0)
-        s, t = 1.0, 50.0
-        k = 2.0 * 4.0 * 0.55 / 2.0 ** 1.1
-        expected = k * (t ** 1.1 - 2.0 * s * t ** 0.1 + s ** 1.1)
-        assert increment_sm_asymptotic(spec, s, t) == pytest.approx(expected, rel=1e-12)
-
-    def test_leading_term_dominates(self):
-        spec = tss_spec()
-        t = 1e8
-        leading = 0.8 * 0.7 ** 1.6 * t ** 1.6
-        assert increment_sm_asymptotic(spec, 1.0, t) == pytest.approx(leading, rel=1e-2)
-
-    @pytest.mark.parametrize("make,expected", [
-        (tss_spec, 0.8),
-        (gamma_spec, 2.0 * 0.8),
-    ])
-    def test_formula_vs_oracle_ratio_diagnostic(self, make, expected):
-        # the reference formula's leading constant carries an extra factor H2
-        # (and, for the Gamma clock, the factor 2); the diagnostic ratio to
-        # the corrected oracle settles there instead of at 1
-        spec = make()
-        ratios = [increment_sm_asymptotic(spec, 1.0, t)
-                  / exact_increment_second_moment(spec, 1.0, t)
-                  for t in (1e4, 1e5)]
-        assert ratios[-1] == pytest.approx(expected, rel=0.05)
-
-
 class TestDecayPrediction:
     def test_reference_pair(self):
         p = GmfbmParams(1.0, 1.0, 0.55, 0.8)
@@ -144,6 +106,18 @@ class TestDecayPrediction:
         assert pred.exponent_mixed == pytest.approx(-0.4)
         assert pred.exponent_pure == pytest.approx(-0.4)
         assert pred.dominant == pytest.approx(-0.4)
+
+    @pytest.mark.parametrize("a,b,h1,h2,h", [(1.0, 0.0, 0.55, 0.8, 0.55),
+                                             (0.0, 1.0, 0.55, 0.8, 0.8),
+                                             (0.0, 1.0, 0.8, 0.55, 0.55),
+                                             (2.0, 0.0, 0.3, 0.8, 0.3)])
+    def test_zero_weight_reads_the_motion_left(self, a, b, h1, h2, h):
+        # a motion of weight 0 is absent: the process is B^H alone, so its
+        # index is both H1 and H2, whichever order the pair was given in
+        pred = corr_decay_prediction(GmfbmParams(a, b, h1, h2))
+        assert pred == corr_decay_prediction(GmfbmParams(1.0, 1.0, h, h))
+        assert pred.dominant == pytest.approx(h - 1.0)
+        assert pred.exponent_plateau == -h
 
     @given(a=weights, b=weights, h1=hursts, h2=hursts)
     @settings(max_examples=100, deadline=None)
