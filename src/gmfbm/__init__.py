@@ -52,7 +52,6 @@ from gmfbm.mclab import (
     MomentEstimate,
     estimate_corr,
     estimate_cov,
-    estimate_cov_curve,
     estimate_increment_sm,
     fit_decay,
     lrd_report,

@@ -262,7 +262,7 @@ def cmd_cov_table(config: RunConfig) -> int:
     # the formula refuses a grid not above s before the oracle's quadrature runs
     asym = np.array([theory.cov_asymptotic(config.spec, s, t) for t in grid.tolist()])
     oracle = exact_cov_oracle(config.spec, s, grid)
-    est = mclab.estimate_cov_curve(config.spec, s, grid, config["paths"], config["seed"])
+    est = mclab.estimate_cov(config.spec, s, grid, config["paths"], config["seed"])
     values = np.column_stack([oracle, asym, oracle / asym, [e.value for e in est],
                               [e.stderr for e in est]])
     _emit(config, ["t", "oracle_cov", "asymptotic_cov", "ratio", "mc_cov", "mc_stderr"],

@@ -8,15 +8,15 @@ them as vectors from the stream keyed (master_seed, k).  Each block fills
 its own slice of the path array, which is reduced once, so results are
 bit-identical across reruns and depend on the block layout only.
 
-Every estimator runs on one sampler: each path samples its clock once over
-[s, t_1, ...], an increasing grid above s, with one exact (Y_s, Y_t) pair
-per grid time given the clock.  The grid times share the clock path, not
-the fBm draws.  One reduction, with one rule for a bad sample, turns the
-draws into every estimate.  Correlations take their standard errors from
-each path's influence on the Pearson r, the nonparametric delta method or
-infinitesimal jackknife (Efron and Tibshirani, *An Introduction to the
-Bootstrap*, 1993, ch. 21): one pass over the paths, with no resampling and
-no random numbers.
+Every estimator takes one time or an increasing grid t_1 < t_2 < ... above
+s, and runs on one sampler: each path samples its clock once over
+[s, t_1, ...], with one exact (Y_s, Y_t) pair per grid time given the
+clock.  The grid times share the clock path, not the fBm draws.  One
+reduction, with one rule for a bad sample, turns the draws into every
+estimate.  Correlations take their standard errors from each path's
+influence on the Pearson r, the nonparametric delta method or infinitesimal
+jackknife (Efron and Tibshirani, *An Introduction to the Bootstrap*, 1993,
+ch. 21): one pass over the paths, with no resampling and no random numbers.
 """
 
 from __future__ import annotations
@@ -130,56 +130,52 @@ def _second_moments(ys: np.ndarray, yt: np.ndarray, t_grid, slope_weights=None):
     return estimates(cov, cov_se), estimates(corr, corr_se), estimates(sm, sm_se), slope_se
 
 
-def estimate_cov_curve(spec: TimeChangedSpec, s: float, t_grid, n_paths: int,
-                       master_seed: int) -> list[MomentEstimate]:
-    """Sample covariances of (Y_s, Y_t) on an increasing grid above s, one
-    estimate per grid time.
+def _estimate(which, spec, s, t, n_paths, master_seed):
+    # statistic `which` of the one reduction: one estimate for one time t, a
+    # list in grid order for a grid
+    grid = np.atleast_1d(t)
+    est = _second_moments(*_sample_pairs(spec, s, grid, n_paths, master_seed), grid)[which]
+    return est if np.ndim(t) else est[0]
 
-    Each path samples its clock once, over s and the grid, so the estimates
-    share their clock paths (common random numbers) while each (Y_s, Y_t)
-    keeps its exact joint law.  Each standard error comes from the sample
-    variance of the per-path centered products.  A sample beyond the float
-    range raises ``OverflowError``, and a constant one ``ValueError``.
+
+def estimate_cov(spec: TimeChangedSpec, s: float, t, n_paths: int,
+                 master_seed: int) -> MomentEstimate | list[MomentEstimate]:
+    """Sample covariance of (Y_s, Y_t), with the standard error of the
+    per-path centered products: one ``MomentEstimate`` for one time t, a
+    list of one per grid time for a grid.  A sample beyond the float range
+    raises ``OverflowError``, and a constant one ``ValueError``.
     """
-    return _second_moments(*_sample_pairs(spec, s, t_grid, n_paths, master_seed), t_grid)[0]
+    return _estimate(0, spec, s, t, n_paths, master_seed)
 
 
-def estimate_cov(spec: TimeChangedSpec, s: float, t: float, n_paths: int,
-                 master_seed: int) -> MomentEstimate:
-    """Sample covariance of (Y_s, Y_t) over independent paths: the one-time
-    case of ``estimate_cov_curve``."""
-    return estimate_cov_curve(spec, s, [t], n_paths, master_seed)[0]
+def estimate_corr(spec: TimeChangedSpec, s: float, t, n_paths: int,
+                  master_seed: int) -> MomentEstimate | list[MomentEstimate]:
+    """Pearson correlation of (Y_s, Y_t) with its influence-function stderr,
+    for t as in ``estimate_cov``: the curve that ``lrd_report`` measures."""
+    return _estimate(1, spec, s, t, n_paths, master_seed)
 
 
-def estimate_corr(spec: TimeChangedSpec, s: float, t: float, n_paths: int,
-                  master_seed: int) -> MomentEstimate:
-    """Pearson correlation of (Y_s, Y_t) with its influence-function
-    stderr: the one-time case of the correlation curve that ``lrd_report``
-    measures, on the same sampler.  Like its siblings it needs 0 < s < t.
-    """
-    return _second_moments(*_sample_pairs(spec, s, [t], n_paths, master_seed), [t])[1][0]
-
-
-def estimate_increment_sm(spec: TimeChangedSpec, s: float, t: float, n_paths: int,
-                          master_seed: int) -> MomentEstimate:
-    """Sample mean of (Y_t - Y_s)**2 with its standard error."""
-    return _second_moments(*_sample_pairs(spec, s, [t], n_paths, master_seed), [t])[2][0]
+def estimate_increment_sm(spec: TimeChangedSpec, s: float, t, n_paths: int,
+                          master_seed: int) -> MomentEstimate | list[MomentEstimate]:
+    """Sample mean of (Y_t - Y_s)**2 with its standard error, for t as in
+    ``estimate_cov``."""
+    return _estimate(2, spec, s, t, n_paths, master_seed)
 
 
 def fit_decay(t, values) -> DecayFit:
     """OLS fit of log(values) against log(t); the slope estimates -d for a
     power law c * t**-d.
 
-    Requires t and values of one length, at least 5 points with strictly
-    positive t and value, and at least two distinct t.
+    Requires t and values of one length, at least 5 points with finite,
+    strictly positive t and value, and at least two distinct t.
     """
     t, v = np.asarray(t, dtype=float), np.asarray(values, dtype=float)
     if t.ndim != 1 or t.shape != v.shape:
         raise ValueError(f"need 1-d t and values of one length, got {t.shape} and {v.shape}")
     if len(t) < 5:
         raise ValueError(f"need at least 5 points, got {len(t)}")
-    if np.any(t <= 0.0) or np.any(v <= 0.0):
-        raise ValueError("power-law fit requires strictly positive t and value")
+    if not np.all((t > 0.0) & (t < np.inf) & (v > 0.0) & (v < np.inf)):
+        raise ValueError("power-law fit requires finite, strictly positive t and value")
     x = np.log(t)
     y = np.log(v)
     n = len(x)

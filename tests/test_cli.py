@@ -806,17 +806,20 @@ class TestBenchmarkTracer:
 
     def test_process_samples_through_the_traced_fbm_samplers(self, tmp_path):
         # the per-layer fbm metrics read the public samplers' spans, so the
-        # time-changed process must call them and not a private twin
+        # time-changed process must call them and not a private twin; and
+        # cov-table's one estimator call on its grid is a traced estimator
         script = (
             "import json, sys\n"
             "for argv in (['cov-table', '--paths', '200'], ['simulate', '--paths', '100']):\n"
             "    assert gmfbm.cli.main([*argv, '--out', sys.argv[1]]) == 0\n"
             "spans = tracer.summary()['spans']\n"
-            "print(json.dumps({k: spans[k]['calls'] for k in spans if k.startswith('fbm.')}))\n"
+            "print(json.dumps({k: spans[k]['calls'] for k in spans\n"
+            "                  if k.startswith(('fbm.', 'mclab.'))}))\n"
         )
         calls = json.loads(self.traced(script, str(tmp_path / "out.csv")))
         assert calls.get("fbm.pair", 0) > 0
         assert calls.get("fbm.at_times", 0) > 0
+        assert calls.get("mclab.estimate", 0) == 1
 
 
 class TestSelftest:

@@ -7,6 +7,7 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from gmfbm import process, theory
 from gmfbm.mclab import (
@@ -17,7 +18,6 @@ from gmfbm.mclab import (
     corr_curve_oracle,
     estimate_corr,
     estimate_cov,
-    estimate_cov_curve,
     estimate_increment_sm,
     fit_decay,
     lrd_report,
@@ -105,21 +105,37 @@ class TestEstimateCov:
             estimate_cov(GAMMA_SPEC, 1.0, 2.0, 99, 0)
 
 
-class TestEstimateCovCurve:
+def corr_oracle(spec, s, t):
+    return corr_curve_oracle(spec, s, [t])[0][1]
+
+
+class TestGridEstimates:
+    # every estimator takes one time or an increasing grid above s
     @pytest.mark.parametrize("spec", [TSS_SPEC, GAMMA_SPEC])
-    def test_every_point_within_family_z_bound(self, spec):
+    @pytest.mark.parametrize("estimator, oracle", [
+        (estimate_cov, exact_cov_oracle),
+        (estimate_corr, corr_oracle),
+        (estimate_increment_sm, exact_increment_second_moment),
+    ], ids=["estimate_cov", "estimate_corr", "estimate_increment_sm"])
+    def test_every_point_within_family_z_bound(self, estimator, oracle, spec):
         grid = np.geomspace(2.0, 200.0, 12)
-        curve = estimate_cov_curve(spec, 1.0, grid, N_UNIT, 110)
+        curve = estimator(spec, 1.0, grid, N_UNIT, 110)
         bound = NormalDist().inv_cdf(1.0 - FAMILY_ALPHA / (2.0 * len(grid)))
         assert bound < 4.46
-        for t, est in zip(grid, curve):
-            oracle = exact_cov_oracle(spec, 1.0, t)
-            assert abs(est.value - oracle) < bound * est.stderr, f"t={t:g}"
+        assert len(curve) == len(grid)
+        for t, est in zip(grid.tolist(), curve):
+            assert abs(est.value - oracle(spec, 1.0, t)) < bound * est.stderr, f"t={t:g}"
 
     @pytest.mark.parametrize("spec", [TSS_SPEC, GAMMA_SPEC])
     def test_single_time_is_estimate_cov(self, spec):
-        assert estimate_cov_curve(spec, 1.0, [10.0], 3000, 111)[0] == \
-            estimate_cov(spec, 1.0, 10.0, 3000, 111)
+        # one time, as a float, np.float64 or 0-d array, gives one estimate:
+        # the only entry of the one-point grid's list
+        for estimator in (estimate_cov, estimate_corr, estimate_increment_sm):
+            one = estimator(spec, 1.0, 10.0, 3000, 111)
+            assert isinstance(one, MomentEstimate)
+            assert estimator(spec, 1.0, [10.0], 3000, 111) == [one]
+            for t in (np.float64(10.0), np.array(10.0)):
+                assert estimator(spec, 1.0, t, 3000, 111) == one
         # reference: one block of paths reduced as a flat sample, bit for bit
         n = 1000
         ys, yt = sample_timechanged_pair(spec, 1.0, [10.0], derive_stream(111, 0), size=n)
@@ -130,21 +146,44 @@ class TestEstimateCovCurve:
 
     def test_rerun_determinism(self):
         grid = np.geomspace(2.0, 50.0, 5)
-        assert estimate_cov_curve(TSS_SPEC, 1.0, grid, 2500, 112) == \
-            estimate_cov_curve(TSS_SPEC, 1.0, grid, 2500, 112)
+        assert estimate_cov(TSS_SPEC, 1.0, grid, 2500, 112) == \
+            estimate_cov(TSS_SPEC, 1.0, grid, 2500, 112)
 
     def test_unsorted_grid_with_repeat(self):
         # the grid is increasing, as the pair sampler checks
         for grid in ([8.0, 2.0, 30.0], [2.0, 8.0, 8.0, 30.0]):
             with pytest.raises(ValueError, match="increasing 1-d grid"):
-                estimate_cov_curve(GAMMA_SPEC, 1.0, grid, 1000, 113)
+                estimate_cov(GAMMA_SPEC, 1.0, grid, 1000, 113)
 
     def test_argument_domains(self):
         for grid in ([0.5, 2.0], [2.0, 1.0], [3.0, 1.0, 5.0], [], [[2.0, 3.0]]):
             with pytest.raises(ValueError):
-                estimate_cov_curve(GAMMA_SPEC, 1.0, grid, 1000, 0)
+                estimate_cov(GAMMA_SPEC, 1.0, grid, 1000, 0)
         with pytest.raises(ValueError):
-            estimate_cov_curve(GAMMA_SPEC, 1.0, [2.0, 3.0], 99, 0)
+            estimate_cov(GAMMA_SPEC, 1.0, [2.0, 3.0], 99, 0)
+
+    @pytest.mark.parametrize("spec", [TSS_SPEC, GAMMA_SPEC])
+    def test_per_time_errors_calibrated_over_replicates(self, spec):
+        # on criterion 7's grid, the spread of each statistic at each time
+        # over 100 replicates of 1000 paths matches its mean reported
+        # variance: the ratio is chi2_99 / 99 within a two-sided band at
+        # family-wise level 1e-4 over 2 clocks x 3 statistics x 12 times.
+        # (all 72 read 0.68-1.57).  The power is limited: the correlation's
+        # error without its influence correction (the std of the
+        # standardised products) still reads 0.67-1.18, inside the band
+        grid = np.geomspace(100.0, 10000.0, 12)
+        replicates, cells = 100, 2 * 3 * len(grid)
+        draws = []
+        for seed in range(4000, 4000 + replicates):
+            ys, yt = _sample_pairs(spec, 1.0, grid, 1000, seed)
+            draws.append([[(e.value, e.stderr) for e in stat]
+                          for stat in _second_moments(ys, yt, grid)[:3]])
+        value, stderr = np.moveaxis(np.array(draws), -1, 0)
+        ratio = value.var(axis=0, ddof=1) / (stderr ** 2).mean(axis=0)
+        dof = replicates - 1
+        lo, hi = stats.chi2.ppf([0.5e-4 / cells, 1.0 - 0.5e-4 / cells], dof) / dof
+        assert 0.45 < lo < hi < 1.85
+        assert np.all((lo < ratio) & (ratio < hi)), ratio
 
 
 class TestBlockLayout:
@@ -163,7 +202,7 @@ class TestBlockLayout:
         ys = np.ascontiguousarray(np.vstack([y_s for y_s, _ in draws]).T)
         yt = np.ascontiguousarray(np.vstack([y_t for _, y_t in draws]).T)
         dev = (ys - ys.mean(axis=1, keepdims=True)) * (yt - yt.mean(axis=1, keepdims=True))
-        assert estimate_cov_curve(spec, 1.0, grid, n, seed) == [
+        assert estimate_cov(spec, 1.0, grid, n, seed) == [
             MomentEstimate(v, se) for v, se in zip((dev.sum(axis=1) / (n - 1)).tolist(),
                                                    (dev.std(axis=1, ddof=1) / math.sqrt(n)).tolist())]
         xc = np.log(grid) - np.log(grid).mean()
@@ -313,7 +352,7 @@ class TestCorrErrors:
             with pytest.raises(ValueError, match=r"^Y_s is constant over 200 paths, "):
                 estimator(spec, 1.0, 10.0, 200, 3)
         with pytest.raises(ValueError, match=r"^Y_s is constant over 200 paths, "):
-            estimate_cov_curve(spec, 1.0, [10.0, 20.0], 200, 3)
+            estimate_cov(spec, 1.0, [10.0, 20.0], 200, 3)
 
     def test_covariance_beyond_the_float_range_raises(self):
         # at nu = 1e-190 the clock reaches 1e192 and Y_t about 1e154: its
@@ -321,7 +360,7 @@ class TestCorrErrors:
         spec = TimeChangedSpec(MIX, SubordinatorSpec.gamma(1e-190))
         with pytest.raises(OverflowError, match=r"^the Monte Carlo sample variance of Y_t "
                                                 r"at t = 100 is beyond the float range$"):
-            estimate_cov_curve(spec, 1.0, [100.0, 200.0], 200, 3)
+            estimate_cov(spec, 1.0, [100.0, 200.0], 200, 3)
 
     @pytest.mark.parametrize("row, flip, name", [
         (1e152 * derive_stream(33, 0).gen.standard_normal(500), 1.0,
@@ -464,6 +503,12 @@ class TestFitDecay:
             fit_decay([1.0, 2.0, 3.0, 4.0, 5.0], [1.0, -0.5, 1.0, 1.0, 1.0])
         with pytest.raises(ValueError, match="strictly positive"):
             fit_decay([0.0, 2.0, 3.0, 4.0, 5.0], [1.0, 0.5, 1.0, 1.0, 1.0])
+        # NaN passes a <= 0 check, and inf gives an inf or NaN slope
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="strictly positive"):
+                fit_decay([1.0, 2.0, 3.0, 4.0, 5.0], [1.0, bad, 1.0, 1.0, 1.0])
+            with pytest.raises(ValueError, match="strictly positive"):
+                fit_decay([1.0, 2.0, 3.0, 4.0, bad], [1.0, 0.5, 1.0, 1.0, 1.0])
         with pytest.raises(ValueError, match="two distinct t"):
             fit_decay([2.0] * 5, [1.0] * 5)
         for values in ([1.0] * 4, [1.0] * 6):
