@@ -5,7 +5,9 @@ run the built-in self test.
 Exit codes: 0 success, 1 usage/config error, 2 I/O error, 3 statistical
 verification failure, 4 numerical failure (a quadrature that could not
 reach its tolerance, a covariance with an eigenvalue below -1e-6 of its
-largest, an oracle correlation lost to cancellation, or a float overflow).
+largest, an oracle covariance or correlation lost to cancellation or with
+a rounding error bound above 1e-3 of itself, a value beyond the float
+range, or a positive value that underflows to 0).
 """
 
 from __future__ import annotations
@@ -68,15 +70,15 @@ _PARAMS = {
     "nu": (float, 1.0, "Gamma clock parameter > 0", None),
     "a": (float, 1.0, "mixing weight of the H1 motion", None),
     "b": (float, 1.0, "mixing weight of the H2 motion", None),
-    "h1": (float, 0.55, None, None),
-    "h2": (float, 0.8, None, None),
+    "h1": (float, 0.55, "Hurst index of the first motion, in (0,1)", None),
+    "h2": (float, 0.8, "Hurst index of the second motion, in (0,1)", None),
     "s": (float, 1.0, "fixed earlier time", None),
-    "t_min": (float, 100.0, None, None),
-    "t_max": (float, 10000.0, None, None),
-    "t_count": (int, 12, None, None),
-    "paths": (int, 10000, None, None),
-    "seed": (int, 12345, None, None),
-    "format": (str, "csv", None, ("csv", "json")),
+    "t_min": (float, 100.0, "first time of the geometric grid, > 0", None),
+    "t_max": (float, 10000.0, "last grid time, finite and > t-min", None),
+    "t_count": (int, 12, "number of grid times, >= 2", None),
+    "paths": (int, 10000, "number of sampled paths", None),
+    "seed": (int, 12345, "master seed, in [0, 2**64)", None),
+    "format": (str, "csv", "output format", ("csv", "json")),
     "out": (str, "-", "output path, '-' for stdout", None),
     "q": (_moment_orders, (0.6, 1.0, 1.6), "comma-separated moment orders", None),
 }

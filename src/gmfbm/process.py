@@ -164,17 +164,13 @@ def _cov_oracle(spec: TimeChangedSpec, s: float, t: np.ndarray,
                 correlation: bool = False) -> np.ndarray:
     # Cov(Y_s, Y_t) = (V(t) + V(s) - V(|t-s|)) / 2 for a 1-d t, over
     # sqrt(V(t) V(s)) for the correlation, from one exact_var_oracle call
-    # over the distinct positive times, which raises if a V underflows to 0;
-    # V(0) = Var(Y_0) = 0.  The distinct times come from a set: np.unique
-    # here raised the benchmark's peak RSS by about 0.4 MB.  Both values are
-    # exactly positive for s, t > 0, so the first <= 0 or NaN raises, as
-    # does the first Cov that rounding the three V values can move by more
-    # than CANCELLATION_TOLERANCE of itself
+    # over the positive times, which raises if a V underflows to 0;
+    # V(0) = Var(Y_0) = 0.  Both values are exactly positive for s, t > 0,
+    # so the first <= 0 or NaN raises, as does the first Cov that rounding
+    # the three V values can move by more than CANCELLATION_TOLERANCE of itself
     every = np.concatenate([[s], t, np.abs(t - s)])
-    times = np.array(sorted(set(every.tolist())))
-    var = np.zeros(times.size)
-    var[times > 0.0] = exact_var_oracle(spec, times[times > 0.0])
-    var = var[np.searchsorted(times, every)]
+    var = np.zeros(every.size)
+    var[every > 0.0] = exact_var_oracle(spec, every[every > 0.0])
     var_s, var_t, var_lag = var[0], var[1:t.size + 1], var[t.size + 1:]
     values = cov = 0.5 * (var_t + var_s - var_lag)
     bound = UNIT_ROUNDOFF * (cov + var_lag)  # u (V(t) + V(s) + V(t-s)) / 2
@@ -203,10 +199,10 @@ def exact_cov_oracle(spec: TimeChangedSpec, s: float, t):
     """Cov(Y_s, Y_t) = (V(t) + V(s) - V(|t-s|)) / 2 with V = exact_var_oracle.
 
     ``t`` is one time (a float result) or a 1-d grid of times (an array).
-    V is evaluated once at each distinct time of {s}, t and |t-s|, in one
-    call.  Stationary clock increments turn E[|S_t - S_s|**2H] into
-    m(|t-s|, 2H).  The covariance is positive; a value <= 0 or NaN, or one that
-    rounding the V values can move by over 1e-3 of it, raises ``CancellationError``.
+    V is evaluated at the positive times of {s}, t and |t-s|, in one call.
+    Stationary clock increments turn E[|S_t - S_s|**2H] into m(|t-s|, 2H).
+    The covariance is positive; a value <= 0 or NaN, or one that rounding
+    the V values can move by over 1e-3 of it, raises ``CancellationError``.
     """
     t_arr = np.asarray(t, dtype=float)
     if not (s > 0.0 and t_arr.ndim <= 1 and np.all(t_arr > 0.0)):

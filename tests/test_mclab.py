@@ -488,6 +488,16 @@ class TestFitDecay:
         fit = fit_decay(t, [c for _, c in corr_curve_oracle(spec, 1.0, t)])
         assert abs(fit.slope - (-0.2)) < 0.05
 
+    @pytest.mark.parametrize("spec", [TSS_SPEC, GAMMA_SPEC])
+    @pytest.mark.parametrize("h1, h2", [(0.2, 0.3), (0.1, 0.4)])
+    def test_oracle_slope_tends_to_minus_h2(self, spec, h1, h2):
+        # for H2 < 1/2 Cov tends to V(s)/2, so the correlation decays like
+        # t**-H2, the cause lrd's FAIL line gives for such a gap
+        spec = TimeChangedSpec(GmfbmParams(1.0, 1.0, h1, h2), spec.subordinator)
+        t = np.geomspace(1e4, 1e6, 12)
+        fit = fit_decay(t, [c for _, c in corr_curve_oracle(spec, 1.0, t)])
+        assert abs(fit.slope + h2) < 0.02
+
     def test_noise_robustness(self):
         t = np.geomspace(10.0, 1e4, 12)
         clean = 2.0 * t ** -0.3
