@@ -149,23 +149,7 @@ FAILURES = [
     ("moments --subordinator gamma --q 1e300 --t-count 2", EXIT_NUMERICAL,
      "gmfbm: numerical failure: float overflow in subordinators.gamma_moment during "
      "'moments': the order-1e+300 moment is beyond the float range at t/nu = 10000.0"),
-    # the TSS mean is beyond the float range at t = 1e308 with lambda =
-    # 1e-3, and its second moment at t = 1e200; at t = 1e300 with lambda =
-    # 1e10 the mean is finite but t lam**alpha is not.  All are overflows
-    # (exit 4), not math domain errors (exit 1)
-    ("moments --subordinator tss --lambda 1e-3 --t-min 1e307 --t-max 1e308 --t-count 2 "
-     "--q 1", EXIT_NUMERICAL, "gmfbm: numerical failure: float overflow in "
-     "subordinators.tss_moment during 'moments': the order-...", "csv", "json"),
-    ("moments --subordinator tss --lambda 1 --t-min 1e199 --t-max 1e200 --t-count 2 --q 2",
-     EXIT_NUMERICAL, "gmfbm: numerical failure: float overflow in subordinators.tss_moment "
-     "during 'moments': the order-...", "csv", "json"),
-    ("moments --subordinator tss --lambda 1e-3 --t-min 1e307 --t-max 1e308 --t-count 2 "
-     "--q 0.6", EXIT_NUMERICAL, "gmfbm: numerical failure: float overflow in "
-     "subordinators.tss_moment during 'moments': the order-0.6 ...", "csv", "json"),
-    ("moments --subordinator tss --alpha 0.9 --lambda 1e10 --t-min 1e299 --t-max 1e300 "
-     "--t-count 2 --q 0.6", EXIT_NUMERICAL, "gmfbm: numerical failure: float "
-     "overflow in subordinators.tss_moment during 'moments': the order-0.6 ...",
-     "csv", "json"),
+    # the TSS moments beyond the float range are the rows of TSS_OVERFLOWS
     ("cov-table --lambda 1e-300 --t-min 2 --t-max 3 --t-count 2 --paths 100", EXIT_NUMERICAL,
      "gmfbm: numerical failure: float overflow in subordinators._tss_bell during "
      "'cov-table': ..."),
@@ -199,6 +183,54 @@ FAILURES = [
      "gmfbm: numerical failure: float underflow in fbm.fbm_values_at_times during "
      "'simulate': ..."),
 ]
+
+
+# Rows in the form of FAILURES, run in both formats by the two TestExitCodes
+# tests named after them.  The TSS mean is beyond the float range at t =
+# 1e308 with lambda = 1e-3, and its second moment at t = 1e200; at t = 1e300
+# with lambda = 1e10 the mean is finite but t lam**alpha is not.  All are
+# overflows (exit 4), not math domain errors (exit 1)
+TSS_OVERFLOWS = {
+    "integer": [
+        ("moments --subordinator tss --lambda 1e-3 --t-min 1e307 --t-max 1e308 --t-count 2 "
+         "--q 1", EXIT_NUMERICAL, "gmfbm: numerical failure: float overflow in "
+         "subordinators.tss_moment during 'moments': the order-..."),
+        ("moments --subordinator tss --lambda 1 --t-min 1e199 --t-max 1e200 --t-count 2 "
+         "--q 2", EXIT_NUMERICAL, "gmfbm: numerical failure: float overflow in "
+         "subordinators.tss_moment during 'moments': the order-..."),
+    ],
+    "fractional": [
+        ("moments --subordinator tss --lambda 1e-3 --t-min 1e307 --t-max 1e308 --t-count 2 "
+         "--q 0.6", EXIT_NUMERICAL, "gmfbm: numerical failure: float overflow in "
+         "subordinators.tss_moment during 'moments': the order-0.6 ..."),
+        ("moments --subordinator tss --alpha 0.9 --lambda 1e10 --t-min 1e299 --t-max 1e300 "
+         "--t-count 2 --q 0.6", EXIT_NUMERICAL, "gmfbm: numerical failure: float "
+         "overflow in subordinators.tss_moment during 'moments': the order-0.6 ..."),
+    ],
+}
+
+
+def _check_failure(tmp_path, capsys, row, fmt):
+    # one row in the form of FAILURES, in one format
+    argv, code, line, *_ = row
+    command, *rest = argv.split()
+    head, dots, tail = line.partition("...")
+    # a row's own --out comes after this one, and wins
+    out = tmp_path / f"out.{fmt}"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--format", fmt, "--out", str(out), *rest]) == code, fmt
+    captured = capsys.readouterr()
+    err = captured.err
+    assert not caught, [str(w.message) for w in caught]
+    assert not out.exists()
+    assert captured.out == ""
+    assert err.endswith("\n") and err.count("\n") == 1, err
+    assert "Warning" not in err and "Traceback" not in err
+    if dots:
+        assert err.startswith(head) and err.endswith(tail + "\n"), err
+    else:
+        assert err == line + "\n"
 
 
 def _row_id(row):
@@ -604,26 +636,18 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("row", FAILURES, ids=_row_id)
     def test_row(self, tmp_path, capsys, row):
-        argv, code, line, *formats = row
-        command, *rest = argv.split()
-        head, dots, tail = line.partition("...")
-        for fmt in formats or ["csv"]:
-            # a row's own --out comes after this one, and wins
-            out = tmp_path / f"out.{fmt}"
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                assert main([command, "--format", fmt, "--out", str(out), *rest]) == code, fmt
-            captured = capsys.readouterr()
-            err = captured.err
-            assert not caught, [str(w.message) for w in caught]
-            assert not out.exists()
-            assert captured.out == ""
-            assert err.endswith("\n") and err.count("\n") == 1, err
-            assert "Warning" not in err and "Traceback" not in err
-            if dots:
-                assert err.startswith(head) and err.endswith(tail + "\n"), err
-            else:
-                assert err == line + "\n"
+        for fmt in row[3:] or ["csv"]:
+            _check_failure(tmp_path, capsys, row, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_tss_integer_moment_overflow_is_numerical_failure(self, tmp_path, capsys, fmt):
+        for row in TSS_OVERFLOWS["integer"]:
+            _check_failure(tmp_path, capsys, row, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_tss_fractional_setup_overflow_is_numerical_failure(self, tmp_path, capsys, fmt):
+        for row in TSS_OVERFLOWS["fractional"]:
+            _check_failure(tmp_path, capsys, row, fmt)
 
     @pytest.mark.parametrize("command", ["simulate", "moments"])
     def test_seed_range(self, tmp_path, command):
