@@ -1,6 +1,7 @@
 """Command-line front end: simulate paths, tabulate oracle vs asymptotic
 covariances and moments, run the long-range-dependence verification, and
-run the built-in self test.
+run the built-in self test.  An argument @FILE stands for the flags in
+FILE, as typed and split at whitespace; the last occurrence of a flag wins.
 
 Exit codes: 0 success, 1 usage/config error, 2 I/O error, 3 statistical
 verification failure, 4 numerical failure (a quadrature that could not
@@ -62,7 +63,7 @@ def _moment_orders(text: str) -> tuple[float, ...]:
 
 # One row per run parameter: key -> (type, default, help, choices).  Each
 # key is the flag --key with "-" for "_" (--lambda for lam, --q on moments
-# only) and the --config key; the type converts the flag and the file value.
+# only); argparse converts and defaults it, given inline or in an @FILE.
 _PARAMS = {
     "subordinator": (str, "tss", None, ("tss", "gamma")),
     "alpha": (float, 0.7, "tempered stable index in (0,1)", None),
@@ -115,60 +116,22 @@ class RunConfig:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="gmfbm", description=__doc__)
+    parser = argparse.ArgumentParser(prog="gmfbm", description=__doc__, fromfile_prefix_chars="@")
+    parser.convert_arg_line_to_args = str.split
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in _COMMANDS.items():
         p = sub.add_parser(name, help=fn.__doc__)
-        p.add_argument("--config", help="INI-style key=value file; flags override it")
-        for key, (kind, _, text, choices) in _PARAMS.items():
+        for key, (kind, default, text, choices) in _PARAMS.items():
             if key != "q" or name == "moments":
                 flag = "--lambda" if key == "lam" else "--" + key.replace("_", "-")
-                p.add_argument(flag, dest=key, type=kind, choices=choices, help=text)
+                p.add_argument(flag, dest=key, type=kind, default=default, choices=choices,
+                               help=text)
     sub.add_parser("selftest", help="run the nine acceptance criteria at full size")
     return parser
 
 
-def _load_config_file(path: str) -> dict:
-    import configparser  # only a --config run pays for the import
-
-    cp = configparser.ConfigParser()
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from exc
-    try:
-        try:
-            cp.read_string(text)
-        except configparser.MissingSectionHeaderError:
-            cp.read_string("[run]\n" + text)
-    except configparser.Error as exc:
-        raise ConfigError(f"bad config file: {exc}") from exc
-    out = {}
-    for section in cp.sections():
-        for key, value in cp.items(section):
-            key = key.strip().replace("-", "_")
-            out["lam" if key == "lambda" else key] = value.strip()
-    return out
-
-
 def _make_config(args: argparse.Namespace) -> RunConfig:
-    # precedence: flag, then --config file, then the table default
-    file_values = _load_config_file(args.config) if args.config else {}
-    for key in file_values:
-        if key not in _PARAMS:
-            raise ConfigError(f"unknown config key {key!r}")
-    values = {}
-    for key, (kind, default, _, choices) in _PARAMS.items():
-        value = getattr(args, key, None)
-        if value is None and key in file_values:
-            try:
-                value = kind(file_values[key])
-            except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise ConfigError(f"bad value for {key}: {exc}") from exc
-            if choices and value not in choices:
-                raise ConfigError(f"unknown {key} {value!r}")
-        values[key] = default if value is None else value
+    values = vars(args)
     try:
         if values["subordinator"] == "tss":
             sub = SubordinatorSpec.tss(values["alpha"], values["lam"])
@@ -304,7 +267,7 @@ def cmd_lrd(config: RunConfig) -> int:
                    f"paired {report.mc_slope_paired_stderr:.4f})")
     _info(f"fitted slopes: oracle {report.oracle_fit.slope:+.4f} "
           f"(stderr {report.oracle_fit.slope_stderr:.4f}), {mc_text}")
-    _info(f"long-range dependent: {report.is_lrd}")
+    _info(f"long-range dependent: {report.is_lrd} (2*H1 - H2 < 1 holds whenever h1 <= h2 < 1)")
     if not passed:
         # for H2 < 1/2, Cov tends to V(s)/2, so the correlation decays like t**-H2
         if pred.exponent_plateau - pred.dominant > tolerance:

@@ -75,11 +75,12 @@ class GmfbmParams:
         A variance beyond the float range raises ``OverflowError``, where the
         samplers would take an inf for a repeated time.
         """
+        # a numpy scalar's ** overflows to inf, a float's raises
         with np.errstate(over="ignore", invalid="ignore"):
             second = np.power(lag, 2.0 * self.h2)
-            second *= self.b ** 2
+            second *= np.float64(self.b) ** 2
             out = np.power(lag, 2.0 * self.h1, out=out)
-            out *= self.a ** 2
+            out *= np.float64(self.a) ** 2
             out += second
         if not np.isfinite(out).all():
             raise OverflowError("the increment variance a**2 lag**2H1 + b**2 lag**2H2 is "
@@ -147,16 +148,20 @@ def exact_var_oracle(spec: TimeChangedSpec, t):
     result) or a 1-d array of times (an array, one moment call per order).
 
     The variance is exactly positive, so one that underflows to 0 (as at
-    a = b = 1e-200, where a**2 does) raises ``FloatingPointError``, naming
-    the first such time.
+    a = b = 1e-200, where a**2 does) raises ``FloatingPointError``, and one
+    beyond the float range (as at a = 1e154, where a**2 m(t, 2H1) is)
+    ``OverflowError``, each naming the first such time.
     """
     p = spec.gmfbm
-    var = (p.a ** 2 * subordinator_moment(spec.subordinator, t, 2.0 * p.h1)
-           + p.b ** 2 * subordinator_moment(spec.subordinator, t, 2.0 * p.h2))
-    zero = np.ravel(var) == 0.0
-    if zero.any():
-        raise FloatingPointError(f"Var(Y_t) = a**2 m(t, 2H1) + b**2 m(t, 2H2) underflows to 0 "
-                                 f"at t = {np.ravel(t)[np.argmax(zero)]:.17g}")
+    with np.errstate(over="ignore"):  # a numpy scalar's ** overflows to inf, a float's raises
+        var = (np.float64(p.a) ** 2 * subordinator_moment(spec.subordinator, t, 2.0 * p.h1)
+               + np.float64(p.b) ** 2 * subordinator_moment(spec.subordinator, t, 2.0 * p.h2))
+    flat = np.ravel(var)
+    for bad, error, what in ((~np.isfinite(flat), OverflowError, "is beyond the float range"),
+                             (flat == 0.0, FloatingPointError, "underflows to 0")):
+        if bad.any():
+            raise error(f"Var(Y_t) = a**2 m(t, 2H1) + b**2 m(t, 2H2) {what} "
+                        f"at t = {np.ravel(t)[np.argmax(bad)]:.17g}")
     return var
 
 

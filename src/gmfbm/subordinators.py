@@ -221,7 +221,10 @@ def _tss_bell(params: TssParams, ts, n: int):
     alpha, kappa, c = params.alpha, [], ts * params.alpha
     bell = [[]]  # bell[m][k-1] = B_{m,k}
     for m in range(1, n + 1):
-        kappa.append(c * params.lam ** (alpha - m))
+        try:  # a float ** beyond the float range raises; the callers check for inf
+            kappa.append(c * params.lam ** (alpha - m))
+        except OverflowError:
+            kappa.append(c * math.inf)
         c = c * (m - alpha)
         bell.append([kappa[-1]] + [sum(math.comb(m - 1, i - 1) * kappa[i - 1] * bell[m - i][k - 2]
                                    for i in range(1, m - k + 2)) for k in range(2, m + 1)])
@@ -338,7 +341,7 @@ def _tss_fractional_moment(params: TssParams, ts: np.ndarray, q: float, n: int,
         panels.append(math.ceil(_PANELS_PER_DECADE * (s_cut - s0[-1]) / math.log(10.0)))
         if panels[-1] > _MAX_PANELS:
             raise QuadratureError(
-                f"moment integrand spans {panels[-1]} panels (limit {_MAX_PANELS}) "
+                f"moment integrand spans {panels[-1]:g} panels (limit {_MAX_PANELS}) "
                 f"for alpha={alpha}, lambda={lam}, t={t}, q={q}")
         width.append((s_cut - s0[-1]) / panels[-1])
     s0, panels, width = np.array(s0), np.array(panels), np.array(width)

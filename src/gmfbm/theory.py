@@ -10,6 +10,7 @@ surfaces the measured ratio rather than silently correcting the formula.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from gmfbm.process import GmfbmParams, TimeChangedSpec
@@ -42,15 +43,20 @@ def cov_asymptotic(spec: TimeChangedSpec, s: float, t: float) -> float:
         k a**2 H1 s r**2H1 t**(2H1-1) + k b**2 H2 s r**2H2 t**(2H2-1)
 
     The formula is positive, so a value that underflows to 0 raises
-    ``FloatingPointError``.
+    ``FloatingPointError``; one beyond the float range ``OverflowError``.
     """
     if not 0.0 < s < t:
         raise ValueError(f"need 0 < s < t, got s={s}, t={t}")
     p = spec.gmfbm
     k = 2.0 if spec.subordinator.kind == "gamma" else 1.0
     rate = spec.subordinator.rate
-    cov = (k * p.a ** 2 * p.h1 * s * rate ** (2.0 * p.h1) * t ** (2.0 * p.h1 - 1.0)
-           + k * p.b ** 2 * p.h2 * s * rate ** (2.0 * p.h2) * t ** (2.0 * p.h2 - 1.0))
+    try:  # a float ** leaves the float range by raising, a float * by inf
+        cov = (k * p.a ** 2 * p.h1 * s * rate ** (2.0 * p.h1) * t ** (2.0 * p.h1 - 1.0)
+               + k * p.b ** 2 * p.h2 * s * rate ** (2.0 * p.h2) * t ** (2.0 * p.h2 - 1.0))
+    except OverflowError:
+        cov = math.inf
+    if not cov < math.inf:  # also NaN, a weight 0 times an inf rate
+        raise OverflowError(f"the asymptotic covariance is beyond the float range at t = {t}")
     if cov == 0.0:
         raise FloatingPointError(f"the asymptotic covariance underflows to 0 at t = {t}")
     return cov

@@ -104,6 +104,10 @@ FAILURES = [
     # warning before it (exit 4, never 1)
     ("moments --subordinator tss --t-min 1e249 --t-max 1e250 --t-count 2", EXIT_NUMERICAL,
      "gmfbm: numerical failure: moment quadrature error ..."),
+    # at alpha -> 0 the integrand spans 1e299 decades of u: refused by count
+    ("moments --alpha 1e-300 --t-count 2", EXIT_NUMERICAL,
+     "gmfbm: numerical failure: moment integrand spans 6.84845e+299 panels (limit 4096) "
+     "for alpha=1e-300, lambda=1.0, t=100.0, q=0.6"),
     # at t = 1e14 on a Gamma clock V(t) - V(t-s) keeps about two of V's
     # digits, so rounding the three V values can move the oracle by 1.4% of
     # itself (at 1e16 it cancels to <= 0): exit 4 at the first such grid
@@ -149,12 +153,42 @@ FAILURES = [
     ("moments --subordinator gamma --q 1e300 --t-count 2", EXIT_NUMERICAL,
      "gmfbm: numerical failure: float overflow in subordinators.gamma_moment during "
      "'moments': the order-1e+300 moment is beyond the float range at t/nu = 10000.0"),
-    # the TSS moments beyond the float range are the rows of TSS_OVERFLOWS
+    # the TSS moments beyond the float range are the rows of TSS_OVERFLOWS;
+    # lam**(alpha - 2) is beyond it at lambda = 1e-300, lam**(alpha - 1) at 1e-320
     ("cov-table --lambda 1e-300 --t-min 2 --t-max 3 --t-count 2 --paths 100", EXIT_NUMERICAL,
-     "gmfbm: numerical failure: float overflow in subordinators._tss_bell during "
-     "'cov-table': ..."),
+     "gmfbm: numerical failure: float overflow in subordinators.tss_moment during "
+     "'cov-table': the order-1.1 moment's set-up (the clock's mean, variance or t "
+     "lam**alpha) is beyond the float range at t = 3.0"),
+    ("moments --alpha 0.01 --lambda 1e-320 --t-count 2", EXIT_NUMERICAL,
+     "gmfbm: numerical failure: float overflow in subordinators.tss_moment during "
+     "'moments': the order-0.6 moment's set-up (the clock's mean, variance or t "
+     "lam**alpha) is beyond the float range at t = 10000.0"),
+    # a**2 is beyond the float range at a = 1e200, and a**2 m(t, 2H1) at 1e154
     ("lrd --a 1e200", EXIT_NUMERICAL,
-     "gmfbm: numerical failure: float overflow in process.exact_var_oracle during 'lrd': ..."),
+     "gmfbm: numerical failure: float overflow in process.exact_var_oracle during 'lrd': "
+     "Var(Y_t) = a**2 m(t, 2H1) + b**2 m(t, 2H2) is beyond the float range at t = 1"),
+    ("lrd --a 1e154 --paths 200", EXIT_NUMERICAL,
+     "gmfbm: numerical failure: float overflow in process.exact_var_oracle during 'lrd': "
+     "Var(Y_t) = a**2 m(t, 2H1) + b**2 m(t, 2H2) is beyond the float range at t = 100"),
+    ("cov-table --a 1e154 --paths 100 --t-count 2", EXIT_NUMERICAL,
+     "gmfbm: numerical failure: float overflow in process.exact_var_oracle during "
+     "'cov-table': Var(Y_t) = a**2 m(t, 2H1) + b**2 m(t, 2H2) is beyond the float range "
+     "at t = 100"),
+    ("simulate --a 1e200 --paths 3 --t-count 2", EXIT_NUMERICAL,
+     "gmfbm: numerical failure: float overflow in process.increment_variance during "
+     "'simulate': the increment variance a**2 lag**2H1 + b**2 lag**2H2 is beyond the "
+     "float range at a lag the clock reached"),
+    # b**2 and (1/nu)**2H1 leave the float range; at lambda = 1e-320 the TSS
+    # rate is inf, and at a = 0 the a**2 term is 0 * inf
+    ("cov-table --b 1e200 --paths 100 --t-count 2", EXIT_NUMERICAL,
+     "gmfbm: numerical failure: float overflow in theory.cov_asymptotic during "
+     "'cov-table': the asymptotic covariance is beyond the float range at t = 100.0"),
+    ("cov-table --subordinator gamma --nu 1e-300 --paths 100 --t-count 2", EXIT_NUMERICAL,
+     "gmfbm: numerical failure: float overflow in theory.cov_asymptotic during "
+     "'cov-table': the asymptotic covariance is beyond the float range at t = 100.0"),
+    ("cov-table --a 0 --alpha 0.01 --lambda 1e-320 --paths 100 --t-count 2", EXIT_NUMERICAL,
+     "gmfbm: numerical failure: float overflow in theory.cov_asymptotic during "
+     "'cov-table': the asymptotic covariance is beyond the float range at t = 100.0"),
     ("lrd --subordinator gamma --nu 1e-300 --paths 200", EXIT_NUMERICAL,
      "gmfbm: numerical failure: float overflow in subordinators.gamma_moment during 'lrd': ..."),
     ("simulate --subordinator gamma --nu 1e-300 --paths 2 --t-count 2", EXIT_NUMERICAL,
@@ -594,36 +628,64 @@ class TestMoments:
         assert one == two
 
 
-class TestConfigFile:
-    def test_file_values_used_and_flags_override(self, tmp_path):
-        cfg = tmp_path / "run.ini"
-        cfg.write_text("subordinator = gamma\nnu = 2.0\nt-count = 4\n"
-                       "t-min = 5\nt-max = 500\npaths = 150\nseed = 66\n")
-        code, text = run(tmp_path, "moments", "--config", str(cfg), "--t-count", "3")
-        assert code == EXIT_OK
-        lines = text.strip().split("\n")
-        assert len(lines) == 1 + 3 * 3  # flag t-count=3 wins over the file's 4
+class TestArgumentFile:
+    # an @FILE holds flags as typed on the command line, split at whitespace
+    INLINE = {
+        "simulate": ["--paths", "5", "--t-count", "4", "--seed", "9"],
+        "cov-table": ["--paths", "200", "--t-min", "2", "--t-max", "20", "--t-count", "3"],
+        "lrd": FAST_LRD,
+        "moments": ["--subordinator", "gamma", "--nu", "2", "--t-min", "5", "--t-max", "50",
+                    "--t-count", "3", "--q", "0.5,2"],
+    }
 
-    def test_sectioned_file(self, tmp_path):
-        cfg = tmp_path / "run.ini"
-        cfg.write_text("[run]\nsubordinator = tss\nalpha = 0.5\nlambda = 2.0\n"
-                       "t-min = 5\nt-max = 50\nt-count = 2\n")
-        code, _ = run(tmp_path, "moments", "--config", str(cfg))
-        assert code == EXIT_OK
-
-    def test_unknown_key_rejected(self, tmp_path):
-        cfg = tmp_path / "run.ini"
-        # an unknown key, known keys whose values the table's types reject,
-        # and a key repeated in a file without a section header
-        for text in ("mystery = 1\n", "paths = many\n", "subordinator = brownian\n",
-                     "paths = 1\npaths = 2\n"):
-            cfg.write_text(text)
-            code, _ = run(tmp_path, "moments", "--config", str(cfg))
-            assert code == EXIT_USAGE, text
-
-    def test_missing_file(self, tmp_path):
-        code, _ = run(tmp_path, "moments", "--config", str(tmp_path / "none.ini"))
+    @staticmethod
+    def check_usage_error(capsys, code, text, reason):
+        err = capsys.readouterr().err
         assert code == EXIT_USAGE
+        assert text is None
+        assert err.startswith("usage: gmfbm")
+        assert re.fullmatch(r"gmfbm( moments)?: error: .*", err.splitlines()[-1]), err
+        assert reason in err.splitlines()[-1]
+
+    def test_file_values_used_and_flags_override(self, tmp_path):
+        args = tmp_path / "run.args"
+        args.write_text("--subordinator gamma --nu 2.0 --t-count 4\n"
+                        "--t-min 5 --t-max 500 --paths 150 --seed 66\n")
+        # the last occurrence of a flag wins, after the file or in it
+        for flags, t_count in [((f"@{args}", "--t-count", "3"), 3),
+                               (("--t-count", "3", f"@{args}"), 4)]:
+            code, text = run(tmp_path, "moments", *flags, fmt="json")
+            assert code == EXIT_OK
+            payload = json.loads(text)
+            config = payload["config"]
+            assert (config["subordinator"], config["nu"], config["seed"]) == ("gamma", 2.0, 66)
+            assert config["t_count"] == t_count
+            assert len(payload["rows"]) == 3 * t_count
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", sorted(INLINE))
+    def test_same_bytes_as_inline_flags(self, tmp_path, capsys, command, fmt):
+        args = tmp_path / "run.args"
+        args.write_text(" ".join(self.INLINE[command]).replace(" --", "\n--") + "\n")
+        # the same --out path, which JSON records
+        inline = [*run(tmp_path, command, *self.INLINE[command], fmt=fmt),
+                  capsys.readouterr().err]
+        from_file = [*run(tmp_path, command, f"@{args}", fmt=fmt), capsys.readouterr().err]
+        assert inline[1] is not None
+        assert from_file == inline
+
+    def test_unknown_flag_or_bad_value_rejected(self, tmp_path, capsys):
+        args = tmp_path / "run.args"
+        # an unknown flag, a value the flag's type rejects and one outside its choices
+        for text, reason in [("--mystery 1", "unrecognized arguments: --mystery 1"),
+                             ("--paths many", "argument --paths: invalid int value: 'many'"),
+                             ("--subordinator brownian", "invalid choice: 'brownian'")]:
+            args.write_text(text + "\n")
+            self.check_usage_error(capsys, *run(tmp_path, "moments", f"@{args}"), reason)
+
+    def test_missing_file(self, tmp_path, capsys):
+        self.check_usage_error(capsys, *run(tmp_path, "moments", f"@{tmp_path / 'none.args'}"),
+                               "No such file or directory")
 
 
 class TestExitCodes:
@@ -658,25 +720,25 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_empty_moment_order_list(self, tmp_path, capsys, fmt):
-        # and an unparsable one: by flag or by config file, the message
-        # names no private function (argparse names the type function of a
-        # value it cannot convert unless that raises ArgumentTypeError)
-        cfg = tmp_path / "run.ini"
+        # and an unparsable one: inline or in an @FILE, the message names
+        # no private function (argparse names the type function of a value
+        # it cannot convert unless that raises ArgumentTypeError)
+        args = tmp_path / "run.args"
         for value, reason in [(",,", "no moment order in ',,'"),
                               ("1,abc", "could not convert string to float: 'abc'")]:
-            cfg.write_text(f"q = {value}\n")
-            for args, line in [(("--q", value), f"gmfbm moments: error: argument --q: {reason}"),
-                               (("--config", str(cfg)),
-                                f"gmfbm: config error: bad value for q: {reason}")]:
-                code, text = run(tmp_path, "moments", *args, fmt=fmt)
+            args.write_text(f"--q {value}\n")
+            for flags in (("--q", value), (f"@{args}",)):
+                code, text = run(tmp_path, "moments", *flags, fmt=fmt)
                 err = capsys.readouterr().err
                 assert code == EXIT_USAGE
                 assert text is None
                 assert "Traceback" not in err
-                assert err.splitlines()[-1] == line
+                assert err.splitlines()[-1] == f"gmfbm moments: error: argument --q: {reason}"
 
     def test_help_exits_zero(self):
-        assert main(["--help"]) == EXIT_OK
+        # argparse formats each command's help texts only for its own --help
+        for command in [[], *([name] for name in cli._COMMANDS), ["selftest"]]:
+            assert main([*command, "--help"]) == EXIT_OK, command
 
     @pytest.mark.parametrize("error", [QuadratureError, ConditioningError])
     def test_numerical_failure(self, tmp_path, monkeypatch, capsys, error):
@@ -736,7 +798,8 @@ class TestRuntimeImports:
 
     def test_default_runs_do_not_load_unused_stdlib(self, tmp_path):
         # a default run needs no concurrency module (concurrent.futures
-        # would also pull in logging), and configparser serves only --config
+        # would also pull in logging), and argparse reads an @FILE without
+        # configparser
         runs = [["lrd", "--paths", "100"], ["simulate", "--paths", "100"]]
         modules = ["logging", "configparser", "concurrent.futures"]
         assert self.loaded_after(tmp_path, runs, modules) == "[]"
